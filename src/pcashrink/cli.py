@@ -323,13 +323,14 @@ def cmd_sweep(opts):
         base = base.rsplit(".", 1)[0]
     csv_path = base + ".csv"
     json_path = base + ".json"
+    report = sweep_report_json(result, summary)
     _write_text(csv_path, sweep_csv(result))
-    _write_text(json_path, sweep_report_json(result, summary))
+    _write_text(json_path, report)
     _log("wrote %s" % csv_path)
     _log("wrote %s" % json_path)
 
     if opts.get("format", "csv") == "json":
-        sys.stdout.write(sweep_report_json(result, summary))
+        sys.stdout.write(report)
     else:
         print("dataset=%s rows=%d pairs=%d sampled=%s"
               % (result.dataset_name, len(result.rows), result.pair_count,

@@ -23,7 +23,7 @@ from .errors import (
     DimMismatchError,
     NonFiniteError,
 )
-from .matrix import as_data_matrix, as_vector, covariance, jacobi_eigendecomposition
+from .matrix import as_data_matrix, covariance, jacobi_eigendecomposition
 from .serialize import json_text
 
 MODEL_FORMAT = "pcashrink-model"
@@ -120,19 +120,13 @@ def transform(model, x, m=None):
     """
     m = check_m(model, m)
     arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        vec = as_vector(arr, "x")
-        if vec.shape[0] != model.n_features:
-            raise DimMismatchError(
-                "expected %d features, got %d" % (model.n_features, vec.shape[0])
-            )
-        return (model.components.T @ (vec - model.mean))[:m]
-    X = as_data_matrix(arr, "x")
+    X = as_data_matrix(arr[None, :] if arr.ndim == 1 else arr, "x")
     if X.shape[1] != model.n_features:
         raise DimMismatchError(
             "expected %d features, got %d" % (model.n_features, X.shape[1])
         )
-    return ((X - model.mean) @ model.components)[:, :m]
+    Y = ((X - model.mean) @ model.components)[:, :m]
+    return Y[0] if arr.ndim == 1 else Y
 
 
 def reconstruct(model, y):
@@ -144,13 +138,10 @@ def reconstruct(model, y):
     (up to roundoff).
     """
     arr = np.asarray(y, dtype=float)
-    if arr.ndim == 1:
-        vec = as_vector(arr, "y")
-        m = check_m(model, vec.shape[0])
-        return model.components[:, :m] @ vec + model.mean
-    Y = as_data_matrix(arr, "y")
+    Y = as_data_matrix(arr[None, :] if arr.ndim == 1 else arr, "y")
     m = check_m(model, Y.shape[1])
-    return Y @ model.components[:, :m].T + model.mean
+    X = Y @ model.components[:, :m].T + model.mean
+    return X[0] if arr.ndim == 1 else X
 
 
 def discarded_eigenvalue_sum(model, m):

@@ -4,41 +4,35 @@ two runs with the same inputs produce byte-identical files."""
 
 from __future__ import annotations
 
-from ._version import VERSION
-from .experiments import STRONG_CORRELATION, correlate
-from .serialize import csv_line, f17, json_text
+from dataclasses import asdict, astuple, fields
 
-SWEEP_CSV_HEADER = "m,eigsum,mean_shrinkage,median_shrinkage,max_shrinkage,accuracy"
-PAIR_CSV_HEADER = "i,j,m,dist_original,dist_truncated,shrinkage,recon_error"
+from ._version import VERSION
+from .experiments import STRONG_CORRELATION, SweepRow, correlate
+from .serialize import csv_line, f17, json_text
+from .shrinkage import ShrinkageRecord
+
+SWEEP_CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
+PAIR_CSV_HEADER = ",".join(f.name for f in fields(ShrinkageRecord))
 
 
 def sweep_csv(result):
     """CSV text for the rows of a SweepResult."""
-    lines = [SWEEP_CSV_HEADER]
-    for row in result.rows:
-        lines.append(
-            csv_line(
-                (
-                    row.m,
-                    row.eigsum,
-                    row.mean_shrinkage,
-                    row.median_shrinkage,
-                    row.max_shrinkage,
-                    row.accuracy,
-                )
-            )
-        )
+    lines = [SWEEP_CSV_HEADER] + [csv_line(astuple(row)) for row in result.rows]
     return "\n".join(lines) + "\n"
 
 
-def correlation_entry(r):
-    """JSON fragment for one coefficient: value plus a strength flag.
-
-    |r| >= STRONG_CORRELATION is labelled "strong", anything weaker
-    "weak"; an undefined coefficient (constant series) stays null."""
+def _strength(r):
+    """Strength label of a coefficient: "strong" when |r| >=
+    STRONG_CORRELATION, "weak" below it, None when r is undefined
+    (constant series)."""
     if r is None:
-        return {"r": None, "strength": None}
-    return {"r": r, "strength": "strong" if abs(r) >= STRONG_CORRELATION else "weak"}
+        return None
+    return "strong" if abs(r) >= STRONG_CORRELATION else "weak"
+
+
+def correlation_entry(r):
+    """JSON fragment for one coefficient: value plus its strength flag."""
+    return {"r": r, "strength": _strength(r)}
 
 
 def sweep_report(result, summary=None):
@@ -54,17 +48,7 @@ def sweep_report(result, summary=None):
         "seed": result.seed,
         "classifier": result.classifier_config,
         "m_range": [result.rows[0].m, result.rows[-1].m],
-        "rows": [
-            {
-                "m": row.m,
-                "eigsum": row.eigsum,
-                "mean_shrinkage": row.mean_shrinkage,
-                "median_shrinkage": row.median_shrinkage,
-                "max_shrinkage": row.max_shrinkage,
-                "accuracy": row.accuracy,
-            }
-            for row in result.rows
-        ],
+        "rows": [asdict(row) for row in result.rows],
         "pair_count": result.pair_count,
         "pairs_sampled": result.pairs_sampled,
         "negative_shrinkage_pairs": result.negative_shrinkage_pairs,
@@ -75,9 +59,7 @@ def sweep_report(result, summary=None):
             "mean_shrinkage_vs_accuracy": correlation_entry(summary.r_shrinkage_accuracy),
             "sample_count": summary.sample_count,
         },
-        "accuracy_correlations_weak": all(
-            r is not None and abs(r) < STRONG_CORRELATION for r in accuracy_rs
-        ),
+        "accuracy_correlations_weak": all(_strength(r) == "weak" for r in accuracy_rs),
     }
 
 
@@ -88,18 +70,8 @@ def sweep_report_json(result, summary=None):
 def pair_csv_lines(table):
     """Yield CSV lines (header first) for a PairTable, in engine order."""
     yield PAIR_CSV_HEADER
-    for k in range(table.i.size):
-        yield csv_line(
-            (
-                int(table.i[k]),
-                int(table.j[k]),
-                table.m,
-                float(table.dist_original[k]),
-                float(table.dist_truncated[k]),
-                float(table.shrinkage[k]),
-                float(table.recon_error[k]),
-            )
-        )
+    for row in table.rows():
+        yield csv_line(row)
 
 
 def write_pair_csv(table, path):
@@ -139,10 +111,10 @@ def format_correlation_lines(summary):
         ("r_eigsum_accuracy", summary.r_eigsum_accuracy),
         ("r_shrinkage_accuracy", summary.r_shrinkage_accuracy),
     ):
-        if r is None:
+        strength = _strength(r)
+        if strength is None:
             lines.append("%s=undefined" % key)
         else:
-            flag = "strong" if abs(r) >= STRONG_CORRELATION else "weak"
-            lines.append("%s=%s (%s)" % (key, f17(r), flag))
+            lines.append("%s=%s (%s)" % (key, f17(r), strength))
     lines.append("sample_count=%d" % summary.sample_count)
     return lines

@@ -11,7 +11,8 @@ sample pair, or for a seeded subsample when the pair count explodes.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .errors import (
     InsufficientPairsError,
     ZeroVarianceError,
 )
-from .matrix import as_data_matrix, as_vector, euclidean_distance
+from .matrix import as_data_matrix, as_vector
 from .pca import check_m, reconstruct, transform
 
 # all pairs are visited up to this many samples; beyond it a seeded
@@ -31,7 +32,10 @@ PAIR_SAMPLE_DEFAULT = 2_000_000
 
 VIOLATION_TOL = 1e-9
 
-_CHUNK = 131072
+# pairs per engine work unit and per rows() conversion; small chunks keep
+# the gather temporaries (and what a worker thread's allocator holds on
+# to) to a few MB
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -92,46 +96,39 @@ class PairTable:
             bound_violations=int(np.count_nonzero(d > self.recon_error + violation_tol)),
         )
 
+    def rows(self):
+        """Per-pair tuples in ShrinkageRecord field order, engine order.
+
+        Columns are converted to Python scalars a few thousand pairs at
+        a time, so memory stays flat for large tables."""
+        cols = (self.i, self.j, self.dist_original, self.dist_truncated,
+                self.shrinkage, self.recon_error)
+        for lo in range(0, self.i.size, _CHUNK):
+            i, j, d_orig, d_trunc, shrink, bound = (c[lo:lo + _CHUNK].tolist() for c in cols)
+            yield from zip(i, j, repeat(self.m), d_orig, d_trunc, shrink, bound)
+
     def records(self):
-        return [
-            ShrinkageRecord(
-                i=int(self.i[k]),
-                j=int(self.j[k]),
-                m=self.m,
-                dist_original=float(self.dist_original[k]),
-                dist_truncated=float(self.dist_truncated[k]),
-                shrinkage=float(self.shrinkage[k]),
-                recon_error=float(self.recon_error[k]),
-            )
-            for k in range(self.i.size)
-        ]
+        return [ShrinkageRecord(*row) for row in self.rows()]
+
+
+def _pair_table(model, x_i, x_j, m):
+    """Pair-engine table for the two-row matrix [x_i; x_j]."""
+    check_m(model, m)
+    a = as_vector(x_i, "x_i")
+    b = as_vector(x_j, "x_j")
+    if a.shape[0] != b.shape[0]:
+        raise DimMismatchError("length mismatch: %d vs %d" % (a.shape[0], b.shape[0]))
+    return shrinkage_table(model, np.stack([a, b]), m)
 
 
 def pair_shrinkage(model, x_i, x_j, m=None, i=0, j=1):
     """ShrinkageRecord for a single pair of points."""
-    m = check_m(model, m)
-    a = as_vector(x_i, "x_i")
-    b = as_vector(x_j, "x_j")
-    dist_original = euclidean_distance(a, b)
-    dist_truncated = euclidean_distance(transform(model, a, m), transform(model, b, m))
-    return ShrinkageRecord(
-        i=i,
-        j=j,
-        m=m,
-        dist_original=dist_original,
-        dist_truncated=dist_truncated,
-        shrinkage=dist_original - dist_truncated,
-        recon_error=pair_reconstruction_error(model, a, b, m),
-    )
+    return replace(_pair_table(model, x_i, x_j, m).records()[0], i=i, j=j)
 
 
 def pair_reconstruction_error(model, x_i, x_j, m=None):
     """Sum of the two points' own reconstruction distances at level m."""
-    m = check_m(model, m)
-    total = 0.0
-    for v in (as_vector(x_i, "x_i"), as_vector(x_j, "x_j")):
-        total += euclidean_distance(v, reconstruct(model, transform(model, v, m)))
-    return total
+    return float(_pair_table(model, x_i, x_j, m).recon_error[0])
 
 
 def collision_witness(model, x, m, scale=1.0):
@@ -218,17 +215,13 @@ def shrinkage_table(model, data, m=None, *, pair_sample=None, seed=0, threads=1)
     d_orig = np.empty(pair_count)
     d_trunc = np.empty(pair_count)
     spans = [(lo, min(lo + _CHUNK, pair_count)) for lo in range(0, pair_count, _CHUNK)]
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            futures = [
-                pool.submit(_fill_span, X, Yt, i_idx, j_idx, d_orig, d_trunc, lo, hi)
-                for lo, hi in spans
-            ]
-            for fut in futures:
-                fut.result()
-    else:
-        for lo, hi in spans:
-            _fill_span(X, Yt, i_idx, j_idx, d_orig, d_trunc, lo, hi)
+    with ThreadPoolExecutor(max_workers=max(1, int(threads))) as pool:
+        futures = [
+            pool.submit(_fill_span, X, Yt, i_idx, j_idx, d_orig, d_trunc, lo, hi)
+            for lo, hi in spans
+        ]
+        for fut in futures:
+            fut.result()
 
     resid = X - reconstruct(model, Yt)
     point_error = np.sqrt(np.einsum("ij,ij->i", resid, resid))

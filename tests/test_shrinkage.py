@@ -69,6 +69,17 @@ class TestPairShrinkage:
         assert_allclose(got, MEAN_SHRINKAGE_M1, atol=1e-12)
         assert_allclose(got, (4.0 - 2.0 * np.sqrt(2.0)) / 3.0, atol=1e-12)
 
+    def test_mismatched_vectors_raise_dim_mismatch(self, three_point_model):
+        cases = [
+            ([1.0, 1.0], [1.0, 1.0, 1.0]),  # the two vectors differ in length
+            ([1.0, 1.0, 1.0], [1.0, -1.0, 0.0]),  # both wrong for a 2-feature model
+        ]
+        for a, b in cases:
+            with pytest.raises(DimMismatchError):
+                pair_shrinkage(three_point_model, a, b, m=1)
+            with pytest.raises(DimMismatchError):
+                pair_reconstruction_error(three_point_model, a, b, m=1)
+
     def test_single_point_has_no_pairs(self, three_point_model):
         with pytest.raises(InsufficientPairsError):
             mean_shrinkage(three_point_model, THREE_POINTS[:1], 1)
@@ -164,11 +175,12 @@ class TestPairEngine:
         X = rng.standard_normal((800, 3)) * [3.0, 1.0, 0.2]
         model = fit(X)
         one = shrinkage_table(model, X, 1, threads=1)
-        four = shrinkage_table(model, X, 1, threads=4)
-        assert np.array_equal(one.dist_original, four.dist_original)
-        assert np.array_equal(one.dist_truncated, four.dist_truncated)
-        assert np.array_equal(one.shrinkage, four.shrinkage)
-        assert np.array_equal(one.recon_error, four.recon_error)
+        for threads in (4, 0):
+            other = shrinkage_table(model, X, 1, threads=threads)
+            assert np.array_equal(one.dist_original, other.dist_original)
+            assert np.array_equal(one.dist_truncated, other.dist_truncated)
+            assert np.array_equal(one.shrinkage, other.shrinkage)
+            assert np.array_equal(one.recon_error, other.recon_error)
 
     def test_feature_mismatch(self, three_point_model):
         with pytest.raises(DimMismatchError):
