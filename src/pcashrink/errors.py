@@ -49,6 +49,10 @@ class InsufficientPairsError(ToolkitError):
     code = "insufficient-pairs"
 
 
+class TooManyPairsError(ToolkitError):
+    code = "too-many-pairs"
+
+
 class ZeroVarianceError(ToolkitError):
     code = "zero-variance"
 

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .matrix import as_data_matrix
 from .pca import discarded_eigenvalue_sum, fit, transform
-from .shrinkage import CorrelationSummary, pearson, shrinkage_table
+from .shrinkage import CorrelationSummary, pearson, shrinkage_tables
 
 STRONG_CORRELATION = 0.7
 
@@ -192,8 +192,7 @@ def _stratified_folds(labels, folds, seed):
     for cls in sorted(set(labels.tolist())):
         idx = np.flatnonzero(labels == cls)
         rng.shuffle(idx)
-        for offset, sample in enumerate(idx):
-            fold_of[sample] = (cursor + offset) % folds
+        fold_of[idx] = (cursor + np.arange(idx.size)) % folds
         cursor += idx.size
     return fold_of
 
@@ -204,15 +203,9 @@ def _knn_predict(X_train, y_train, X_test, k):
     for x in X_test:
         diff = X_train - x
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        nearest = np.argsort(dist, kind="stable")[:k]
-        votes = {}
-        best_rank = {}
-        for rank, t in enumerate(nearest):
-            label = y_train[t]
-            votes[label] = votes.get(label, 0) + 1
-            best_rank.setdefault(label, rank)
+        ranked = y_train[np.argsort(dist, kind="stable")[:k]].tolist()
         predictions.append(
-            max(votes, key=lambda lbl: (votes[lbl], -best_rank[lbl]))
+            max(ranked, key=lambda lbl: (ranked.count(lbl), -ranked.index(lbl)))
         )
     return np.asarray(predictions)
 
@@ -263,14 +256,12 @@ def run_sweep(dataset, m_range=None, k=5, folds=5, seed=0, threads=1, pair_sampl
     rows = []
     negative = 0
     violations = 0
-    pair_count = 0
-    sampled = False
+    tables = shrinkage_tables(
+        model, X, range(lo, hi + 1), pair_sample=pair_sample, seed=seed, threads=threads
+    )
     for m in range(lo, hi + 1):
         try:
-            table = shrinkage_table(
-                model, X, m, pair_sample=pair_sample, seed=seed, threads=threads
-            )
-            stats = table.summary()
+            stats = next(tables).summary()
             truncated = Dataset(
                 features=full[:, :m], labels=dataset.labels, name=dataset.name
             )
@@ -289,15 +280,13 @@ def run_sweep(dataset, m_range=None, k=5, folds=5, seed=0, threads=1, pair_sampl
         )
         negative += stats.negative_count
         violations += stats.bound_violations
-        pair_count = stats.pair_count
-        sampled = stats.sampled
     return SweepResult(
         dataset_name=dataset.name,
         seed=int(seed),
         classifier_config="knn k=%d folds=%d" % (k, folds),
         rows=tuple(rows),
-        pair_count=pair_count,
-        pairs_sampled=sampled,
+        pair_count=stats.pair_count,
+        pairs_sampled=stats.sampled,
         negative_shrinkage_pairs=negative,
         bound_violation_pairs=violations,
     )

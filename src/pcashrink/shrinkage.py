@@ -20,6 +20,7 @@ from .errors import (
     DimMismatchError,
     FullRankInjectiveError,
     InsufficientPairsError,
+    TooManyPairsError,
     ZeroVarianceError,
 )
 from .matrix import as_data_matrix, as_vector
@@ -29,6 +30,9 @@ from .pca import check_m, reconstruct, transform
 # uniform subsample of PAIR_SAMPLE_DEFAULT pairs is used instead
 PAIR_SAMPLE_THRESHOLD = 2000
 PAIR_SAMPLE_DEFAULT = 2_000_000
+
+# most pairs one table may hold: ~1 GB of per-pair arrays at 48 B a pair
+PAIR_BUDGET = 20_000_000
 
 VIOLATION_TOL = 1e-9
 
@@ -157,84 +161,100 @@ def _pair_indices(n_samples, pair_sample, seed):
     """Index arrays (i, j) with i < j: all pairs or a seeded subsample.
 
     Sampling draws pairs uniformly with replacement and is deterministic
-    for a given (seed, n_samples); self-pairs are redrawn.
+    for a given (seed, n_samples); self-pairs are redrawn. A pair count
+    above PAIR_BUDGET raises TooManyPairsError before anything is
+    allocated.
     """
     total = n_samples * (n_samples - 1) // 2
-    if pair_sample is None or pair_sample >= total:
+    sampled = pair_sample is not None and pair_sample < total
+    count = pair_sample if sampled else total
+    if count > PAIR_BUDGET:
+        raise TooManyPairsError(
+            "%d pairs exceed the budget of %d; request fewer sampled pairs"
+            % (count, PAIR_BUDGET)
+        )
+    if not sampled:
         i_idx, j_idx = np.triu_indices(n_samples, k=1)
         return i_idx.astype(np.int64), j_idx.astype(np.int64), False
     rng = np.random.default_rng([int(seed), n_samples, 0x70A1])
     a = rng.integers(0, n_samples, size=pair_sample, dtype=np.int64)
     b = rng.integers(0, n_samples, size=pair_sample, dtype=np.int64)
-    while True:
+    clash = a == b
+    while clash.any():
+        b[clash] = rng.integers(0, n_samples, size=int(np.count_nonzero(clash)), dtype=np.int64)
         clash = a == b
-        count = int(np.count_nonzero(clash))
-        if count == 0:
-            break
-        b[clash] = rng.integers(0, n_samples, size=count, dtype=np.int64)
     return np.minimum(a, b), np.maximum(a, b), True
 
 
-def _fill_span(X, Yt, i_idx, j_idx, d_orig, d_trunc, lo, hi):
-    ii = i_idx[lo:hi]
-    jj = j_idx[lo:hi]
-    diff = X[ii] - X[jj]
-    d_orig[lo:hi] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    diff = Yt[ii] - Yt[jj]
-    d_trunc[lo:hi] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+def _pair_distances(Z, i_idx, j_idx, threads):
+    """Distance between rows i and j of ``Z`` for every pair. Each work
+    unit fills one fixed _CHUNK slice, so any thread count gives the
+    same bits."""
+    out = np.empty(i_idx.size)
+
+    def fill(lo):
+        diff = Z[i_idx[lo:lo + _CHUNK]] - Z[j_idx[lo:lo + _CHUNK]]
+        out[lo:lo + _CHUNK] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+    with ThreadPoolExecutor(max_workers=max(1, int(threads))) as pool:
+        list(pool.map(fill, range(0, i_idx.size, _CHUNK)))
+    return out
 
 
-def shrinkage_table(model, data, m=None, *, pair_sample=None, seed=0, threads=1):
-    """Evaluate per-pair distances before and after truncation.
+def shrinkage_tables(model, data, ms, *, pair_sample=None, seed=0, threads=1):
+    """Yield one PairTable per retained dimension in ``ms``, in order.
 
-    ``pair_sample`` caps how many pairs are visited: None applies the
-    automatic rule (all pairs up to PAIR_SAMPLE_THRESHOLD samples, then a
-    PAIR_SAMPLE_DEFAULT subsample), 0 forces all pairs, and a positive
-    value requests that many sampled pairs. Threading splits the pair
-    list into fixed chunks that write disjoint slices of preallocated
-    arrays, so the result is identical for any thread count.
+    The pair list, the original distances and the full transform are
+    computed once; every table shares the read-only ``i``, ``j`` and
+    ``dist_original``. ``pair_sample`` caps how many pairs are visited:
+    None applies the automatic rule (all pairs up to
+    PAIR_SAMPLE_THRESHOLD samples, then a PAIR_SAMPLE_DEFAULT
+    subsample), 0 forces all pairs, and a positive value requests that
+    many sampled pairs. Any thread count gives the same bits.
     """
     X = as_data_matrix(data)
-    if X.shape[1] != model.n_features:
-        raise DimMismatchError(
-            "expected %d features, got %d" % (model.n_features, X.shape[1])
-        )
+    Y = transform(model, X)
     n_samples = X.shape[0]
     if n_samples < 2:
         raise InsufficientPairsError("need at least two samples to form a pair")
-    m = check_m(model, m)
+    ms = [check_m(model, m) for m in ms]
 
     if pair_sample is None:
         pair_sample = None if n_samples <= PAIR_SAMPLE_THRESHOLD else PAIR_SAMPLE_DEFAULT
     elif pair_sample <= 0:
         pair_sample = None
     i_idx, j_idx, sampled = _pair_indices(n_samples, pair_sample, seed)
+    d_orig = _pair_distances(X, i_idx, j_idx, threads)
+    for shared in (i_idx, j_idx, d_orig):
+        shared.setflags(write=False)
 
-    Yt = transform(model, X, m)
-    pair_count = i_idx.size
-    d_orig = np.empty(pair_count)
-    d_trunc = np.empty(pair_count)
-    spans = [(lo, min(lo + _CHUNK, pair_count)) for lo in range(0, pair_count, _CHUNK)]
-    with ThreadPoolExecutor(max_workers=max(1, int(threads))) as pool:
-        futures = [
-            pool.submit(_fill_span, X, Yt, i_idx, j_idx, d_orig, d_trunc, lo, hi)
-            for lo, hi in spans
-        ]
-        for fut in futures:
-            fut.result()
+    # one call per level, so a level's temporaries are freed before the next
+    def level(m):
+        Yt = Y[:, :m]
+        d_trunc = _pair_distances(Yt, i_idx, j_idx, threads)
+        resid = X - reconstruct(model, Yt)
+        point_error = np.sqrt(np.einsum("ij,ij->i", resid, resid))
+        return PairTable(
+            m=m,
+            sampled=sampled,
+            i=i_idx,
+            j=j_idx,
+            dist_original=d_orig,
+            dist_truncated=d_trunc,
+            shrinkage=d_orig - d_trunc,
+            recon_error=point_error[i_idx] + point_error[j_idx],
+        )
 
-    resid = X - reconstruct(model, Yt)
-    point_error = np.sqrt(np.einsum("ij,ij->i", resid, resid))
-    return PairTable(
-        m=m,
-        sampled=sampled,
-        i=i_idx,
-        j=j_idx,
-        dist_original=d_orig,
-        dist_truncated=d_trunc,
-        shrinkage=d_orig - d_trunc,
-        recon_error=point_error[i_idx] + point_error[j_idx],
-    )
+    for m in ms:
+        yield level(m)
+
+
+def shrinkage_table(model, data, m=None, *, pair_sample=None, seed=0, threads=1):
+    """Per-pair distances before and after truncation at level m; see
+    shrinkage_tables for the pair-sampling and threading rules."""
+    return next(shrinkage_tables(
+        model, data, [m], pair_sample=pair_sample, seed=seed, threads=threads
+    ))
 
 
 def shrinkage_summary(model, data, m=None, *, pair_sample=None, seed=0, threads=1,

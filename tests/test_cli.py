@@ -185,6 +185,17 @@ class TestAnalyze:
         out, _ = capsys.readouterr()
         assert "pairs=40 sampled=true" in out
 
+    def test_pair_budget_exits_3(self, tmp_path, capsys):
+        # 6,400 rows give 20,476,800 pairs, just over the pair budget
+        path = tmp_path / "wide.csv"
+        path.write_text("".join("%d,%s\n" % (k, "ab"[k % 2]) for k in range(6400)),
+                        encoding="utf-8")
+        rc = run_cli("analyze", "--input", path, "--m", 1, "--pair-sample", 0)
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert "[too-many-pairs]" in err and "20476800" in err
+        assert out == ""
+
 
 class TestSweep:
     def test_writes_csv_and_report(self, data_csv, tmp_path, capsys):

@@ -17,12 +17,14 @@ from pcashrink import (
     anisotropic_gaussian,
     correlate,
     covariance,
+    fit,
     jacobi_eigendecomposition,
     knn_accuracy,
     load_csv,
     run_sweep,
+    shrinkage_table,
 )
-from pcashrink.experiments import SweepResult, SweepRow
+from pcashrink.experiments import SweepResult, SweepRow, _knn_predict, _stratified_folds
 
 
 def write(path, text):
@@ -163,6 +165,42 @@ class TestKnnAccuracy:
         with pytest.raises(ValueError):
             knn_accuracy(two_blob_dataset(), k=0)
 
+    def test_folds_match_per_sample_dealing(self):
+        # reference: shuffle each class, then deal its samples one at a
+        # time with a cursor that runs on across classes
+        labels = np.asarray(list("abcab" * 7 + "cc"))
+        for folds, seed in ((2, 0), (3, 5), (7, 11)):
+            rng = np.random.default_rng(seed)
+            expected = np.empty(labels.size, dtype=np.int64)
+            cursor = 0
+            for cls in sorted(set(labels.tolist())):
+                idx = np.flatnonzero(labels == cls)
+                rng.shuffle(idx)
+                for sample in idx:
+                    expected[sample] = cursor % folds
+                    cursor += 1
+            assert np.array_equal(_stratified_folds(labels, folds, seed), expected)
+
+    def test_distance_ties_rank_by_training_index(self):
+        # both training points sit at distance 1 from the query; the
+        # lower training index ranks first and alone decides at k=1
+        X_train = np.array([[1.0], [-1.0], [5.0]])
+        for labels, expected in ((["b", "a", "c"], "b"), (["a", "b", "c"], "a")):
+            got = _knn_predict(X_train, np.asarray(labels), np.array([[0.0]]), 1)
+            assert got.tolist() == [expected]
+
+    def test_vote_ties_go_to_the_best_ranked_class(self):
+        X_train = np.array([[1.0], [2.0], [3.0], [4.0]])
+        query = np.array([[0.0]])
+        # two votes each; "z" holds the nearest neighbour, "a" the next two
+        got = _knn_predict(X_train, np.asarray(["z", "a", "a", "z"]), query, 4)
+        assert got.tolist() == ["z"]
+        got = _knn_predict(X_train, np.asarray(["a", "z", "z", "a"]), query, 4)
+        assert got.tolist() == ["a"]
+        # a strict majority still beats the nearest neighbour
+        got = _knn_predict(X_train, np.asarray(["z", "a", "a", "q"]), query, 4)
+        assert got.tolist() == ["a"]
+
 
 class TestRunSweep:
     def test_rows_cover_range_in_order(self):
@@ -196,6 +234,24 @@ class TestRunSweep:
             run_sweep(ds, m_range=(1, 3))
         with pytest.raises(DimMismatchError):
             run_sweep(ds, m_range=(2, 1))
+
+    def test_pair_statistics_match_single_level_tables(self):
+        ds = anisotropic_gaussian(n_samples=80, variances=(4.0, 1.0, 0.25, 0.1), seed=4)
+        model = fit(ds.features)
+        for pair_sample in (None, 300):
+            result = run_sweep(ds, m_range=(1, 4), seed=4, folds=3, pair_sample=pair_sample)
+            stats = [
+                shrinkage_table(model, ds.features, m, pair_sample=pair_sample, seed=4).summary()
+                for m in range(1, 5)
+            ]
+            assert [
+                (row.m, row.mean_shrinkage, row.median_shrinkage, row.max_shrinkage)
+                for row in result.rows
+            ] == [(s.m, s.mean, s.median, s.max) for s in stats]
+            assert (result.pair_count, result.pairs_sampled) == (
+                stats[-1].pair_count, stats[-1].sampled)
+            assert result.negative_shrinkage_pairs == sum(s.negative_count for s in stats)
+            assert result.bound_violation_pairs == sum(s.bound_violations for s in stats)
 
     def test_constituent_error_names_the_m(self):
         ds = anisotropic_gaussian(n_samples=20, variances=(2.0, 0.5), seed=1)

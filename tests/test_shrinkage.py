@@ -13,6 +13,8 @@ from pcashrink import (
     DimMismatchError,
     FullRankInjectiveError,
     InsufficientPairsError,
+    PcaModel,
+    TooManyPairsError,
     ZeroVarianceError,
     collision_witness,
     euclidean_distance,
@@ -23,6 +25,7 @@ from pcashrink import (
     pearson,
     shrinkage_summary,
     shrinkage_table,
+    shrinkage_tables,
     transform,
 )
 
@@ -185,6 +188,37 @@ class TestPairEngine:
     def test_feature_mismatch(self, three_point_model):
         with pytest.raises(DimMismatchError):
             shrinkage_table(three_point_model, np.ones((4, 3)), 1)
+
+    def test_tables_match_single_level_calls(self):
+        # every table is collected before any comparison, so a buffer
+        # shared between levels by mistake shows up as a mismatch
+        rng = np.random.default_rng(23)
+        X = rng.standard_normal((150, 4)) * [3.0, 1.0, 0.5, 0.1]
+        model = fit(X)
+        levels = range(1, model.n_features + 1)
+        columns = ("i", "j", "dist_original", "dist_truncated", "shrinkage", "recon_error")
+        for options in ({}, {"pair_sample": 500, "seed": 3}, {"threads": 2}):
+            tables = list(shrinkage_tables(model, X, levels, **options))
+            assert len(tables) == len(levels)
+            for m, table in zip(levels, tables):
+                single = shrinkage_table(model, X, m, **options)
+                assert (table.m, table.sampled) == (single.m, single.sampled) == (
+                    m, "pair_sample" in options)
+                for name in columns:
+                    assert np.array_equal(getattr(table, name), getattr(single, name)), name
+            for name in ("i", "j", "dist_original"):
+                assert all(getattr(t, name) is getattr(tables[0], name) for t in tables)
+                with pytest.raises(ValueError):
+                    getattr(tables[-1], name)[0] = 0
+
+    def test_pair_budget_refuses_before_allocating(self):
+        X = np.arange(100_000.0)[:, None]
+        model = PcaModel(mean=[0.0], eigenvalues=[1.0], components=[[1.0]])
+        for pair_sample in (0, 30_000_000):
+            with pytest.raises(TooManyPairsError) as info:
+                shrinkage_table(model, X, 1, pair_sample=pair_sample)
+            assert info.value.code == "too-many-pairs"
+            assert info.value.exit_status == 3
 
 
 class TestPearson:
