@@ -29,7 +29,7 @@ from .reports import (
     sweep_report_json,
     write_pair_csv,
 )
-from .serialize import csv_line, f17, json_text
+from .serialize import csv_line, f17, json_text, write_text
 from .shrinkage import VIOLATION_TOL, collision_witness, shrinkage_table
 
 SEED_ENV_VAR = "PCA_SHRINK_SEED"
@@ -99,21 +99,56 @@ def build_parser():
     p.add_argument("--output", default=None, help="base path; writes <base>.csv and <base>.json")
     p.add_argument("--format", choices=("csv", "json"), default=None,
                    help="stdout style: key=value lines (csv) or the JSON report")
+
+    # each command carries its flags, so config values get the same checks
+    for p in sub.choices.values():
+        p.set_defaults(flags={a.dest: a for a in p._actions if a.dest != "help"})
     return top
 
 
-def _load_config(path):
+def _config_value(key, value, action):
+    """Check a config value the way argparse checks its flag: true or false
+    for --X/--no-X, otherwise a string or number whose text must pass the
+    flag's type and choices."""
+    if isinstance(action, argparse.BooleanOptionalAction):
+        if not isinstance(value, bool):
+            raise ValueError("config key %r must be true or false, got %r" % (key, value))
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError("config key %r must be a string or a number, got %r" % (key, value))
+    text = str(value)
+    try:
+        value = text if action.type is None else action.type(text)
+    except ValueError:
+        raise ValueError("config key %r: invalid %s value %r"
+                         % (key, action.type.__name__, text)) from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError("config key %r: invalid choice %r (choose from %s)"
+                         % (key, value, ", ".join(action.choices)))
+    return value
+
+
+def _load_config(path, flags):
+    """Config values by flag name, each checked like its flag; keys that
+    name no flag of the command, and null values, are ignored."""
     if path is None:
         return {}
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise DatasetIOError("cannot read config %s: %s" % (path, exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetParseError("config %s is not valid UTF-8: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
         raise DatasetParseError("config %s is not valid JSON: %s" % (path, exc)) from exc
     if not isinstance(raw, dict):
         raise DatasetParseError("config %s must hold a JSON object" % path)
-    return {str(k).replace("-", "_"): v for k, v in raw.items()}
+    config = {}
+    for name, value in raw.items():
+        key = str(name).replace("-", "_")
+        if key in flags and value is not None:
+            config[key] = _config_value(name, value, flags[key])
+    return config
 
 
 class _Options:
@@ -147,15 +182,13 @@ class _Options:
                         "$%s=%r is not an integer" % (SEED_ENV_VAR, env)
                     ) from None
             return 0
-        return int(value)
+        return value
 
 
 def _parse_label_column(value):
     if value is None:
         return -1
-    if isinstance(value, int):
-        return value
-    text = str(value).strip()
+    text = value.strip()
     if text.lower() == "none":
         return None
     try:
@@ -165,9 +198,7 @@ def _parse_label_column(value):
 
 
 def _parse_m_range(value):
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return int(value[0]), int(value[1])
-    text = str(value).strip()
+    text = value.strip()
     if ".." in text:
         lo, _, hi = text.partition("..")
         try:
@@ -185,16 +216,9 @@ def _load_dataset(opts):
     return load_csv(
         opts.require("input", "--input"),
         label_column=_parse_label_column(opts.get("label_column")),
-        header=bool(opts.get("header", False)),
-        delimiter=str(opts.get("delimiter", ",")),
+        header=opts.get("header", False),
+        delimiter=opts.get("delimiter", ","),
     )
-
-
-def _write_text(path, text):
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise DatasetIOError("cannot write %s: %s" % (path, exc)) from exc
 
 
 def _log(message):
@@ -217,8 +241,7 @@ def cmd_fit(opts):
 def cmd_transform(opts):
     model = load_model(opts.require("model", "--model"))
     dataset = _load_dataset(opts)
-    m = opts.get("m")
-    coords = transform(model, dataset.features, None if m is None else int(m))
+    coords = transform(model, dataset.features, opts.get("m"))
     fmt = opts.get("format", "csv")
     if fmt == "json":
         text = json_text({
@@ -233,16 +256,16 @@ def cmd_transform(opts):
     if out is None:
         sys.stdout.write(text)
     else:
-        _write_text(out, text)
+        write_text(out, [text])
         _log("wrote %s" % out)
     return 0
 
 
 def cmd_analyze(opts):
     dataset = _load_dataset(opts)
-    m = int(opts.require("m", "--m"))
+    m = opts.require("m", "--m")
     seed = opts.seed()
-    tol = float(opts.get("violation_tol", VIOLATION_TOL))
+    tol = opts.get("violation_tol", VIOLATION_TOL)
     model = fit(dataset.features)
     table = shrinkage_table(
         model,
@@ -250,7 +273,7 @@ def cmd_analyze(opts):
         m,
         pair_sample=opts.get("pair_sample"),
         seed=seed,
-        threads=int(opts.get("threads", 1)),
+        threads=opts.get("threads", 1),
     )
     stats = table.summary(violation_tol=tol)
 
@@ -277,8 +300,8 @@ def cmd_analyze(opts):
     out = opts.get("output")
     if out is not None:
         if opts.get("format", "csv") == "json":
-            _write_text(out, json_text(analyze_report(
-                stats, model.n_features, dataset.name, witness_note, isometry)))
+            write_text(out, [json_text(analyze_report(
+                stats, model.n_features, dataset.name, witness_note, isometry))])
         else:
             write_pair_csv(table, out)
         _log("wrote %s" % out)
@@ -310,22 +333,22 @@ def cmd_sweep(opts):
     result = run_sweep(
         dataset,
         m_range=None if m_range is None else _parse_m_range(m_range),
-        k=int(opts.get("k", 5)),
-        folds=int(opts.get("folds", 5)),
+        k=opts.get("k", 5),
+        folds=opts.get("folds", 5),
         seed=opts.seed(),
-        threads=int(opts.get("threads", 1)),
+        threads=opts.get("threads", 1),
         pair_sample=opts.get("pair_sample"),
     )
     summary = correlate(result)
 
-    base = str(opts.require("output", "--output"))
+    base = opts.require("output", "--output")
     if base.endswith(".csv") or base.endswith(".json"):
         base = base.rsplit(".", 1)[0]
     csv_path = base + ".csv"
     json_path = base + ".json"
     report = sweep_report_json(result, summary)
-    _write_text(csv_path, sweep_csv(result))
-    _write_text(json_path, report)
+    write_text(csv_path, [sweep_csv(result)])
+    write_text(json_path, [report])
     _log("wrote %s" % csv_path)
     _log("wrote %s" % json_path)
 
@@ -355,7 +378,7 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        opts = _Options(args, _load_config(args.config))
+        opts = _Options(args, _load_config(args.config, args.flags))
         return _COMMANDS[args.command](opts)
     except ToolkitError as err:
         print("pca-shrink: [%s] %s" % (err.code, err), file=sys.stderr)

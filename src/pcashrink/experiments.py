@@ -72,6 +72,8 @@ def load_csv(path, label_column=-1, header=False, delimiter=","):
             rows = list(csv.reader(fh, delimiter=delimiter))
     except OSError as exc:
         raise DatasetIOError("cannot read %s: %s" % (path, exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetParseError("%s is not valid UTF-8: %s" % (path, exc)) from exc
 
     names = None
     first_line = 1

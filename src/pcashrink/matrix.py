@@ -121,8 +121,9 @@ def jacobi_eigendecomposition(S, tol=JACOBI_TOL, max_sweeps=JACOBI_MAX_SWEEPS,
         raise NotSymmetricError("matrix is not symmetric: max |S - S^T| = %g" % asym)
 
     n = A.shape[0]
-    A = (A + A.T) / 2.0
-    V = np.eye(n)
+    # A on top of V, so one column update rotates both
+    W = np.vstack([(A + A.T) / 2.0, np.eye(n)])
+    A, V = W[:n], W[n:]
     stop = tol * (1.0 + float(np.sqrt(np.sum(A * A))))
 
     sweeps = 0
@@ -136,43 +137,32 @@ def jacobi_eigendecomposition(S, tol=JACOBI_TOL, max_sweeps=JACOBI_MAX_SWEEPS,
             )
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = A[p, q]
+                apq, app, aqq = A[p, q], A[p, p], A[q, q]
                 if apq == 0.0:
                     continue
                 # a pivot this far below the diagonal cannot move it;
                 # drop it instead of rotating (also dodges theta overflow)
                 g = 100.0 * abs(apq)
-                if abs(A[p, p]) + g == abs(A[p, p]) and abs(A[q, q]) + g == abs(A[q, q]):
-                    A[p, q] = 0.0
-                    A[q, p] = 0.0
+                if abs(app) + g == abs(app) and abs(aqq) + g == abs(aqq):
+                    A[p, q] = A[q, p] = 0.0
                     continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
+                theta = (aqq - app) / (2.0 * apq)
                 t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
                 if theta < 0.0:
                     t = -t
                 c = 1.0 / np.sqrt(t * t + 1.0)
                 s = t * c
-                app, aqq = A[p, p], A[q, q]
 
-                # A <- J^T A J for the rotation J with J[p,p]=J[q,q]=c,
-                # J[p,q]=s, J[q,p]=-s; diagonal and pivot set explicitly
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
+                # A <- J^T A J and V <- V J for the rotation J with
+                # J[p,p]=J[q,q]=c, J[p,q]=s, J[q,p]=-s. A stays exactly
+                # symmetric (every write sets both triangles), so rotating
+                # its rows would recompute its new columns bit for bit:
+                # copy them instead, then set diagonal and pivot explicitly.
+                W[:, p], W[:, q] = c * W[:, p] - s * W[:, q], s * W[:, p] + c * W[:, q]
+                A[p, :], A[q, :] = A[:, p], A[:, q]
                 A[p, p] = app - t * apq
                 A[q, q] = aqq + t * apq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-
-                v_p = V[:, p].copy()
-                v_q = V[:, q].copy()
-                V[:, p] = c * v_p - s * v_q
-                V[:, q] = s * v_p + c * v_q
+                A[p, q] = A[q, p] = 0.0
         sweeps += 1
         residual = _offdiag_norm(A)
 
@@ -180,8 +170,6 @@ def jacobi_eigendecomposition(S, tol=JACOBI_TOL, max_sweeps=JACOBI_MAX_SWEEPS,
     order = np.argsort(-values, kind="stable")
     values = values[order]
     vectors = V[:, order]
-    for k in range(n):
-        col = vectors[:, k]
-        if col[int(np.argmax(np.abs(col)))] < 0.0:
-            vectors[:, k] = -col
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(n)]
+    vectors[:, lead < 0.0] *= -1.0
     return EigenPairs(values=values, vectors=vectors)

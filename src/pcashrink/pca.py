@@ -24,7 +24,7 @@ from .errors import (
     NonFiniteError,
 )
 from .matrix import as_data_matrix, covariance, jacobi_eigendecomposition
-from .serialize import json_text
+from .serialize import json_text, write_text
 
 MODEL_FORMAT = "pcashrink-model"
 ORTHOGONALITY_TOL = 1e-9
@@ -159,7 +159,7 @@ def discarded_eigenvalue_sum(model, m):
 
 def save_model(model, path):
     """Write a model to ``path`` as deterministic JSON."""
-    Path(path).write_text(model_json(model), encoding="utf-8")
+    write_text(path, [model_json(model)])
 
 
 def model_json(model):
@@ -189,6 +189,8 @@ def load_model(path):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DatasetIOError("cannot read model file %s: %s" % (path, exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetParseError("model file %s is not valid UTF-8: %s" % (path, exc)) from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -8,7 +8,7 @@ from dataclasses import asdict, astuple, fields
 
 from ._version import VERSION
 from .experiments import STRONG_CORRELATION, SweepRow, correlate
-from .serialize import csv_line, f17, json_text
+from .serialize import csv_line, f17, json_text, write_text
 from .shrinkage import ShrinkageRecord
 
 SWEEP_CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
@@ -75,10 +75,8 @@ def pair_csv_lines(table):
 
 
 def write_pair_csv(table, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in pair_csv_lines(table):
-            fh.write(line)
-            fh.write("\n")
+    """Stream the pair CSV to ``path`` line by line."""
+    write_text(path, (part for line in pair_csv_lines(table) for part in (line, "\n")))
 
 
 def analyze_report(stats, n_features, dataset_name, witness_note, isometry_violations=None):

@@ -1,4 +1,5 @@
-"""Deterministic text rendering for reports and persisted models.
+"""Deterministic text rendering for reports and persisted models, and
+the one writer every output file goes through.
 
 Floats are always written with 17 significant digits so the printed
 value round-trips to the exact same IEEE-754 double, which is what makes
@@ -8,6 +9,8 @@ repeated runs byte-identical.
 import json as _json
 
 import numpy as np
+
+from .errors import DatasetIOError
 
 
 def f17(x):
@@ -24,6 +27,21 @@ def csv_line(values):
         else:
             parts.append(str(v))
     return ",".join(parts)
+
+
+def write_text(path, chunks):
+    """Write the strings of ``chunks`` to ``path`` as UTF-8, one write each.
+
+    ``chunks`` may be a generator, so large outputs are streamed. An
+    OSError (missing directory, no permission, full disk) becomes
+    DatasetIOError.
+    """
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+    except OSError as exc:
+        raise DatasetIOError("cannot write %s: %s" % (path, exc)) from exc
 
 
 def json_text(obj):

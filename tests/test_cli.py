@@ -56,6 +56,22 @@ class TestFit:
         assert rc == 2
         assert "[parse]" in capsys.readouterr().err
 
+    def test_undecodable_input_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"1.0,2.0,a\n3.0,4.0,caf\xe9\n")
+        rc = run_cli("fit", "--input", bad, "--output", tmp_path / "m.json")
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert "[parse]" in err and "UTF-8" in err
+        assert out == ""
+
+    def test_unwritable_output_exits_2(self, data_csv, tmp_path, capsys):
+        rc = run_cli("fit", "--input", data_csv, "--output", tmp_path / "missing" / "m.json")
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert "[io]" in err and "Traceback" not in err
+        assert out == ""
+
     def test_missing_output_exits_1(self, data_csv, capsys):
         assert run_cli("fit", "--input", data_csv) == 1
         assert "--output" in capsys.readouterr().err
@@ -138,6 +154,13 @@ class TestTransform:
         assert rc == 3
         assert "[dim-mismatch]" in capsys.readouterr().err
 
+    def test_undecodable_model_exits_2(self, data_csv, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_bytes(b'{"format": "pcashrink-model", "n": "\xe9"}')
+        rc = run_cli("transform", "--input", data_csv, "--model", model_path)
+        assert rc == 2
+        assert "[parse]" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_csv_report_and_summary(self, data_csv, tmp_path, capsys):
@@ -184,6 +207,15 @@ class TestAnalyze:
         assert rc == 0
         out, _ = capsys.readouterr()
         assert "pairs=40 sampled=true" in out
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unwritable_output_exits_2(self, data_csv, tmp_path, capsys, fmt):
+        rc = run_cli("analyze", "--input", data_csv, "--m", 1, "--format", fmt,
+                     "--output", tmp_path / "missing" / "pairs.out")
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert "[io]" in err and "Traceback" not in err
+        assert out == ""
 
     def test_pair_budget_exits_3(self, tmp_path, capsys):
         # 6,400 rows give 20,476,800 pairs, just over the pair budget
@@ -286,3 +318,45 @@ class TestConfigAndSeed:
                      "--output", tmp_path / "m.json")
         assert rc == 2
         capsys.readouterr()
+
+    def test_config_header_must_be_boolean(self, data_csv, tmp_path, capsys):
+        # the string "false" is truthy; taken as is it dropped the first data row
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"header": "false"}))
+        model_path = tmp_path / "m.json"
+        rc = run_cli("fit", "--input", data_csv, "--config", config, "--output", model_path)
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert "'header'" in err and out == ""
+        assert not model_path.exists()
+
+    def test_config_numbers_pass_the_flag_type(self, data_csv, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"pair_sample": "40"}))
+        rc = run_cli("analyze", "--input", data_csv, "--m", 1, "--config", config)
+        assert rc == 0
+        assert "pairs=40 sampled=true" in capsys.readouterr().out
+        config.write_text(json.dumps({"pair-sample": "forty"}))
+        rc = run_cli("analyze", "--input", data_csv, "--m", 1, "--config", config)
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert "'pair-sample'" in err and out == ""
+
+    def test_config_format_must_be_a_choice(self, data_csv, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"format": "xml"}))
+        report = tmp_path / "report.out"
+        rc = run_cli("analyze", "--input", data_csv, "--m", 1, "--config", config,
+                     "--output", report)
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert "'format'" in err and "xml" in err and out == ""
+        assert not report.exists()
+
+    def test_undecodable_config_exits_2(self, data_csv, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"k": "\xe9"}')
+        rc = run_cli("fit", "--input", data_csv, "--config", config,
+                     "--output", tmp_path / "m.json")
+        assert rc == 2
+        assert "[parse]" in capsys.readouterr().err

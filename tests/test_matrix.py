@@ -23,6 +23,73 @@ from pcashrink import (
 THREE_POINTS = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
 
 
+def reference_jacobi(S, tol=1e-12, max_sweeps=100):
+    """The solver's pivot loop written out with separate row, column and
+    eigenvector rotations and a per-column sign loop; the solver must
+    match it bit for bit. Returns (values, vectors) or raises
+    NoConvergenceError like the solver."""
+    A = np.asarray(S, dtype=float)
+    n = A.shape[0]
+    A = (A + A.T) / 2.0
+    V = np.eye(n)
+    stop = tol * (1.0 + float(np.sqrt(np.sum(A * A))))
+
+    def offdiag(A):
+        off = A - np.diag(np.diag(A))
+        return float(np.sqrt(np.sum(off * off)))
+
+    sweeps = 0
+    residual = offdiag(A)
+    while residual > stop:
+        if sweeps >= max_sweeps:
+            raise NoConvergenceError("no convergence", residual=residual)
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                if apq == 0.0:
+                    continue
+                g = 100.0 * abs(apq)
+                if abs(A[p, p]) + g == abs(A[p, p]) and abs(A[q, q]) + g == abs(A[q, q]):
+                    A[p, q] = 0.0
+                    A[q, p] = 0.0
+                    continue
+                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
+                t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                app, aqq = A[p, p], A[q, q]
+                col_p = A[:, p].copy()
+                col_q = A[:, q].copy()
+                A[:, p] = c * col_p - s * col_q
+                A[:, q] = s * col_p + c * col_q
+                row_p = A[p, :].copy()
+                row_q = A[q, :].copy()
+                A[p, :] = c * row_p - s * row_q
+                A[q, :] = s * row_p + c * row_q
+                A[p, p] = app - t * apq
+                A[q, q] = aqq + t * apq
+                A[p, q] = 0.0
+                A[q, p] = 0.0
+                v_p = V[:, p].copy()
+                v_q = V[:, q].copy()
+                V[:, p] = c * v_p - s * v_q
+                V[:, q] = s * v_p + c * v_q
+        sweeps += 1
+        residual = offdiag(A)
+
+    values = np.diag(A).copy()
+    order = np.argsort(-values, kind="stable")
+    values = values[order]
+    vectors = V[:, order]
+    for k in range(n):
+        col = vectors[:, k]
+        if col[int(np.argmax(np.abs(col)))] < 0.0:
+            vectors[:, k] = -col
+    return values, vectors
+
+
 class TestCovariance:
     def test_three_point_oracle(self):
         # hand computation: mean (1/3, -1/3), C = [[8/9, 4/9], [4/9, 8/9]]
@@ -169,3 +236,38 @@ class TestJacobi:
         assert info.value.residual is not None
         assert info.value.residual > 0.0
         assert info.value.code == "no-convergence"
+
+    def test_matches_reference_loop_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        cases = []
+        for n in (2, 3, 7, 30):
+            A = rng.standard_normal((n, n)) * rng.uniform(0.1, 10.0)
+            cases.append((A + A.T) / 2.0)
+        cases.append(covariance(rng.standard_normal((300, 100)) * rng.uniform(0.1, 5.0, 100)))
+        cases.append(np.diag([2.0, -1.0, 7.0, 0.0, 7.0]))
+        # repeated eigenvalues 3, 3, 1, 1 in a random orthonormal basis
+        Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        cases.append(Q @ np.diag([3.0, 3.0, 1.0, 1.0]) @ Q.T)
+        # some exact-zero off-diagonals, set in both triangles
+        A = rng.standard_normal((6, 6))
+        A = (A + A.T) / 2.0
+        A[0, 3] = A[3, 0] = A[1, 5] = A[5, 1] = A[2, 4] = A[4, 2] = 0.0
+        cases.append(A)
+        # pivot (0, 1) is negligible against its diagonal and is dropped,
+        # pivot (1, 2) is not and is rotated
+        assert 1e20 + 100.0 * 1e-3 == 1e20
+        cases.append(np.array([[1e20, 1e-3, 0.0], [1e-3, 2e20, 1.0], [0.0, 1.0, 1.0]]))
+        for S in cases:
+            values, vectors = reference_jacobi(S)
+            got = jacobi_eigendecomposition(S)
+            assert got.values.tobytes() == values.tobytes()
+            assert got.vectors.tobytes() == vectors.tobytes()
+
+    def test_no_convergence_residual_matches_reference_loop(self):
+        A = np.random.default_rng(43).standard_normal((6, 6))
+        S = (A + A.T) / 2.0
+        with pytest.raises(NoConvergenceError) as want:
+            reference_jacobi(S, max_sweeps=1)
+        with pytest.raises(NoConvergenceError) as got:
+            jacobi_eigendecomposition(S, max_sweeps=1)
+        assert got.value.residual == want.value.residual
