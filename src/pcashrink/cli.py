@@ -21,7 +21,7 @@ from ._version import VERSION
 from .errors import DatasetIOError, DatasetParseError, ToolkitError
 from .experiments import correlate, load_csv, run_sweep
 from .matrix import euclidean_distance
-from .pca import fit, load_model, model_json, save_model, transform
+from .pca import fit, load_model, save_model, transform
 from .reports import (
     analyze_report,
     format_correlation_lines,
@@ -29,7 +29,7 @@ from .reports import (
     sweep_report_json,
     write_pair_csv,
 )
-from .serialize import csv_line, f17, json_text, write_text
+from .serialize import check_writable, csv_line, f17, json_text, write_text
 from .shrinkage import VIOLATION_TOL, collision_witness, shrinkage_table
 
 SEED_ENV_VAR = "PCA_SHRINK_SEED"
@@ -45,65 +45,55 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser():
+    """The top-level parser and the subcommand parsers by name."""
     top = _Parser(prog="pca-shrink", description=__doc__)
     top.add_argument("--version", action="version", version="pca-shrink %s" % VERSION)
     sub = top.add_subparsers(dest="command", required=True, metavar="command")
 
-    def common(p):
+    def command(name, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default: $%s or 0)" % SEED_ENV_VAR)
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for pairwise work (default 1)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads for pairwise work (default %(default)s)")
         p.add_argument("--config", default=None,
                        help="JSON file of option defaults; explicit flags win")
-
-    def data(p, label_default):
         p.add_argument("--input", default=None, help="input CSV path")
-        p.add_argument("--label-column", default=label_default,
+        p.add_argument("--label-column", default="-1",
                        help="label column: index, name (with --header), or 'none'")
-        p.add_argument("--header", action=argparse.BooleanOptionalAction, default=None,
+        p.add_argument("--header", action=argparse.BooleanOptionalAction, default=False,
                        help="treat the first row as column names")
-        p.add_argument("--delimiter", default=None, help="field delimiter (default ',')")
+        p.add_argument("--delimiter", default=",", help="field delimiter (default %(default)r)")
+        return p
 
-    p = sub.add_parser("fit", help="fit a PCA model and save it as JSON")
-    common(p)
-    data(p, None)
+    p = command("fit", "fit a PCA model and save it as JSON")
     p.add_argument("--output", default=None, help="where to write the model JSON")
 
-    p = sub.add_parser("transform", help="project data with a saved model")
-    common(p)
-    data(p, None)
+    p = command("transform", "project data with a saved model")
     p.add_argument("--model", default=None, help="model JSON from 'fit'")
     p.add_argument("--m", type=int, default=None, help="retained dimensions (default all)")
     p.add_argument("--output", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("analyze", help="pairwise shrinkage analysis at one m")
-    common(p)
-    data(p, None)
+    p = command("analyze", "pairwise shrinkage analysis at one m")
     p.add_argument("--m", type=int, default=None, help="retained dimensions (required)")
     p.add_argument("--pair-sample", type=int, default=None,
                    help="sampled pair count; 0 forces all pairs")
-    p.add_argument("--violation-tol", type=float, default=None,
-                   help="slack before a pair counts as violating (default %g)" % VIOLATION_TOL)
+    p.add_argument("--violation-tol", type=float, default=VIOLATION_TOL,
+                   help="slack before a pair counts as violating (default %(default)g)")
     p.add_argument("--output", default=None, help="per-pair CSV or JSON report path")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("sweep", help="sweep m, write rows CSV and correlation report")
-    common(p)
-    data(p, None)
+    p = command("sweep", "sweep m, write rows CSV and correlation report")
     p.add_argument("--m-range", default=None, help="inclusive range A..B (default 1..n)")
-    p.add_argument("--k", type=int, default=None, help="nearest neighbours (default 5)")
-    p.add_argument("--folds", type=int, default=None, help="cross-validation folds (default 5)")
+    p.add_argument("--k", type=int, default=5, help="nearest neighbours (default %(default)s)")
+    p.add_argument("--folds", type=int, default=5,
+                   help="cross-validation folds (default %(default)s)")
     p.add_argument("--pair-sample", type=int, default=None)
     p.add_argument("--output", default=None, help="base path; writes <base>.csv and <base>.json")
-    p.add_argument("--format", choices=("csv", "json"), default=None,
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="stdout style: key=value lines (csv) or the JSON report")
-
-    # each command carries its flags, so config values get the same checks
-    for p in sub.choices.values():
-        p.set_defaults(flags={a.dest: a for a in p._actions if a.dest != "help"})
-    return top
+    return top, sub.choices
 
 
 def _config_value(key, value, action):
@@ -128,11 +118,9 @@ def _config_value(key, value, action):
     return value
 
 
-def _load_config(path, flags):
-    """Config values by flag name, each checked like its flag; keys that
-    name no flag of the command, and null values, are ignored."""
-    if path is None:
-        return {}
+def _load_config(path, parser):
+    """Config values by option name, each checked like its flag in ``parser``;
+    keys that name no flag, and null values, are ignored."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -143,6 +131,7 @@ def _load_config(path, flags):
         raise DatasetParseError("config %s is not valid JSON: %s" % (path, exc)) from exc
     if not isinstance(raw, dict):
         raise DatasetParseError("config %s must hold a JSON object" % path)
+    flags = {a.dest: a for a in parser._actions if a.dest != "help"}
     config = {}
     for name, value in raw.items():
         key = str(name).replace("-", "_")
@@ -151,43 +140,26 @@ def _load_config(path, flags):
     return config
 
 
-class _Options:
-    """Merged view of flags, config-file values, and built-in defaults."""
+def _require(args, key):
+    value = getattr(args, key)
+    if value is None:
+        raise ValueError("missing required option --%s" % key.replace("_", "-"))
+    return value
 
-    def __init__(self, args, config):
-        self.args = args
-        self.config = config
 
-    def get(self, key, fallback=None):
-        value = getattr(self.args, key, None)
-        if value is None:
-            value = self.config.get(key)
-        return fallback if value is None else value
-
-    def require(self, key, flag):
-        value = self.get(key)
-        if value is None:
-            raise ValueError("missing required option %s" % flag)
-        return value
-
-    def seed(self):
-        value = self.get("seed")
-        if value is None:
-            env = os.environ.get(SEED_ENV_VAR)
-            if env is not None:
-                try:
-                    return int(env)
-                except ValueError:
-                    raise ValueError(
-                        "$%s=%r is not an integer" % (SEED_ENV_VAR, env)
-                    ) from None
-            return 0
-        return value
+def _seed(args):
+    if args.seed is not None:
+        return args.seed
+    env = os.environ.get(SEED_ENV_VAR)
+    if env is None:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError("$%s=%r is not an integer" % (SEED_ENV_VAR, env)) from None
 
 
 def _parse_label_column(value):
-    if value is None:
-        return -1
     text = value.strip()
     if text.lower() == "none":
         return None
@@ -212,12 +184,12 @@ def _parse_m_range(value):
     return m, m
 
 
-def _load_dataset(opts):
+def _load_dataset(args):
     return load_csv(
-        opts.require("input", "--input"),
-        label_column=_parse_label_column(opts.get("label_column")),
-        header=opts.get("header", False),
-        delimiter=opts.get("delimiter", ","),
+        _require(args, "input"),
+        label_column=_parse_label_column(args.label_column),
+        header=args.header,
+        delimiter=args.delimiter,
     )
 
 
@@ -225,10 +197,11 @@ def _log(message):
     print("pca-shrink: %s" % message, file=sys.stderr)
 
 
-def cmd_fit(opts):
-    dataset = _load_dataset(opts)
+def cmd_fit(args):
+    out = _require(args, "output")
+    check_writable(out)
+    dataset = _load_dataset(args)
     model = fit(dataset.features)
-    out = opts.require("output", "--output")
     save_model(model, out)
     _log("wrote %s" % out)
     print("dataset=%s samples=%d features=%d degenerate=%s"
@@ -238,12 +211,14 @@ def cmd_fit(opts):
     return 0
 
 
-def cmd_transform(opts):
-    model = load_model(opts.require("model", "--model"))
-    dataset = _load_dataset(opts)
-    coords = transform(model, dataset.features, opts.get("m"))
-    fmt = opts.get("format", "csv")
-    if fmt == "json":
+def cmd_transform(args):
+    out = args.output
+    if out is not None:
+        check_writable(out)
+    model = load_model(_require(args, "model"))
+    dataset = _load_dataset(args)
+    coords = transform(model, dataset.features, args.m)
+    if args.format == "json":
         text = json_text({
             "report": "pca-shrink-transform",
             "version": VERSION,
@@ -252,7 +227,6 @@ def cmd_transform(opts):
         })
     else:
         text = "\n".join(csv_line(row) for row in coords) + "\n"
-    out = opts.get("output")
     if out is None:
         sys.stdout.write(text)
     else:
@@ -261,19 +235,21 @@ def cmd_transform(opts):
     return 0
 
 
-def cmd_analyze(opts):
-    dataset = _load_dataset(opts)
-    m = opts.require("m", "--m")
-    seed = opts.seed()
-    tol = opts.get("violation_tol", VIOLATION_TOL)
+def cmd_analyze(args):
+    out = args.output
+    if out is not None:
+        check_writable(out)
+    dataset = _load_dataset(args)
+    m = _require(args, "m")
+    tol = args.violation_tol
     model = fit(dataset.features)
     table = shrinkage_table(
         model,
         dataset.features,
         m,
-        pair_sample=opts.get("pair_sample"),
-        seed=seed,
-        threads=opts.get("threads", 1),
+        pair_sample=args.pair_sample,
+        seed=_seed(args),
+        threads=args.threads,
     )
     stats = table.summary(violation_tol=tol)
 
@@ -297,9 +273,8 @@ def cmd_analyze(opts):
             "truncated_image_distance": image_gap,
         }
 
-    out = opts.get("output")
     if out is not None:
-        if opts.get("format", "csv") == "json":
+        if args.format == "json":
             write_text(out, [json_text(analyze_report(
                 stats, model.n_features, dataset.name, witness_note, isometry))])
         else:
@@ -327,32 +302,33 @@ def cmd_analyze(opts):
     return 0
 
 
-def cmd_sweep(opts):
-    dataset = _load_dataset(opts)
-    m_range = opts.get("m_range")
-    result = run_sweep(
-        dataset,
-        m_range=None if m_range is None else _parse_m_range(m_range),
-        k=opts.get("k", 5),
-        folds=opts.get("folds", 5),
-        seed=opts.seed(),
-        threads=opts.get("threads", 1),
-        pair_sample=opts.get("pair_sample"),
-    )
-    summary = correlate(result)
-
-    base = opts.require("output", "--output")
+def cmd_sweep(args):
+    base = _require(args, "output")
     if base.endswith(".csv") or base.endswith(".json"):
         base = base.rsplit(".", 1)[0]
     csv_path = base + ".csv"
     json_path = base + ".json"
+    check_writable(csv_path)
+    check_writable(json_path)
+    dataset = _load_dataset(args)
+    result = run_sweep(
+        dataset,
+        m_range=None if args.m_range is None else _parse_m_range(args.m_range),
+        k=args.k,
+        folds=args.folds,
+        seed=_seed(args),
+        threads=args.threads,
+        pair_sample=args.pair_sample,
+    )
+    summary = correlate(result)
+
     report = sweep_report_json(result, summary)
     write_text(csv_path, [sweep_csv(result)])
     write_text(json_path, [report])
     _log("wrote %s" % csv_path)
     _log("wrote %s" % json_path)
 
-    if opts.get("format", "csv") == "json":
+    if args.format == "json":
         sys.stdout.write(report)
     else:
         print("dataset=%s rows=%d pairs=%d sampled=%s"
@@ -373,13 +349,18 @@ _COMMANDS = {
 
 def main(argv=None):
     """Parse arguments and run one subcommand; returns the exit status."""
+    parser, commands = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        opts = _Options(args, _load_config(args.config, args.flags))
-        return _COMMANDS[args.command](opts)
+        if args.config is not None:
+            # parsed again with config as defaults: flag > config > built-in default
+            command = commands[args.command]
+            command.set_defaults(**_load_config(args.config, command))
+            args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args)
     except ToolkitError as err:
         print("pca-shrink: [%s] %s" % (err.code, err), file=sys.stderr)
         return err.exit_status

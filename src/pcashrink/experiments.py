@@ -64,8 +64,11 @@ def load_csv(path, label_column=-1, header=False, delimiter=","):
     integer index (negatives count from the end), a column name (needs
     ``header=True``), or None for a purely numeric file with no labels.
     All remaining cells must parse as finite floats; the first offending
-    cell is reported with its 1-based line and column.
+    cell is reported with its 1-based line and column. ``delimiter`` must
+    be exactly one character.
     """
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ValueError("delimiter must be a single character, got %r" % (delimiter,))
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8") as fh:

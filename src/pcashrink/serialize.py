@@ -6,7 +6,9 @@ value round-trips to the exact same IEEE-754 double, which is what makes
 repeated runs byte-identical.
 """
 
+import errno
 import json as _json
+import os
 
 import numpy as np
 
@@ -42,6 +44,22 @@ def write_text(path, chunks):
                 fh.write(chunk)
     except OSError as exc:
         raise DatasetIOError("cannot write %s: %s" % (path, exc)) from exc
+
+
+def check_writable(path):
+    """Raise the DatasetIOError that ``write_text(path, ...)`` would raise
+    for a missing parent directory or a directory at ``path``, without
+    creating or truncating anything, so a command can fail before it
+    computes what it would write."""
+    path = os.fspath(path)
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    raise DatasetIOError("cannot write %s: %s" % (path, OSError(code, os.strerror(code), path)))
 
 
 def json_text(obj):

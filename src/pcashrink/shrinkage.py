@@ -88,6 +88,12 @@ class PairTable:
     recon_error: np.ndarray
 
     def summary(self, violation_tol=VIOLATION_TOL):
+        """Aggregate statistics; a pair violates the guarantees when its
+        shrinkage is below -violation_tol or above its bound plus
+        violation_tol. A NaN or infinite tolerance would turn that check
+        off (or flag every pair), so it is refused."""
+        if not np.isfinite(violation_tol):
+            raise ValueError("violation tolerance must be finite, got %r" % (violation_tol,))
         d = self.shrinkage
         return ShrinkageSummary(
             m=self.m,

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: subcommands, exit codes, config
 file precedence, and the stdout/stderr split."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,10 +12,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pcashrink import load_model, transform
+from pcashrink import cli, load_model, transform
 from pcashrink.cli import main
 from pcashrink.experiments import anisotropic_gaussian
 from pcashrink.serialize import csv_line
+from pcashrink.shrinkage import VIOLATION_TOL, PairTable
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -360,3 +362,166 @@ class TestConfigAndSeed:
                      "--output", tmp_path / "m.json")
         assert rc == 2
         assert "[parse]" in capsys.readouterr().err
+
+
+def write_config(tmp_path, values):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(values), encoding="utf-8")
+    return path
+
+
+def _spy(monkeypatch, owner, name, key):
+    """Record the ``key`` argument of every call to ``owner.name``."""
+    seen = []
+    real = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs[key])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return seen
+
+
+# option, command, built-in default, config value, flag value
+PRECEDENCE = [
+    ("format", "sweep", "csv", "json", "csv"),
+    ("k", "sweep", 5, 3, 2),
+    ("folds", "sweep", 5, 3, 4),
+    ("header", "fit", False, True, False),
+    ("delimiter", "fit", ",", ";", "|"),
+    ("violation-tol", "analyze", VIOLATION_TOL, 0.5, 0.25),
+]
+
+
+@pytest.mark.parametrize("source", ["default", "config", "flag"])
+@pytest.mark.parametrize("option, command, default, config_value, flag_value", PRECEDENCE,
+                         ids=[row[0] for row in PRECEDENCE])
+def test_option_precedence(data_csv, tmp_path, capsys, monkeypatch, source,
+                           option, command, default, config_value, flag_value):
+    """A flag beats config, and config beats the built-in default."""
+    key = option.replace("-", "_")
+    if key in ("header", "delimiter"):
+        seen = _spy(monkeypatch, cli, "load_csv", key)
+    elif key in ("k", "folds"):
+        seen = _spy(monkeypatch, cli, "run_sweep", key)
+    elif key == "violation_tol":
+        seen = _spy(monkeypatch, PairTable, "summary", key)
+    argv = [command, "--input", data_csv, "--output", tmp_path / "out"]
+    if command == "analyze":
+        argv += ["--m", 1]
+    if source != "default":
+        argv += ["--config", write_config(tmp_path, {option: config_value})]
+    if source == "flag":
+        if isinstance(flag_value, bool):
+            argv.append("--header" if flag_value else "--no-header")
+        else:
+            argv += ["--" + option, flag_value]
+    run_cli(*argv)
+    out = capsys.readouterr().out
+    used = ("json" if out.startswith("{") else "csv") if key == "format" else seen[0]
+    assert used == {"default": default, "config": config_value, "flag": flag_value}[source]
+
+
+def test_config_seed_beats_env_seed(data_csv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PCA_SHRINK_SEED", "123")
+    config = write_config(tmp_path, {"seed": 11})
+    rc = run_cli("sweep", "--input", data_csv, "--m-range", "1..2", "--folds", "3",
+                 "--config", config, "--output", tmp_path / "cfg")
+    assert rc == 0
+    capsys.readouterr()
+    assert json.loads((tmp_path / "cfg.json").read_text())["seed"] == 11
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+class TestBadOptionValues:
+    """Values no command can use exit 1 with one error line, from a flag or from config."""
+
+    def run(self, tmp_path, source, option, value, *argv):
+        if source == "flag":
+            argv += ("--" + option, value)
+        else:
+            argv += ("--config", write_config(tmp_path, {option: value}))
+        return run_cli(*argv)
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_violation_tol_exits_1(self, data_csv, tmp_path, capsys, source, tol):
+        rc = self.run(tmp_path, source, "violation-tol", tol,
+                      "analyze", "--input", data_csv, "--m", 1)
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert err == "pca-shrink: error: violation tolerance must be finite, got %s\n" % tol
+        assert out == ""
+
+    @pytest.mark.parametrize("delimiter", ["", "ab"])
+    def test_delimiter_not_one_character_exits_1(self, data_csv, tmp_path, capsys, source,
+                                                 delimiter):
+        model_path = tmp_path / "m.json"
+        rc = self.run(tmp_path, source, "delimiter", delimiter,
+                      "fit", "--input", data_csv, "--output", model_path)
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert err == ("pca-shrink: error: delimiter must be a single character, got %r\n"
+                       % delimiter)
+        assert out == "" and not model_path.exists()
+
+
+class TestOutputCheckedFirst:
+    """Every command checks the files it will write before it loads input,
+    and an unwritable one creates or truncates nothing."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the output path was checked")
+
+        for name in ("load_csv", "load_model", "fit", "run_sweep"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("kind", ["missing-parent", "file-parent", "directory"])
+    @pytest.mark.parametrize("command", ["fit", "analyze", "transform", "sweep"])
+    def test_unwritable_target_exits_2(self, data_csv, tmp_path, capsys, command, kind):
+        extra = {"analyze": ("--m", 1), "transform": ("--model", "m.json")}.get(command, ())
+        # sweep writes <base>.csv first, so its base "out.csv" checks the same path
+        target = tmp_path / "out.csv"
+        if kind == "directory":
+            target.mkdir()
+        elif kind == "file-parent":
+            (tmp_path / "file").write_text("", encoding="utf-8")
+            target = tmp_path / "file" / "out.csv"
+        else:
+            target = tmp_path / "missing" / "out.csv"
+        before = sorted(tmp_path.rglob("*"))
+        rc = run_cli(command, "--input", data_csv, *extra, "--output", target)
+        assert rc == 2
+        out, err = capsys.readouterr()
+        # the same line the write itself would give
+        with pytest.raises(OSError) as exc:
+            open(target, "w")
+        assert err == "pca-shrink: [io] cannot write %s: %s\n" % (target, exc.value)
+        assert out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_sweep_checks_the_report_path_too(self, data_csv, tmp_path, capsys):
+        rows = tmp_path / "s.csv"
+        rows.write_text("keep\n", encoding="utf-8")
+        (tmp_path / "s.json").mkdir()
+        rc = run_cli("sweep", "--input", data_csv, "--output", tmp_path / "s")
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("pca-shrink: [io] cannot write %s: " % (tmp_path / "s.json"))
+        assert out == "" and rows.read_text(encoding="utf-8") == "keep\n"
+
+
+def test_traced_cli_names_stay_module_globals():
+    """The benchmark's tracer replaces these names on pcashrink.cli and wraps
+    the entries of cli._COMMANDS, so renaming one would silently drop a layer."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    names = [site.partition(":")[2] for site, _ in spans.SITES
+             if site.startswith("pcashrink.cli:")]
+    assert names
+    for name in names:
+        assert callable(getattr(cli, name, None)), name
+    assert set(cli._COMMANDS) == {"fit", "transform", "analyze", "sweep"}

@@ -107,6 +107,13 @@ class TestLoadCsv:
         ds = load_csv(path, delimiter=";")
         assert_allclose(ds.features, [[1.0, 2.0], [3.0, 4.0]])
 
+    @pytest.mark.parametrize("delimiter", ["", "ab"])
+    def test_delimiter_must_be_one_character(self, tmp_path, delimiter):
+        path = write(tmp_path / "t.csv", "1,2,a\n3,4,b\n")
+        with pytest.raises(ValueError, match="delimiter must be a single character, got %r"
+                           % delimiter):
+            load_csv(path, delimiter=delimiter)
+
 
 class TestDataset:
     def test_label_count_must_match(self):

@@ -153,6 +153,13 @@ class TestPairEngine:
         )
         assert stats.negative_count + stats.bound_violations > 0
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_tolerance_refused(self, three_point_model, tol):
+        # NaN compares false against every pair, so it turned the gate off
+        table = shrinkage_table(three_point_model, THREE_POINTS, 1)
+        with pytest.raises(ValueError, match="finite"):
+            table.summary(violation_tol=tol)
+
     def test_sampling_is_seeded_and_valid(self):
         rng = np.random.default_rng(44)
         X = rng.standard_normal((40, 3))
