@@ -10,15 +10,11 @@ the shrinkage guarantees beyond the tolerance.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from pathlib import Path
-
-import numpy as np
 
 from ._version import VERSION
-from .errors import DatasetIOError, DatasetParseError, ToolkitError
+from .errors import DatasetParseError, ToolkitError
 from .experiments import correlate, load_csv, run_sweep
 from .matrix import euclidean_distance
 from .pca import fit, load_model, save_model, transform
@@ -29,7 +25,7 @@ from .reports import (
     sweep_report_json,
     write_pair_csv,
 )
-from .serialize import check_writable, csv_line, f17, json_text, write_text
+from .serialize import check_writable, csv_line, f17, json_text, read_json, write_text
 from .shrinkage import VIOLATION_TOL, collision_witness, shrinkage_table
 
 SEED_ENV_VAR = "PCA_SHRINK_SEED"
@@ -121,14 +117,7 @@ def _config_value(key, value, action):
 def _load_config(path, parser):
     """Config values by option name, each checked like its flag in ``parser``;
     keys that name no flag, and null values, are ignored."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DatasetIOError("cannot read config %s: %s" % (path, exc)) from exc
-    except UnicodeDecodeError as exc:
-        raise DatasetParseError("config %s is not valid UTF-8: %s" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise DatasetParseError("config %s is not valid JSON: %s" % (path, exc)) from exc
+    raw = read_json(path, "config ")
     if not isinstance(raw, dict):
         raise DatasetParseError("config %s must hold a JSON object" % path)
     flags = {a.dest: a for a in parser._actions if a.dest != "help"}
@@ -161,8 +150,6 @@ def _seed(args):
 
 def _parse_label_column(value):
     text = value.strip()
-    if text.lower() == "none":
-        return None
     try:
         return int(text)
     except ValueError:
@@ -254,9 +241,8 @@ def cmd_analyze(args):
     stats = table.summary(violation_tol=tol)
 
     full_rank = m == model.n_features
-    isometry = None
+    isometry = stats.violating_pairs if full_rank else None
     if full_rank:
-        isometry = int(np.count_nonzero(np.abs(table.shrinkage) > tol))
         witness_note = {"exists": False,
                         "reason": "full-rank transform is injective"}
     else:
@@ -295,9 +281,8 @@ def cmd_analyze(args):
               % (f17(witness_note["original_distance"]), m,
                  f17(witness_note["truncated_image_distance"])))
 
-    violations = stats.negative_count + stats.bound_violations + (isometry or 0)
-    if violations:
-        _log("%d pairs violate the shrinkage guarantees (tol=%g)" % (violations, tol))
+    if stats.violating_pairs:
+        _log("%d pairs violate the shrinkage guarantees (tol=%g)" % (stats.violating_pairs, tol))
         return 4
     return 0
 

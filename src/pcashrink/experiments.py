@@ -5,6 +5,7 @@ synthetic data they run on."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -12,7 +13,6 @@ import numpy as np
 
 from .errors import (
     BadFoldsError,
-    DatasetIOError,
     DatasetParseError,
     DegenerateLabelsError,
     DimMismatchError,
@@ -23,6 +23,7 @@ from .errors import (
 )
 from .matrix import as_data_matrix
 from .pca import discarded_eigenvalue_sum, fit, transform
+from .serialize import open_text
 from .shrinkage import CorrelationSummary, pearson, shrinkage_tables
 
 STRONG_CORRELATION = 0.7
@@ -70,13 +71,12 @@ def load_csv(path, label_column=-1, header=False, delimiter=","):
     if not isinstance(delimiter, str) or len(delimiter) != 1:
         raise ValueError("delimiter must be a single character, got %r" % (delimiter,))
     path = Path(path)
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh, delimiter=delimiter))
-    except OSError as exc:
-        raise DatasetIOError("cannot read %s: %s" % (path, exc)) from exc
-    except UnicodeDecodeError as exc:
-        raise DatasetParseError("%s is not valid UTF-8: %s" % (path, exc)) from exc
+    with open_text(path, newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise DatasetParseError("%s: line %d: %s" % (path, reader.line_num, exc)) from exc
 
     names = None
     first_line = 1
@@ -112,7 +112,7 @@ def load_csv(path, label_column=-1, header=False, delimiter=","):
                     "%s: line %d column %d: %r is not a number"
                     % (path, line, col + 1, cell)
                 ) from exc
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise DatasetParseError(
                     "%s: line %d column %d: non-finite value %r" % (path, line, col + 1, cell)
                 )

@@ -40,6 +40,16 @@ def as_vector(x, name="vector"):
     return arr
 
 
+def as_vector_pair(a, b, names):
+    """Validate ``a`` and ``b`` with as_vector (``names`` gives their names
+    in messages) and check that their lengths match."""
+    u = as_vector(a, names[0])
+    v = as_vector(b, names[1])
+    if u.shape[0] != v.shape[0]:
+        raise DimMismatchError("length mismatch: %d vs %d" % (u.shape[0], v.shape[0]))
+    return u, v
+
+
 def as_data_matrix(data, name="data"):
     """Validate and return ``data`` as a finite 2-D float array of row samples."""
     arr = np.asarray(data, dtype=float)
@@ -56,12 +66,7 @@ def as_data_matrix(data, name="data"):
 
 def euclidean_distance(a, b):
     """Euclidean distance between two equal-length vectors."""
-    u = as_vector(a, "a")
-    v = as_vector(b, "b")
-    if u.shape[0] != v.shape[0]:
-        raise DimMismatchError(
-            "length mismatch: %d vs %d" % (u.shape[0], v.shape[0])
-        )
+    u, v = as_vector_pair(a, b, ("a", "b"))
     d = u - v
     return float(np.sqrt(np.dot(d, d)))
 

@@ -12,19 +12,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from ._version import VERSION
-from .errors import (
-    DatasetIOError,
-    DatasetParseError,
-    DimMismatchError,
-    NonFiniteError,
-)
+from .errors import DatasetParseError, DimMismatchError, NonFiniteError
 from .matrix import as_data_matrix, covariance, jacobi_eigendecomposition
-from .serialize import json_text, write_text
+from .serialize import json_text, read_json, write_text
 
 MODEL_FORMAT = "pcashrink-model"
 ORTHOGONALITY_TOL = 1e-9
@@ -183,18 +177,7 @@ def load_model(path):
     values, a components matrix that is not orthonormal, or eigenvalues
     out of order).
     """
-    import json
-
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DatasetIOError("cannot read model file %s: %s" % (path, exc)) from exc
-    except UnicodeDecodeError as exc:
-        raise DatasetParseError("model file %s is not valid UTF-8: %s" % (path, exc)) from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DatasetParseError("model file %s is not valid JSON: %s" % (path, exc)) from exc
+    raw = read_json(path, "model file ")
     if not isinstance(raw, dict) or raw.get("format") != MODEL_FORMAT:
         raise DatasetParseError("model file %s lacks the %r marker" % (path, MODEL_FORMAT))
     try:

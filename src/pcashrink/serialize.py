@@ -1,5 +1,5 @@
 """Deterministic text rendering for reports and persisted models, and
-the one writer every output file goes through.
+the one reader and one writer every input and output file goes through.
 
 Floats are always written with 17 significant digits so the printed
 value round-trips to the exact same IEEE-754 double, which is what makes
@@ -9,10 +9,12 @@ repeated runs byte-identical.
 import errno
 import json as _json
 import os
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetIOError
+from .errors import DatasetIOError, DatasetParseError
 
 
 def f17(x):
@@ -44,6 +46,31 @@ def write_text(path, chunks):
                 fh.write(chunk)
     except OSError as exc:
         raise DatasetIOError("cannot write %s: %s" % (path, exc)) from exc
+
+
+@contextmanager
+def open_text(path, what="", newline=None):
+    """Open ``path`` as UTF-8 text for a with block. An OSError becomes
+    DatasetIOError and a decoding error, also one raised while the block
+    reads, DatasetParseError; messages name ``what`` and ``path`` as given."""
+    try:
+        with Path(path).open(encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise DatasetIOError("cannot read %s%s: %s" % (what, path, exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetParseError("%s%s is not valid UTF-8: %s" % (what, path, exc)) from exc
+
+
+def read_json(path, what):
+    """Parsed JSON content of ``path``; errors as in open_text, and text
+    that is not JSON becomes DatasetParseError."""
+    with open_text(path, what) as fh:
+        text = fh.read()
+    try:
+        return _json.loads(text)
+    except _json.JSONDecodeError as exc:
+        raise DatasetParseError("%s%s is not valid JSON: %s" % (what, path, exc)) from exc
 
 
 def check_writable(path):

@@ -23,12 +23,11 @@ from .errors import (
     TooManyPairsError,
     ZeroVarianceError,
 )
-from .matrix import as_data_matrix, as_vector
-from .pca import check_m, reconstruct, transform
+from .matrix import as_data_matrix, as_vector, as_vector_pair
+from .pca import check_m, transform
 
-# all pairs are visited up to this many samples; beyond it a seeded
-# uniform subsample of PAIR_SAMPLE_DEFAULT pairs is used instead
-PAIR_SAMPLE_THRESHOLD = 2000
+# pairs visited when no count is requested: all pairs while there are at
+# most this many (N <= 2000 samples), else a seeded uniform subsample
 PAIR_SAMPLE_DEFAULT = 2_000_000
 
 # most pairs one table may hold: ~1 GB of per-pair arrays at 48 B a pair
@@ -48,7 +47,8 @@ class ShrinkageRecord:
 
     ``shrinkage`` is dist_original - dist_truncated (non-negative up to
     roundoff); ``recon_error`` is the sum of the two endpoints' own
-    reconstruction distances, which bounds the shrinkage from above.
+    reconstruction distances (the norms of their discarded coordinates,
+    exactly 0 at full rank), which bounds the shrinkage from above.
     """
 
     i: int
@@ -62,7 +62,8 @@ class ShrinkageRecord:
 
 @dataclass(frozen=True)
 class ShrinkageSummary:
-    """Aggregate shrinkage statistics over the visited pairs."""
+    """Aggregate shrinkage statistics over the visited pairs;
+    ``violating_pairs`` counts each negative or over-bound pair once."""
 
     m: int
     pair_count: int
@@ -72,6 +73,7 @@ class ShrinkageSummary:
     max: float
     negative_count: int
     bound_violations: int
+    violating_pairs: int
 
 
 @dataclass(frozen=True)
@@ -90,11 +92,14 @@ class PairTable:
     def summary(self, violation_tol=VIOLATION_TOL):
         """Aggregate statistics; a pair violates the guarantees when its
         shrinkage is below -violation_tol or above its bound plus
-        violation_tol. A NaN or infinite tolerance would turn that check
-        off (or flag every pair), so it is refused."""
+        violation_tol, which at full rank (bound 0) is the isometry check.
+        A NaN or infinite tolerance would turn that check off (or flag
+        every pair), so it is refused."""
         if not np.isfinite(violation_tol):
             raise ValueError("violation tolerance must be finite, got %r" % (violation_tol,))
         d = self.shrinkage
+        negative = d < -violation_tol
+        over = d > self.recon_error + violation_tol
         return ShrinkageSummary(
             m=self.m,
             pair_count=int(d.size),
@@ -102,8 +107,9 @@ class PairTable:
             mean=float(np.mean(d)),
             median=float(np.median(d)),
             max=float(np.max(d)),
-            negative_count=int(np.count_nonzero(d < -violation_tol)),
-            bound_violations=int(np.count_nonzero(d > self.recon_error + violation_tol)),
+            negative_count=int(np.count_nonzero(negative)),
+            bound_violations=int(np.count_nonzero(over)),
+            violating_pairs=int(np.count_nonzero(negative | over)),
         )
 
     def rows(self):
@@ -124,10 +130,7 @@ class PairTable:
 def _pair_table(model, x_i, x_j, m):
     """Pair-engine table for the two-row matrix [x_i; x_j]."""
     check_m(model, m)
-    a = as_vector(x_i, "x_i")
-    b = as_vector(x_j, "x_j")
-    if a.shape[0] != b.shape[0]:
-        raise DimMismatchError("length mismatch: %d vs %d" % (a.shape[0], b.shape[0]))
+    a, b = as_vector_pair(x_i, x_j, ("x_i", "x_j"))
     return shrinkage_table(model, np.stack([a, b]), m)
 
 
@@ -213,10 +216,10 @@ def shrinkage_tables(model, data, ms, *, pair_sample=None, seed=0, threads=1):
     The pair list, the original distances and the full transform are
     computed once; every table shares the read-only ``i``, ``j`` and
     ``dist_original``. ``pair_sample`` caps how many pairs are visited:
-    None applies the automatic rule (all pairs up to
-    PAIR_SAMPLE_THRESHOLD samples, then a PAIR_SAMPLE_DEFAULT
-    subsample), 0 forces all pairs, and a positive value requests that
-    many sampled pairs. Any thread count gives the same bits.
+    None means PAIR_SAMPLE_DEFAULT, 0 forces all pairs, and a positive
+    value requests that many sampled pairs; a request of at least the
+    pair count visits all pairs unsampled. Any thread count gives the
+    same bits.
     """
     X = as_data_matrix(data)
     Y = transform(model, X)
@@ -226,7 +229,7 @@ def shrinkage_tables(model, data, ms, *, pair_sample=None, seed=0, threads=1):
     ms = [check_m(model, m) for m in ms]
 
     if pair_sample is None:
-        pair_sample = None if n_samples <= PAIR_SAMPLE_THRESHOLD else PAIR_SAMPLE_DEFAULT
+        pair_sample = PAIR_SAMPLE_DEFAULT
     elif pair_sample <= 0:
         pair_sample = None
     i_idx, j_idx, sampled = _pair_indices(n_samples, pair_sample, seed)
@@ -234,12 +237,12 @@ def shrinkage_tables(model, data, ms, *, pair_sample=None, seed=0, threads=1):
     for shared in (i_idx, j_idx, d_orig):
         shared.setflags(write=False)
 
-    # one call per level, so a level's temporaries are freed before the next
+    # one call per level, so a level's temporaries are freed before the next;
+    # a point's error is the norm of its discarded coordinates (orthonormal basis)
     def level(m):
-        Yt = Y[:, :m]
-        d_trunc = _pair_distances(Yt, i_idx, j_idx, threads)
-        resid = X - reconstruct(model, Yt)
-        point_error = np.sqrt(np.einsum("ij,ij->i", resid, resid))
+        d_trunc = _pair_distances(Y[:, :m], i_idx, j_idx, threads)
+        tail = Y[:, m:]
+        point_error = np.sqrt(np.einsum("ij,ij->i", tail, tail))
         return PairTable(
             m=m,
             sampled=sampled,
@@ -283,15 +286,10 @@ def pearson(xs, ys):
     """Pearson correlation coefficient of two equal-length series.
 
     Raises ZeroVarianceError when either series is constant (including
-    the single-observation case), DimMismatchError on length mismatch.
+    the single-observation case), DimMismatchError when the lengths differ.
     The returned value is clipped to [-1, 1] to absorb roundoff.
     """
-    x = as_vector(xs, "xs")
-    y = as_vector(ys, "ys")
-    if x.shape[0] != y.shape[0]:
-        raise DimMismatchError(
-            "length mismatch: %d vs %d" % (x.shape[0], y.shape[0])
-        )
+    x, y = as_vector_pair(xs, ys, ("xs", "ys"))
     dx = x - x.mean()
     dy = y - y.mean()
     sx = float(np.sqrt(np.dot(dx, dx)))

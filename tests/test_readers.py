@@ -1,0 +1,112 @@
+"""The one input reader: golden error lines for every file the CLI reads
+(--input, --model, --config), CRLF input, over-long CSV fields, and the
+`none` label spelling."""
+
+import json
+
+import numpy as np
+import pytest
+
+from pcashrink.cli import main
+from pcashrink.experiments import load_csv
+
+MISSING = "./nope//x"
+DIRECTORY = "./d/"
+NOT_UTF8 = "bad.bin"
+NOT_JSON = "bad.json"
+
+# what each reader's failure looks like on stderr; the CSV reader names the
+# Path-normalised path, the model and config readers the path as given
+GOLDEN = {
+    ("input", MISSING):
+        "[io] cannot read nope/x: [Errno 2] No such file or directory: 'nope/x'",
+    ("model", MISSING):
+        "[io] cannot read model file ./nope//x: [Errno 2] No such file or directory: 'nope/x'",
+    ("config", MISSING):
+        "[io] cannot read config ./nope//x: [Errno 2] No such file or directory: 'nope/x'",
+    ("input", DIRECTORY): "[io] cannot read d: [Errno 21] Is a directory: 'd'",
+    ("model", DIRECTORY): "[io] cannot read model file ./d/: [Errno 21] Is a directory: 'd'",
+    ("config", DIRECTORY): "[io] cannot read config ./d/: [Errno 21] Is a directory: 'd'",
+    ("input", NOT_UTF8): "[parse] bad.bin is not valid UTF-8: 'utf-8' codec can't decode "
+                         "byte 0xe9 in position 10: invalid continuation byte",
+    ("model", NOT_UTF8): "[parse] model file bad.bin is not valid UTF-8: 'utf-8' codec can't "
+                         "decode byte 0xe9 in position 10: invalid continuation byte",
+    ("config", NOT_UTF8): "[parse] config bad.bin is not valid UTF-8: 'utf-8' codec can't "
+                          "decode byte 0xe9 in position 10: invalid continuation byte",
+    ("model", NOT_JSON): "[parse] model file bad.json is not valid JSON: "
+                         "Expecting value: line 1 column 7 (char 6)",
+    ("config", NOT_JSON): "[parse] config bad.json is not valid JSON: "
+                          "Expecting value: line 1 column 7 (char 6)",
+}
+
+
+@pytest.fixture()
+def workdir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    (tmp_path / NOT_UTF8).write_bytes(b'{"a": "caf\xe9"}\n')
+    (tmp_path / NOT_JSON).write_text('{"a": }', encoding="utf-8")
+    (tmp_path / "ok.csv").write_text("1,2,a\n3,5,b\n4,4,a\n", encoding="utf-8")
+    assert main(["fit", "--input", "ok.csv", "--output", "model.json"]) == 0
+    return tmp_path
+
+
+def _argv(reader, path):
+    if reader == "input":
+        return ["fit", "--input", path, "--output", "m.json"]
+    if reader == "model":
+        return ["transform", "--input", "ok.csv", "--model", path]
+    return ["fit", "--config", path, "--input", "ok.csv", "--output", "m.json"]
+
+
+@pytest.mark.parametrize("reader, path", sorted(GOLDEN), ids=lambda v: str(v))
+def test_reader_failures_have_golden_lines(workdir, capsys, reader, path):
+    capsys.readouterr()
+    assert main(_argv(reader, path)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "pca-shrink: %s\n" % GOLDEN[reader, path]
+    assert not (workdir / "m.json").exists()
+
+
+def test_crlf_csv_loads_like_lf(tmp_path):
+    text = "x,y,label\n1.5,2,a\n3,-4.25,b\n\n7e-3,8,a\n"
+    (tmp_path / "lf").mkdir()
+    (tmp_path / "crlf").mkdir()
+    lf = tmp_path / "lf" / "data.csv"
+    crlf = tmp_path / "crlf" / "data.csv"
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    for kwargs in ({"header": True}, {"header": True, "label_column": "label"}):
+        a, b = load_csv(lf, **kwargs), load_csv(crlf, **kwargs)
+        assert np.array_equal(a.features, b.features)
+        assert a.labels == b.labels == ("a", "b", "a")
+        assert a.name == b.name
+
+
+def test_over_long_csv_field_is_a_parse_error(tmp_path, capsys):
+    data = tmp_path / "long.csv"
+    data.write_text("1,2,a\n3,5," + "b" * 131_073 + "\n4,4,a\n", encoding="utf-8")
+    rc = main(["fit", "--input", str(data), "--output", str(tmp_path / "m.json")])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("pca-shrink: [parse] %s: line 2: field larger than field limit (131072)\n"
+                   % data)
+
+
+@pytest.mark.parametrize("spelling", ["none", "NONE", " None "])
+def test_label_column_none_by_flag_and_by_config(tmp_path, capsys, spelling):
+    data = tmp_path / "numeric.csv"
+    data.write_text("1,2\n3,5\n4,4\n", encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"label-column": spelling}), encoding="utf-8")
+    runs = {}
+    for source, extra in (("flag", ["--label-column", spelling]),
+                          ("config", ["--config", str(config)])):
+        model = tmp_path / ("%s.json" % source)
+        rc = main(["fit", "--input", str(data), "--output", str(model)] + extra)
+        runs[source] = (rc, capsys.readouterr().out, model.read_bytes())
+    assert runs["flag"] == runs["config"]
+    assert runs["flag"][0] == 0
+    assert "samples=3 features=2" in runs["flag"][1]
