@@ -51,7 +51,7 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default: $%s or 0)" % SEED_ENV_VAR)
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for pairwise work (default %(default)s)")
+                       help="accepted for existing scripts; has no effect")
         p.add_argument("--config", default=None,
                        help="JSON file of option defaults; explicit flags win")
         p.add_argument("--input", default=None, help="input CSV path")
@@ -236,7 +236,6 @@ def cmd_analyze(args):
         m,
         pair_sample=args.pair_sample,
         seed=_seed(args),
-        threads=args.threads,
     )
     stats = table.summary(violation_tol=tol)
 
@@ -302,7 +301,6 @@ def cmd_sweep(args):
         k=args.k,
         folds=args.folds,
         seed=_seed(args),
-        threads=args.threads,
         pair_sample=args.pair_sample,
     )
     summary = correlate(result)

@@ -74,19 +74,17 @@ def load_csv(path, label_column=-1, header=False, delimiter=","):
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
-            rows = list(reader)
+            rows = [(reader.line_num, row) for row in reader]
         except csv.Error as exc:
             raise DatasetParseError("%s: line %d: %s" % (path, reader.line_num, exc)) from exc
 
     names = None
-    first_line = 1
     if header:
         if not rows:
             raise DatasetParseError("%s: empty file, expected a header row" % path)
-        names = [cell.strip() for cell in rows[0]]
+        names = [cell.strip() for cell in rows[0][1]]
         rows = rows[1:]
-        first_line = 2
-    rows = [(first_line + k, row) for k, row in enumerate(rows) if row]
+    rows = [(line, row) for line, row in rows if row]
     if not rows:
         raise DatasetParseError("%s: no data rows" % path)
 
@@ -246,7 +244,8 @@ def run_sweep(dataset, m_range=None, k=5, folds=5, seed=0, threads=1, pair_sampl
     default covers 1..n) and record, per m: the discarded-eigenvalue sum,
     pairwise shrinkage statistics, and k-NN accuracy measured on the
     m-dimensional transformed features. One model is fitted on the full
-    data and reused for every m. Deterministic for fixed inputs and seed.
+    data and reused for every m. Deterministic for fixed inputs and seed;
+    ``threads`` is accepted and has no effect, as in shrinkage_tables.
     """
     X = dataset.features
     n = X.shape[1]
@@ -261,9 +260,7 @@ def run_sweep(dataset, m_range=None, k=5, folds=5, seed=0, threads=1, pair_sampl
     rows = []
     negative = 0
     violations = 0
-    tables = shrinkage_tables(
-        model, X, range(lo, hi + 1), pair_sample=pair_sample, seed=seed, threads=threads
-    )
+    tables = shrinkage_tables(model, X, range(lo, hi + 1), pair_sample=pair_sample, seed=seed)
     for m in range(lo, hi + 1):
         try:
             stats = next(tables).summary()

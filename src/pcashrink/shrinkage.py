@@ -10,7 +10,6 @@ sample pair, or for a seeded subsample when the pair count explodes.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
 
@@ -35,9 +34,8 @@ PAIR_BUDGET = 20_000_000
 
 VIOLATION_TOL = 1e-9
 
-# pairs per engine work unit and per rows() conversion; small chunks keep
-# the gather temporaries (and what a worker thread's allocator holds on
-# to) to a few MB
+# pairs per engine step and per rows() conversion; small chunks keep the
+# gather temporaries to a few MB at no cost in speed
 _CHUNK = 4096
 
 
@@ -195,18 +193,13 @@ def _pair_indices(n_samples, pair_sample, seed):
     return np.minimum(a, b), np.maximum(a, b), True
 
 
-def _pair_distances(Z, i_idx, j_idx, threads):
-    """Distance between rows i and j of ``Z`` for every pair. Each work
-    unit fills one fixed _CHUNK slice, so any thread count gives the
-    same bits."""
+def _pair_distances(Z, i_idx, j_idx):
+    """Distance between rows i and j of ``Z`` for every pair, one fixed
+    _CHUNK slice at a time."""
     out = np.empty(i_idx.size)
-
-    def fill(lo):
+    for lo in range(0, i_idx.size, _CHUNK):
         diff = Z[i_idx[lo:lo + _CHUNK]] - Z[j_idx[lo:lo + _CHUNK]]
         out[lo:lo + _CHUNK] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-    with ThreadPoolExecutor(max_workers=max(1, int(threads))) as pool:
-        list(pool.map(fill, range(0, i_idx.size, _CHUNK)))
     return out
 
 
@@ -218,8 +211,9 @@ def shrinkage_tables(model, data, ms, *, pair_sample=None, seed=0, threads=1):
     ``dist_original``. ``pair_sample`` caps how many pairs are visited:
     None means PAIR_SAMPLE_DEFAULT, 0 forces all pairs, and a positive
     value requests that many sampled pairs; a request of at least the
-    pair count visits all pairs unsampled. Any thread count gives the
-    same bits.
+    pair count visits all pairs unsampled, and a negative count raises
+    ValueError. The engine runs in the calling thread; ``threads`` is
+    accepted for existing callers and has no effect.
     """
     X = as_data_matrix(data)
     Y = transform(model, X)
@@ -230,17 +224,19 @@ def shrinkage_tables(model, data, ms, *, pair_sample=None, seed=0, threads=1):
 
     if pair_sample is None:
         pair_sample = PAIR_SAMPLE_DEFAULT
-    elif pair_sample <= 0:
+    elif pair_sample < 0:
+        raise ValueError("pair sample must be 0 (all pairs) or positive, got %d" % pair_sample)
+    elif pair_sample == 0:
         pair_sample = None
     i_idx, j_idx, sampled = _pair_indices(n_samples, pair_sample, seed)
-    d_orig = _pair_distances(X, i_idx, j_idx, threads)
+    d_orig = _pair_distances(X, i_idx, j_idx)
     for shared in (i_idx, j_idx, d_orig):
         shared.setflags(write=False)
 
     # one call per level, so a level's temporaries are freed before the next;
     # a point's error is the norm of its discarded coordinates (orthonormal basis)
     def level(m):
-        d_trunc = _pair_distances(Y[:, :m], i_idx, j_idx, threads)
+        d_trunc = _pair_distances(Y[:, :m], i_idx, j_idx)
         tail = Y[:, m:]
         point_error = np.sqrt(np.einsum("ij,ij->i", tail, tail))
         return PairTable(
@@ -260,26 +256,20 @@ def shrinkage_tables(model, data, ms, *, pair_sample=None, seed=0, threads=1):
 
 def shrinkage_table(model, data, m=None, *, pair_sample=None, seed=0, threads=1):
     """Per-pair distances before and after truncation at level m; see
-    shrinkage_tables for the pair-sampling and threading rules."""
-    return next(shrinkage_tables(
-        model, data, [m], pair_sample=pair_sample, seed=seed, threads=threads
-    ))
+    shrinkage_tables for the pair-sampling rule and ``threads``."""
+    return next(shrinkage_tables(model, data, [m], pair_sample=pair_sample, seed=seed))
 
 
 def shrinkage_summary(model, data, m=None, *, pair_sample=None, seed=0, threads=1,
                       violation_tol=VIOLATION_TOL):
     """ShrinkageSummary over (possibly sampled) pairs of ``data``."""
-    table = shrinkage_table(
-        model, data, m, pair_sample=pair_sample, seed=seed, threads=threads
-    )
+    table = shrinkage_table(model, data, m, pair_sample=pair_sample, seed=seed)
     return table.summary(violation_tol=violation_tol)
 
 
 def mean_shrinkage(model, data, m=None, *, pair_sample=None, seed=0, threads=1):
     """Mean of dist_original - dist_truncated over the visited pairs."""
-    return shrinkage_summary(
-        model, data, m, pair_sample=pair_sample, seed=seed, threads=threads
-    ).mean
+    return shrinkage_summary(model, data, m, pair_sample=pair_sample, seed=seed).mean
 
 
 def pearson(xs, ys):

@@ -465,6 +465,18 @@ class TestBadOptionValues:
                        % delimiter)
         assert out == "" and not model_path.exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "sweep"])
+    def test_negative_pair_sample_exits_1(self, data_csv, tmp_path, capsys, source, command):
+        base = tmp_path / "out"
+        argv = (command, "--input", data_csv, "--output", base)
+        rc = self.run(tmp_path, source, "pair-sample", -1,
+                      *argv + (("--m", 1) if command == "analyze" else ()))
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert err == ("pca-shrink: error: pair sample must be 0 (all pairs) or positive, "
+                       "got -1\n")
+        assert out == "" and list(tmp_path.glob("out*")) == []
+
 
 class TestOutputCheckedFirst:
     """Every command checks the files it will write before it loads input,

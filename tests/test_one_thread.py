@@ -1,0 +1,63 @@
+"""The pair engine runs in the calling thread: no entry point starts a
+thread whatever ``threads`` asks for, and importing the CLI does not pull
+in concurrent.futures."""
+
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+
+from pcashrink import fit, shrinkage_table
+from pcashrink.cli import main
+from pcashrink.experiments import anisotropic_gaussian, run_sweep
+from pcashrink.serialize import csv_line
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# 300 rows give 44,850 pairs, so the engine walks several chunks
+DATA = anisotropic_gaussian(n_samples=300, variances=(4.0, 1.0, 0.25), seed=5)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_starts(monkeypatch):
+    def refuse(thread):
+        raise AssertionError("thread %r was started" % thread.name)
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+
+
+def test_shrinkage_table_starts_no_thread():
+    table = shrinkage_table(fit(DATA.features), DATA.features, 2, threads=4)
+    assert table.i.size == 300 * 299 // 2
+
+
+def test_run_sweep_starts_no_thread():
+    result = run_sweep(DATA, m_range=(1, 2), folds=3, threads=2)
+    assert len(result.rows) == 2
+
+
+def test_cli_sweep_starts_no_thread(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("".join(csv_line(tuple(row) + (label,)) + "\n"
+                            for row, label in zip(DATA.features, DATA.labels)),
+                    encoding="utf-8")
+    rc = main(["sweep", "--input", str(data), "--m-range", "1..2", "--folds", "3",
+               "--threads", "4", "--output", str(tmp_path / "sweep")])
+    assert rc == 0
+    assert "rows=2 pairs=44850" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_concurrent_futures_out():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pcashrink.cli; print('concurrent.futures' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

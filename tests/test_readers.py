@@ -1,6 +1,6 @@
 """The one input reader: golden error lines for every file the CLI reads
-(--input, --model, --config), CRLF input, over-long CSV fields, and the
-`none` label spelling."""
+(--input, --model, --config), CRLF input, over-long CSV fields, line
+numbers after a multi-line quoted field, and the `none` label spelling."""
 
 import json
 
@@ -93,6 +93,21 @@ def test_over_long_csv_field_is_a_parse_error(tmp_path, capsys):
     assert out == ""
     assert err == ("pca-shrink: [parse] %s: line 2: field larger than field limit (131072)\n"
                    % data)
+
+
+@pytest.mark.parametrize("last_row, message", [
+    ("x,5,d", "line 4 column 1: 'x' is not a number"),
+    ("5,d", "line 4 has 2 columns, expected 3"),
+], ids=["bad-cell", "bad-width"])
+def test_line_numbers_count_the_lines_of_a_quoted_field(tmp_path, capsys, last_row, message):
+    # the first row's quoted label spans lines 1 and 2
+    data = tmp_path / "multi.csv"
+    data.write_text('1,2,"a\nb"\n3,4,c\n%s\n' % last_row, encoding="utf-8")
+    rc = main(["fit", "--input", str(data), "--output", str(tmp_path / "m.json")])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "pca-shrink: [parse] %s: %s\n" % (data, message)
 
 
 @pytest.mark.parametrize("spelling", ["none", "NONE", " None "])

@@ -1,4 +1,4 @@
-"""Pairwise distance shrinkage, collision witnesses, the threaded pair
+"""Pairwise distance shrinkage, collision witnesses, the pair
 engine, and the Pearson helper.
 
 The frozen numbers below were computed independently with LAPACK
@@ -179,6 +179,16 @@ class TestPairEngine:
         table = shrinkage_table(model, X, 2, pair_sample=0)
         assert not table.sampled
         assert table.i.size == 25 * 24 // 2
+
+    @pytest.mark.parametrize("pair_sample", [-1, -1000])
+    def test_negative_pair_sample_refused(self, pair_sample):
+        # a negative count once visited every pair, like 0
+        X = np.random.default_rng(44).standard_normal((50, 3))
+        model = fit(X)
+        with pytest.raises(ValueError, match="got %d" % pair_sample):
+            shrinkage_table(model, X, 2, pair_sample=pair_sample)
+        with pytest.raises(ValueError, match="pair sample"):
+            list(shrinkage_tables(model, X, [1, 2], pair_sample=pair_sample))
 
     def test_threads_do_not_change_bytes(self):
         rng = np.random.default_rng(17)
