@@ -10,21 +10,24 @@ Run:  python3 demos/03_distance_shrinkage.py
 
 import numpy as np
 
-from pcashrink import fit, shrinkage_summary, shrinkage_table, transform
+from pcashrink import fit, shrinkage_tables, transform
 
 rng = np.random.default_rng(42)
 X = rng.standard_normal((150, 5)) * [3.0, 2.0, 1.0, 0.4, 0.1]
 model = fit(X)
 
-# full rank: an isometry (largest distance change over all 11175 pairs)
-table = shrinkage_table(model, X, m=5)
+# one pass over the same 11175 pairs, one table per m
+tables = shrinkage_tables(model, X, [5, 4, 3, 2, 1])
+
+# full rank: an isometry (largest distance change over all pairs)
+table = next(tables)
 print("m=5 (full): largest |distance change| = %.2e" % np.max(np.abs(table.shrinkage)))
 
 # truncation: distances shrink, never grow
-for m in (4, 3, 2, 1):
-    stats = shrinkage_summary(model, X, m)
+for table in tables:
+    stats = table.summary()
     print("m=%d: mean shrinkage %.4f, max %.4f, pairs that grew: %d"
-          % (m, stats.mean, stats.max, stats.negative_count))
+          % (stats.m, stats.mean, stats.max, stats.negative_count))
 
 # the exact decomposition for one pair at m=2
 a, b = X[0], X[1]

@@ -16,7 +16,6 @@ import sys
 from ._version import VERSION
 from .errors import DatasetParseError, ToolkitError
 from .experiments import correlate, load_csv, run_sweep
-from .matrix import euclidean_distance
 from .pca import fit, load_model, save_model, transform
 from .reports import (
     analyze_report,
@@ -26,7 +25,7 @@ from .reports import (
     write_pair_csv,
 )
 from .serialize import check_writable, csv_line, f17, json_text, read_json, write_text
-from .shrinkage import VIOLATION_TOL, collision_witness, shrinkage_table
+from .shrinkage import VIOLATION_TOL, collision_witness, pair_shrinkage, shrinkage_table
 
 SEED_ENV_VAR = "PCA_SHRINK_SEED"
 
@@ -158,17 +157,11 @@ def _parse_label_column(value):
 
 def _parse_m_range(value):
     text = value.strip()
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        try:
-            return int(lo), int(hi)
-        except ValueError:
-            raise ValueError("bad m range %r, expected A..B" % text) from None
+    lo, _, hi = text.partition("..")
     try:
-        m = int(text)
+        return int(lo), int(hi)
     except ValueError:
         raise ValueError("bad m range %r, expected A..B" % text) from None
-    return m, m
 
 
 def _load_dataset(args):
@@ -226,8 +219,8 @@ def cmd_analyze(args):
     out = args.output
     if out is not None:
         check_writable(out)
-    dataset = _load_dataset(args)
     m = _require(args, "m")
+    dataset = _load_dataset(args)
     tol = args.violation_tol
     model = fit(dataset.features)
     table = shrinkage_table(
@@ -246,16 +239,13 @@ def cmd_analyze(args):
                         "reason": "full-rank transform is injective"}
     else:
         base = dataset.features[0]
-        witness = collision_witness(model, base, m)
-        image_gap = euclidean_distance(
-            transform(model, base, m), transform(model, witness, m)
-        )
+        pair = pair_shrinkage(model, base, collision_witness(model, base, m), m)
         witness_note = {
             "exists": True,
             "base_index": 0,
             "offset_axis": m,
-            "original_distance": euclidean_distance(base, witness),
-            "truncated_image_distance": image_gap,
+            "original_distance": pair.dist_original,
+            "truncated_image_distance": pair.dist_truncated,
         }
 
     if out is not None:
@@ -294,10 +284,11 @@ def cmd_sweep(args):
     json_path = base + ".json"
     check_writable(csv_path)
     check_writable(json_path)
+    m_range = None if args.m_range is None else _parse_m_range(args.m_range)
     dataset = _load_dataset(args)
     result = run_sweep(
         dataset,
-        m_range=None if args.m_range is None else _parse_m_range(args.m_range),
+        m_range=m_range,
         k=args.k,
         folds=args.folds,
         seed=_seed(args),

@@ -24,7 +24,7 @@ from .errors import (
 from .matrix import as_data_matrix
 from .pca import discarded_eigenvalue_sum, fit, transform
 from .serialize import open_text
-from .shrinkage import CorrelationSummary, pearson, shrinkage_tables
+from .shrinkage import CorrelationSummary, check_seed, pearson, shrinkage_tables
 
 STRONG_CORRELATION = 0.7
 
@@ -159,10 +159,12 @@ def knn_accuracy(dataset, k=5, folds=5, seed=0):
     Everything is deterministic for a fixed seed: folds come from a
     seeded per-class shuffle dealt round-robin, neighbours are ranked by
     (distance, training index), and a tied vote goes to the class of the
-    best-ranked neighbour among the tied classes.
+    best-ranked neighbour among the tied classes. A negative seed raises
+    ValueError.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    check_seed(seed)
     if dataset.labels is None:
         raise DegenerateLabelsError("dataset has no labels")
     labels = np.asarray(dataset.labels)

@@ -5,6 +5,7 @@ two runs with the same inputs produce byte-identical files."""
 from __future__ import annotations
 
 from dataclasses import asdict, astuple, fields
+from itertools import chain
 
 from ._version import VERSION
 from .experiments import STRONG_CORRELATION, SweepRow, correlate
@@ -67,16 +68,11 @@ def sweep_report_json(result, summary=None):
     return json_text(sweep_report(result, summary))
 
 
-def pair_csv_lines(table):
-    """Yield CSV lines (header first) for a PairTable, in engine order."""
-    yield PAIR_CSV_HEADER
-    for row in table.rows():
-        yield csv_line(row)
-
-
 def write_pair_csv(table, path):
-    """Stream the pair CSV to ``path`` line by line."""
-    write_text(path, (part for line in pair_csv_lines(table) for part in (line, "\n")))
+    """Stream the pair CSV (header first, then the rows in engine order)
+    to ``path`` line by line."""
+    lines = chain([PAIR_CSV_HEADER], map(csv_line, table.rows()))
+    write_text(path, (part for line in lines for part in (line, "\n")))
 
 
 def analyze_report(stats, n_features, dataset_name, witness_note, isometry_violations=None):

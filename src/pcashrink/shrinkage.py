@@ -125,21 +125,18 @@ class PairTable:
         return [ShrinkageRecord(*row) for row in self.rows()]
 
 
-def _pair_table(model, x_i, x_j, m):
-    """Pair-engine table for the two-row matrix [x_i; x_j]."""
+def pair_shrinkage(model, x_i, x_j, m=None, i=0, j=1):
+    """ShrinkageRecord for a single pair of points, from the pair engine
+    run on the two-row matrix [x_i; x_j]."""
     check_m(model, m)
     a, b = as_vector_pair(x_i, x_j, ("x_i", "x_j"))
-    return shrinkage_table(model, np.stack([a, b]), m)
-
-
-def pair_shrinkage(model, x_i, x_j, m=None, i=0, j=1):
-    """ShrinkageRecord for a single pair of points."""
-    return replace(_pair_table(model, x_i, x_j, m).records()[0], i=i, j=j)
+    table = shrinkage_table(model, np.stack([a, b]), m)
+    return replace(table.records()[0], i=i, j=j)
 
 
 def pair_reconstruction_error(model, x_i, x_j, m=None):
     """Sum of the two points' own reconstruction distances at level m."""
-    return float(_pair_table(model, x_i, x_j, m).recon_error[0])
+    return pair_shrinkage(model, x_i, x_j, m).recon_error
 
 
 def collision_witness(model, x, m, scale=1.0):
@@ -164,16 +161,23 @@ def collision_witness(model, x, m, scale=1.0):
     return vec + scale * model.components[:, m]
 
 
+def check_seed(seed):
+    """Refuse a negative seed by name; numpy's own refusal names no option."""
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer, got %d" % seed)
+
+
 def _pair_indices(n_samples, pair_sample, seed):
     """Index arrays (i, j) with i < j: all pairs or a seeded subsample.
 
-    Sampling draws pairs uniformly with replacement and is deterministic
-    for a given (seed, n_samples); self-pairs are redrawn. A pair count
-    above PAIR_BUDGET raises TooManyPairsError before anything is
-    allocated.
+    A ``pair_sample`` of 0, or of at least the pair count, means all
+    pairs. Sampling draws pairs uniformly with replacement and is
+    deterministic for a given (seed, n_samples); self-pairs are redrawn.
+    A pair count above PAIR_BUDGET raises TooManyPairsError before
+    anything is allocated.
     """
     total = n_samples * (n_samples - 1) // 2
-    sampled = pair_sample is not None and pair_sample < total
+    sampled = 0 < pair_sample < total
     count = pair_sample if sampled else total
     if count > PAIR_BUDGET:
         raise TooManyPairsError(
@@ -211,8 +215,9 @@ def shrinkage_tables(model, data, ms, *, pair_sample=None, seed=0, threads=1):
     ``dist_original``. ``pair_sample`` caps how many pairs are visited:
     None means PAIR_SAMPLE_DEFAULT, 0 forces all pairs, and a positive
     value requests that many sampled pairs; a request of at least the
-    pair count visits all pairs unsampled, and a negative count raises
-    ValueError. The engine runs in the calling thread; ``threads`` is
+    pair count visits all pairs unsampled. A negative count or a
+    negative ``seed`` raises ValueError, whether or not pairs are
+    sampled. The engine runs in the calling thread; ``threads`` is
     accepted for existing callers and has no effect.
     """
     X = as_data_matrix(data)
@@ -226,8 +231,7 @@ def shrinkage_tables(model, data, ms, *, pair_sample=None, seed=0, threads=1):
         pair_sample = PAIR_SAMPLE_DEFAULT
     elif pair_sample < 0:
         raise ValueError("pair sample must be 0 (all pairs) or positive, got %d" % pair_sample)
-    elif pair_sample == 0:
-        pair_sample = None
+    check_seed(seed)
     i_idx, j_idx, sampled = _pair_indices(n_samples, pair_sample, seed)
     d_orig = _pair_distances(X, i_idx, j_idx)
     for shared in (i_idx, j_idx, d_orig):

@@ -1,0 +1,29 @@
+"""Every lookup site the benchmark's tracer patches must exist, so that no
+refactor silently drops a traced layer from the per-layer metrics."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+spans = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(spans)
+
+# run_sweep reaches the pair engine through shrinkage_tables, so this site is
+# stale until the benchmark is re-pointed (see the FOUND: line on
+# perfbench/spans.py in CHANGES.md); that change removes this mark
+STALE = {
+    "pcashrink.experiments:shrinkage_table":
+        pytest.mark.xfail(strict=True, reason="run_sweep no longer looks up shrinkage_table"),
+}
+
+
+@pytest.mark.parametrize("site", [
+    pytest.param(site, marks=STALE.get(site, ()), id=site) for site, _ in spans.SITES
+])
+def test_trace_site_resolves_to_a_callable(site):
+    owner, attr = spans._resolve(site)
+    assert callable(getattr(owner, attr, None)), site
