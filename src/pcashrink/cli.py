@@ -14,7 +14,7 @@ import os
 import sys
 
 from ._version import VERSION
-from .errors import DatasetParseError, ToolkitError
+from .errors import DatasetIOError, DatasetParseError, ToolkitError
 from .experiments import correlate, load_csv, run_sweep
 from .pca import fit, load_model, save_model, transform
 from .reports import (
@@ -173,13 +173,31 @@ def _load_dataset(args):
     )
 
 
+def _check_outputs(args, *paths):
+    """Fail before any input is read when an output path cannot be written
+    or is the same file as --input (or --model), which writing would destroy."""
+    sources = (("--input", args.input), ("--model", getattr(args, "model", None)))
+    for path in paths:
+        check_writable(path)
+        for option, source in sources:
+            if source is not None and _same_file(path, source):
+                raise DatasetIOError("cannot write %s: it is the %s file" % (path, option))
+
+
+def _same_file(a, b):
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # either one missing: nothing to overwrite
+        return False
+
+
 def _log(message):
     print("pca-shrink: %s" % message, file=sys.stderr)
 
 
 def cmd_fit(args):
     out = _require(args, "output")
-    check_writable(out)
+    _check_outputs(args, out)
     dataset = _load_dataset(args)
     model = fit(dataset.features)
     save_model(model, out)
@@ -194,7 +212,7 @@ def cmd_fit(args):
 def cmd_transform(args):
     out = args.output
     if out is not None:
-        check_writable(out)
+        _check_outputs(args, out)
     model = load_model(_require(args, "model"))
     dataset = _load_dataset(args)
     coords = transform(model, dataset.features, args.m)
@@ -218,7 +236,7 @@ def cmd_transform(args):
 def cmd_analyze(args):
     out = args.output
     if out is not None:
-        check_writable(out)
+        _check_outputs(args, out)
     m = _require(args, "m")
     dataset = _load_dataset(args)
     tol = args.violation_tol
@@ -282,8 +300,7 @@ def cmd_sweep(args):
         base = base.rsplit(".", 1)[0]
     csv_path = base + ".csv"
     json_path = base + ".json"
-    check_writable(csv_path)
-    check_writable(json_path)
+    _check_outputs(args, csv_path, json_path)
     m_range = None if args.m_range is None else _parse_m_range(args.m_range)
     dataset = _load_dataset(args)
     result = run_sweep(

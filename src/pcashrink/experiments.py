@@ -27,6 +27,9 @@ from .serialize import open_text
 from .shrinkage import CorrelationSummary, check_seed, pearson, shrinkage_tables
 
 STRONG_CORRELATION = 0.7
+# Bytes of the k-NN difference block per chunk of test rows. A byte budget,
+# not a row count: 256 test rows against a 20,000 x 20 training set take 819 MB.
+KNN_BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -161,6 +164,11 @@ def knn_accuracy(dataset, k=5, folds=5, seed=0):
     (distance, training index), and a tied vote goes to the class of the
     best-ranked neighbour among the tied classes. A negative seed raises
     ValueError.
+
+    Memory: test rows are classified in chunks whose (rows x n_train x m)
+    difference block holds at most KNN_BLOCK_BYTES (8 MiB), or one row's
+    n_train x m block when that alone is larger, so the temporaries do not
+    grow with the number of test rows.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -203,16 +211,47 @@ def _stratified_folds(labels, folds, seed):
 
 
 def _knn_predict(X_train, y_train, X_test, k):
-    k = min(k, X_train.shape[0])
-    predictions = []
-    for x in X_test:
-        diff = X_train - x
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        ranked = y_train[np.argsort(dist, kind="stable")[:k]].tolist()
-        predictions.append(
-            max(ranked, key=lambda lbl: (ranked.count(lbl), -ranked.index(lbl)))
-        )
-    return np.asarray(predictions)
+    """Class of each test row by the vote of its k nearest training rows,
+    one chunk of test rows at a time; each row's distances, ranking and
+    vote are those of a loop over single rows, bit for bit."""
+    n_train = X_train.shape[0]
+    k = min(k, n_train)
+    classes, codes = np.unique(y_train, return_inverse=True)
+    chunk = max(1, KNN_BLOCK_BYTES // (8 * n_train * X_train.shape[1]))
+    predictions = np.empty(X_test.shape[0], dtype=np.intp)
+    for lo in range(0, X_test.shape[0], chunk):
+        diff = X_train[None] - X_test[lo:lo + chunk, None]
+        dist = np.sqrt(np.einsum("abj,abj->ab", diff, diff))
+        ranked = codes[_nearest(dist, k)]
+        predictions[lo:lo + chunk] = _vote(ranked, classes.size)
+    return classes[predictions]
+
+
+def _nearest(dist, k):
+    """Per row of ``dist``, the columns of its k smallest entries ordered
+    by (distance, column): the first k of a stable argsort."""
+    part = np.argpartition(dist, k - 1, axis=1)[:, :k]
+    near = np.take_along_axis(dist, part, axis=1)
+    nearest = np.take_along_axis(part, np.lexsort((part, near), axis=1), axis=1)
+    # with more than k entries at or below the k-th distance, argpartition
+    # may have kept a higher column than the stable order would
+    tied = np.flatnonzero(np.count_nonzero(dist <= near[:, k - 1:], axis=1) > k)
+    if tied.size:
+        nearest[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, :k]
+    return nearest
+
+
+def _vote(ranked, n_classes):
+    """Winning class code per row of ``ranked`` (class codes, nearest
+    first): the most votes, and among tied classes the one whose first
+    neighbour ranks best."""
+    rows = np.arange(ranked.shape[0])
+    counts = np.bincount(
+        (rows[:, None] * n_classes + ranked).ravel(), minlength=rows.size * n_classes
+    ).reshape(rows.size, n_classes)
+    votes = np.take_along_axis(counts, ranked, axis=1)
+    best = np.argmax(votes == counts.max(axis=1, keepdims=True), axis=1)
+    return ranked[rows, best]
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,131 @@
+"""The chunked k-NN classifier against a per-row reference loop, its
+memory bound, and the pinned bytes of a small seeded sweep."""
+
+import hashlib
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from pcashrink import Dataset, anisotropic_gaussian, fit, knn_accuracy, transform
+from pcashrink.cli import main
+from pcashrink.experiments import _knn_predict, _stratified_folds
+from pcashrink.serialize import csv_line
+
+
+def reference_knn_predict(X_train, y_train, X_test, k):
+    """The classifier as one loop over test rows: a stable argsort of each
+    row's distances and a vote broken by the best-ranked neighbour."""
+    k = min(k, X_train.shape[0])
+    predictions = []
+    for x in X_test:
+        diff = X_train - x
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        ranked = y_train[np.argsort(dist, kind="stable")[:k]].tolist()
+        predictions.append(
+            max(ranked, key=lambda lbl: (ranked.count(lbl), -ranked.index(lbl)))
+        )
+    return np.asarray(predictions)
+
+
+def assert_matches_reference(dataset, k, folds, seed=0):
+    """Every fold's predictions equal the reference loop's, and so does
+    knn_accuracy, compared with ==."""
+    labels = np.asarray(dataset.labels)
+    fold_of = _stratified_folds(labels, folds, seed)
+    X = dataset.features
+    accuracies = []
+    for f in range(folds):
+        test = fold_of == f
+        got = _knn_predict(X[~test], labels[~test], X[test], k)
+        want = reference_knn_predict(X[~test], labels[~test], X[test], k)
+        assert np.array_equal(got, want), (k, folds, f)
+        accuracies.append(float(np.mean(want == labels[test])))
+    assert knn_accuracy(dataset, k=k, folds=folds, seed=seed) == float(np.mean(accuracies))
+
+
+HALVING_20 = tuple(2.0 ** (-k / 2.0) for k in range(20))
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 10, 20])
+def test_pca_features_match_reference(m):
+    ds = anisotropic_gaussian(600, HALVING_20, seed=101)
+    full = transform(fit(ds.features), ds.features)
+    assert_matches_reference(Dataset(full[:, :m], ds.labels), k=5, folds=5, seed=101)
+
+
+@pytest.mark.parametrize("k", [1, 3, 7, 50])
+def test_tie_heavy_integer_grid_matches_reference(k):
+    # 4**6 cells for 600 rows: many exact distance ties at the k-th place
+    rng = np.random.default_rng(3)
+    X = rng.integers(0, 4, size=(600, 6)).astype(float)
+    labels = rng.choice(["a", "b", "c"], size=600)
+    assert_matches_reference(Dataset(X, labels), k=k, folds=5, seed=7)
+
+
+@pytest.mark.parametrize("k", [8, 9, 40])
+def test_k_at_or_above_training_size_matches_reference(k):
+    ds = anisotropic_gaussian(12, (3.0, 1.0), seed=4)
+    # 3 folds of 4 rows: 8 training rows per fold
+    assert_matches_reference(ds, k=k, folds=3, seed=2)
+
+
+def test_one_point_test_folds_match_reference():
+    ds = anisotropic_gaussian(30, (3.0, 1.0, 0.5), seed=9)
+    assert_matches_reference(ds, k=5, folds=30)
+    X = ds.features
+    labels = np.asarray(ds.labels)
+    got = _knn_predict(X[1:], labels[1:], X[:1], 5)
+    assert np.array_equal(got, reference_knn_predict(X[1:], labels[1:], X[:1], 5))
+
+
+@pytest.mark.parametrize("labels, expected", [
+    ("cbaabc", "c"),
+    ("bcacab", "b"),
+    ("abccba", "a"),
+    ("ccbbaa", "c"),
+])
+def test_three_way_vote_tie_goes_to_the_best_ranked_class(labels, expected):
+    # six neighbours at distances 1..6 and two votes for each class
+    X_train = np.arange(1.0, 7.0)[:, None]
+    y_train = np.asarray(list(labels))
+    query = np.array([[0.0], [0.5]])
+    got = _knn_predict(X_train, y_train, query, 6)
+    assert got.tolist() == [expected, expected]
+    assert np.array_equal(got, reference_knn_predict(X_train, y_train, query, 6))
+
+
+def test_memory_stays_within_the_block_budget():
+    # a fixed 256-row chunk would need 256 x 20,000 x 20 doubles (819 MB)
+    rng = np.random.default_rng(0)
+    X_train = rng.standard_normal((20000, 20))
+    y_train = rng.choice(["neg", "pos"], size=20000)
+    X_test = rng.standard_normal((500, 20))
+    tracemalloc.start()
+    try:
+        _knn_predict(X_train, y_train, X_test, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_small_sweep_bytes_are_pinned(tmp_path, capsys):
+    """Any change to the bits of a sweep report shows here; the digests were
+    taken before the k-NN was vectorized and must not move with it."""
+    ds = anisotropic_gaussian(400, seed=5)
+    data = tmp_path / "data.csv"
+    data.write_text(
+        "".join(csv_line(tuple(row) + (lbl,)) + "\n" for row, lbl in zip(ds.features, ds.labels)),
+        encoding="utf-8",
+    )
+    rc = main(["sweep", "--input", str(data), "--k", "5", "--folds", "4", "--seed", "3",
+               "--output", str(tmp_path / "s")])
+    capsys.readouterr()
+    assert rc == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("s.csv", "s.json")}
+    assert digests == {
+        "s.csv": "d68f55b6bf324de775fadab0fd57f4b1f5afda0b47521c561d6c3983d4623077",
+        "s.json": "20b71338072c37dc6b14e6202633d36a1696bd513b4ba41ecec9bfa3b50ec06f",
+    }
