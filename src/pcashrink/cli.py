@@ -84,7 +84,8 @@ def build_parser():
     p.add_argument("--k", type=int, default=5, help="nearest neighbours (default %(default)s)")
     p.add_argument("--folds", type=int, default=5,
                    help="cross-validation folds (default %(default)s)")
-    p.add_argument("--pair-sample", type=int, default=None)
+    p.add_argument("--pair-sample", type=int, default=None,
+                   help="sampled pair count; 0 forces all pairs")
     p.add_argument("--output", default=None, help="base path; writes <base>.csv and <base>.json")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="stdout style: key=value lines (csv) or the JSON report")
@@ -175,8 +176,10 @@ def _load_dataset(args):
 
 def _check_outputs(args, *paths):
     """Fail before any input is read when an output path cannot be written
-    or is the same file as --input (or --model), which writing would destroy."""
-    sources = (("--input", args.input), ("--model", getattr(args, "model", None)))
+    or is the same file as --input, --model or --config, which writing would
+    destroy."""
+    sources = (("--input", args.input), ("--model", getattr(args, "model", None)),
+               ("--config", args.config))
     for path in paths:
         check_writable(path)
         for option, source in sources:

@@ -27,8 +27,9 @@ from .serialize import open_text
 from .shrinkage import CorrelationSummary, check_seed, pearson, shrinkage_tables
 
 STRONG_CORRELATION = 0.7
-# Bytes of the k-NN difference block per chunk of test rows. A byte budget,
-# not a row count: 256 test rows against a 20,000 x 20 training set take 819 MB.
+# Bytes of the k-NN temporaries per chunk of test rows. A byte budget, not a
+# row count: the temporaries grow with the training rows, 0.6 MB per test row
+# against a 20,000-row training set.
 KNN_BLOCK_BYTES = 8 << 20
 
 
@@ -165,11 +166,19 @@ def knn_accuracy(dataset, k=5, folds=5, seed=0):
     best-ranked neighbour among the tied classes. A negative seed raises
     ValueError.
 
-    Memory: test rows are classified in chunks whose (rows x n_train x m)
-    difference block holds at most KNN_BLOCK_BYTES (8 MiB), or one row's
-    n_train x m block when that alone is larger, so the temporaries do not
-    grow with the number of test rows.
+    Memory: test rows are classified in chunks of KNN_BLOCK_BYTES //
+    (32 x n_train) rows, at least one, budgeting four rows x n_train
+    blocks of doubles (the squared distances, a column's differences and
+    the ranking's temporaries) at 8 MiB; the temporaries grow with
+    neither the number of test rows nor the number of features.
     """
+    return _knn_accuracies(dataset, [dataset.n_features], k, folds, seed)[0]
+
+
+def _knn_accuracies(dataset, levels, k, folds, seed):
+    """knn_accuracy on the first m features for each m of the ascending
+    ``levels``: one check of the arguments, one deal of the folds, and one
+    pass over the features per fold."""
     if k < 1:
         raise ValueError("k must be at least 1")
     check_seed(seed)
@@ -186,13 +195,13 @@ def knn_accuracy(dataset, k=5, folds=5, seed=0):
 
     fold_of = _stratified_folds(labels, folds, seed)
     X = dataset.features
-    accuracies = []
+    accuracies = np.empty((len(levels), folds))
     for f in range(folds):
         test = fold_of == f
         train = ~test
-        predictions = _knn_predict(X[train], labels[train], X[test], k)
-        accuracies.append(float(np.mean(predictions == labels[test])))
-    return float(np.mean(accuracies))
+        predictions = _knn_predict(X[train], labels[train], X[test], k, levels)
+        accuracies[:, f] = np.mean(predictions == labels[test], axis=1)
+    return [float(np.mean(row)) for row in accuracies]
 
 
 def _stratified_folds(labels, folds, seed):
@@ -210,21 +219,27 @@ def _stratified_folds(labels, folds, seed):
     return fold_of
 
 
-def _knn_predict(X_train, y_train, X_test, k):
-    """Class of each test row by the vote of its k nearest training rows,
-    one chunk of test rows at a time; each row's distances, ranking and
-    vote are those of a loop over single rows, bit for bit."""
+def _knn_predict(X_train, y_train, X_test, k, levels=None):
+    """Class of each test row by the vote of its k nearest training rows
+    on the first m columns: one row per m of the ascending ``levels``, or
+    the one row for all columns when ``levels`` is None. Per chunk of test
+    rows the squared distances grow one column at a time, in column order,
+    so a level costs one column instead of m."""
     n_train = X_train.shape[0]
     k = min(k, n_train)
     classes, codes = np.unique(y_train, return_inverse=True)
-    chunk = max(1, KNN_BLOCK_BYTES // (8 * n_train * X_train.shape[1]))
-    predictions = np.empty(X_test.shape[0], dtype=np.intp)
+    steps = [X_train.shape[1]] if levels is None else levels
+    chunk = max(1, KNN_BLOCK_BYTES // (4 * 8 * n_train))
+    predictions = np.empty((len(steps), X_test.shape[0]), dtype=np.intp)
     for lo in range(0, X_test.shape[0], chunk):
-        diff = X_train[None] - X_test[lo:lo + chunk, None]
-        dist = np.sqrt(np.einsum("abj,abj->ab", diff, diff))
-        ranked = codes[_nearest(dist, k)]
-        predictions[lo:lo + chunk] = _vote(ranked, classes.size)
-    return classes[predictions]
+        test = X_test[lo:lo + chunk]
+        d2 = np.zeros((test.shape[0], n_train))
+        for row, (start, m) in enumerate(zip([0, *steps], steps)):
+            for c in range(start, m):
+                diff = X_train[:, c] - test[:, c, None]
+                d2 += diff * diff
+            predictions[row, lo:lo + chunk] = _vote(codes[_nearest(d2, k)], classes.size)
+    return classes[predictions] if levels is not None else classes[predictions[0]]
 
 
 def _nearest(dist, k):
@@ -285,8 +300,10 @@ def run_sweep(dataset, m_range=None, k=5, folds=5, seed=0, threads=1, pair_sampl
     default covers 1..n) and record, per m: the discarded-eigenvalue sum,
     pairwise shrinkage statistics, and k-NN accuracy measured on the
     m-dimensional transformed features. One model is fitted on the full
-    data and reused for every m. Deterministic for fixed inputs and seed;
-    ``threads`` is accepted and has no effect, as in shrinkage_tables.
+    data and reused for every m; the k-NN arguments are checked, and the
+    accuracy at every m measured, before the pair engine runs.
+    Deterministic for fixed inputs and seed; ``threads`` is accepted and
+    has no effect, as in shrinkage_tables.
     """
     X = dataset.features
     n = X.shape[1]
@@ -296,19 +313,21 @@ def run_sweep(dataset, m_range=None, k=5, folds=5, seed=0, threads=1, pair_sampl
             "m range [%d, %d] outside [1, %d]" % (lo, hi, n)
         )
 
+    levels = range(lo, hi + 1)
     model = fit(X)
-    full = transform(model, X)
+    try:
+        projected = Dataset(features=transform(model, X), labels=dataset.labels,
+                            name=dataset.name)
+        accuracies = _knn_accuracies(projected, levels, k, folds, seed)
+    except ToolkitError as exc:
+        raise exc.__class__("m=%d: %s" % (lo, exc)) from exc
     rows = []
     negative = 0
     violations = 0
-    tables = shrinkage_tables(model, X, range(lo, hi + 1), pair_sample=pair_sample, seed=seed)
-    for m in range(lo, hi + 1):
+    tables = shrinkage_tables(model, X, levels, pair_sample=pair_sample, seed=seed)
+    for m, accuracy in zip(levels, accuracies):
         try:
             stats = next(tables).summary()
-            truncated = Dataset(
-                features=full[:, :m], labels=dataset.labels, name=dataset.name
-            )
-            accuracy = knn_accuracy(truncated, k=k, folds=folds, seed=seed)
         except ToolkitError as exc:
             raise exc.__class__("m=%d: %s" % (m, exc)) from exc
         rows.append(

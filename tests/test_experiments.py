@@ -24,6 +24,7 @@ from pcashrink import (
     run_sweep,
     shrinkage_table,
 )
+from pcashrink import experiments
 from pcashrink.experiments import SweepResult, SweepRow, _knn_predict, _stratified_folds
 
 
@@ -265,6 +266,29 @@ class TestRunSweep:
         with pytest.raises(BadFoldsError) as info:
             run_sweep(ds, folds=25, seed=1)
         assert str(info.value).startswith("m=1:")
+
+
+    @pytest.mark.parametrize("labels, kwargs, error, message", [
+        ("ab", dict(k=0), ValueError, "k must be at least 1"),
+        ("ab", dict(folds=1), BadFoldsError, "m=1: folds must be in [2, 20], got 1"),
+        ("ab", dict(folds=21, m_range=(2, 2)), BadFoldsError,
+         "m=2: folds must be in [2, 20], got 21"),
+        (None, dict(), DegenerateLabelsError, "m=1: dataset has no labels"),
+        ("a", dict(), DegenerateLabelsError, "m=1: need at least two distinct classes"),
+        ("ab", dict(seed=-1), ValueError, "seed must be a non-negative integer, got -1"),
+    ], ids=["k", "one-fold", "folds-above-rows", "no-labels", "one-class", "seed"])
+    def test_knn_arguments_are_refused_before_the_pair_engine(
+            self, monkeypatch, labels, kwargs, error, message):
+        def no_pair_engine(*args, **kwargs):
+            raise AssertionError("the pair engine ran")
+
+        monkeypatch.setattr(experiments, "shrinkage_tables", no_pair_engine)
+        X = anisotropic_gaussian(n_samples=20, variances=(2.0, 0.5), seed=1).features
+        ds = Dataset(X, None if labels is None else [labels[i % len(labels)] for i in range(20)])
+        with pytest.raises(error) as info:
+            run_sweep(ds, **kwargs)
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 class TestCorrelate:

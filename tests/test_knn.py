@@ -1,5 +1,6 @@
-"""The chunked k-NN classifier against a per-row reference loop, its
-memory bound, and the pinned bytes of a small seeded sweep."""
+"""The chunked k-NN classifier against a per-row reference loop, at one
+level and at every level of one pass, its memory bound, and the pinned
+bytes of a small seeded sweep."""
 
 import hashlib
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 
 from pcashrink import Dataset, anisotropic_gaussian, fit, knn_accuracy, transform
 from pcashrink.cli import main
-from pcashrink.experiments import _knn_predict, _stratified_folds
+from pcashrink.experiments import _knn_accuracies, _knn_predict, _stratified_folds
 from pcashrink.serialize import csv_line
 
 
@@ -44,6 +45,26 @@ def assert_matches_reference(dataset, k, folds, seed=0):
     assert knn_accuracy(dataset, k=k, folds=folds, seed=seed) == float(np.mean(accuracies))
 
 
+def assert_levels_match_reference(dataset, levels, k, folds, seed=0):
+    """One pass over ``levels`` gives, at each level m, the reference loop's
+    predictions on the first m columns in every fold, and the accuracies
+    those predictions give, compared with ==."""
+    labels = np.asarray(dataset.labels)
+    fold_of = _stratified_folds(labels, folds, seed)
+    X = dataset.features
+    accuracies = np.empty((len(levels), folds))
+    for f in range(folds):
+        test = fold_of == f
+        got = _knn_predict(X[~test], labels[~test], X[test], k, levels)
+        assert got.shape == (len(levels), np.count_nonzero(test))
+        for row, m in enumerate(levels):
+            want = reference_knn_predict(X[~test][:, :m], labels[~test], X[test][:, :m], k)
+            assert np.array_equal(got[row], want), (m, k, folds, f)
+            accuracies[row, f] = np.mean(want == labels[test])
+    assert _knn_accuracies(dataset, levels, k, folds, seed) == [
+        float(np.mean(row)) for row in accuracies]
+
+
 HALVING_20 = tuple(2.0 ** (-k / 2.0) for k in range(20))
 
 
@@ -54,6 +75,14 @@ def test_pca_features_match_reference(m):
     assert_matches_reference(Dataset(full[:, :m], ds.labels), k=5, folds=5, seed=101)
 
 
+@pytest.mark.parametrize("levels", [range(1, 21), range(3, 8)], ids=["1..20", "3..7"])
+def test_pca_features_at_every_level_match_reference(levels):
+    # a range above 1 must still sum the columns below its first level
+    ds = anisotropic_gaussian(600, HALVING_20, seed=101)
+    full = transform(fit(ds.features), ds.features)
+    assert_levels_match_reference(Dataset(full, ds.labels), levels, k=5, folds=5, seed=101)
+
+
 @pytest.mark.parametrize("k", [1, 3, 7, 50])
 def test_tie_heavy_integer_grid_matches_reference(k):
     # 4**6 cells for 600 rows: many exact distance ties at the k-th place
@@ -61,6 +90,7 @@ def test_tie_heavy_integer_grid_matches_reference(k):
     X = rng.integers(0, 4, size=(600, 6)).astype(float)
     labels = rng.choice(["a", "b", "c"], size=600)
     assert_matches_reference(Dataset(X, labels), k=k, folds=5, seed=7)
+    assert_levels_match_reference(Dataset(X, labels), range(1, 7), k=k, folds=5, seed=7)
 
 
 @pytest.mark.parametrize("k", [8, 9, 40])
@@ -101,13 +131,14 @@ def test_memory_stays_within_the_block_budget():
     X_train = rng.standard_normal((20000, 20))
     y_train = rng.choice(["neg", "pos"], size=20000)
     X_test = rng.standard_normal((500, 20))
-    tracemalloc.start()
-    try:
-        _knn_predict(X_train, y_train, X_test, 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
+    for levels in ([], [range(1, 21)]):
+        tracemalloc.start()
+        try:
+            _knn_predict(X_train, y_train, X_test, 5, *levels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, levels
 
 
 def test_small_sweep_bytes_are_pinned(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""An output path that names one of the command's own input files is
-refused before anything is read, and the input keeps its bytes."""
+"""An output path that names one of the command's own input files (the
+data, the model or the config) is refused before anything is read, and
+that file keeps its bytes."""
 
 import os
 
@@ -70,3 +71,11 @@ def test_other_spellings_of_the_same_file(data_csv, tmp_path, capsys):
     link = tmp_path / "link.csv"
     os.symlink(data_csv, link)
     refused(capsys, ["fit", "--input", data_csv, "--output", link], data_csv, link)
+
+
+@pytest.mark.parametrize("command, output", [("fit", "c.json"), ("sweep", "c")])
+def test_output_is_the_config(data_csv, tmp_path, capsys, command, output):
+    config = tmp_path / "c.json"
+    config.write_text('{"seed": 3}\n', encoding="utf-8")
+    refused(capsys, [command, "--input", data_csv, "--config", config,
+                     "--output", tmp_path / output], config, config, option="--config")

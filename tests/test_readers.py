@@ -119,7 +119,7 @@ def test_label_column_none_by_flag_and_by_config(tmp_path, capsys, spelling):
     runs = {}
     for source, extra in (("flag", ["--label-column", spelling]),
                           ("config", ["--config", str(config)])):
-        model = tmp_path / ("%s.json" % source)
+        model = tmp_path / ("model-%s.json" % source)
         rc = main(["fit", "--input", str(data), "--output", str(model)] + extra)
         runs[source] = (rc, capsys.readouterr().out, model.read_bytes())
     assert runs["flag"] == runs["config"]
