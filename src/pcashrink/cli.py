@@ -14,7 +14,7 @@ import os
 import sys
 
 from ._version import VERSION
-from .errors import DatasetIOError, DatasetParseError, ToolkitError
+from .errors import DatasetIOError, DatasetParseError, InsufficientRowsError, ToolkitError
 from .experiments import correlate, load_csv, run_sweep
 from .pca import fit, load_model, save_model, transform
 from .reports import (
@@ -305,6 +305,8 @@ def cmd_sweep(args):
     json_path = base + ".json"
     _check_outputs(args, csv_path, json_path)
     m_range = None if args.m_range is None else _parse_m_range(args.m_range)
+    if m_range is not None and m_range[0] == m_range[1]:  # correlate needs two rows
+        raise InsufficientRowsError("need at least two sweep rows, got 1")
     dataset = _load_dataset(args)
     result = run_sweep(
         dataset,

@@ -68,66 +68,72 @@ def load_csv(path, label_column=-1, header=False, delimiter=","):
     ``label_column`` selects which raw column holds the class label: an
     integer index (negatives count from the end), a column name (needs
     ``header=True``), or None for a purely numeric file with no labels.
-    All remaining cells must parse as finite floats; the first offending
-    cell is reported with its 1-based line and column. ``delimiter`` must
+    All remaining cells must parse as finite floats. Rows are parsed as
+    they are read, so the first error in file order is the one reported,
+    with its 1-based line (and column for a bad cell). ``delimiter`` must
     be exactly one character.
     """
     if not isinstance(delimiter, str) or len(delimiter) != 1:
         raise ValueError("delimiter must be a single character, got %r" % (delimiter,))
     path = Path(path)
     with open_text(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            rows = [(reader.line_num, row) for row in reader]
-        except csv.Error as exc:
-            raise DatasetParseError("%s: line %d: %s" % (path, reader.line_num, exc)) from exc
-
-    names = None
-    if header:
-        if not rows:
-            raise DatasetParseError("%s: empty file, expected a header row" % path)
-        names = [cell.strip() for cell in rows[0][1]]
-        rows = rows[1:]
-    rows = [(line, row) for line, row in rows if row]
-    if not rows:
-        raise DatasetParseError("%s: no data rows" % path)
-
-    width = len(rows[0][1])
-    label_index = _resolve_label_column(path, label_column, names, width)
-
-    features = []
-    labels = [] if label_index is not None else None
-    for line, row in rows:
-        if len(row) != width:
-            raise DatasetParseError(
-                "%s: line %d has %d columns, expected %d" % (path, line, len(row), width)
-            )
-        feats = []
-        for col, cell in enumerate(row):
-            if col == label_index:
-                labels.append(cell.strip())
+        rows = _numbered_rows(csv.reader(fh, delimiter=delimiter), path)
+        names = None
+        if header:
+            first = next(rows, None)
+            if first is None:
+                raise DatasetParseError("%s: empty file, expected a header row" % path)
+            names = [cell.strip() for cell in first[1]]
+        width = label_index = None
+        features = []
+        labels = []
+        for line, row in rows:
+            if not row:
                 continue
-            try:
-                value = float(cell)
-            except ValueError as exc:
+            if width is None:
+                width = len(row)
+                label_index = _resolve_label_column(path, label_column, names, width)
+            if len(row) != width:
                 raise DatasetParseError(
-                    "%s: line %d column %d: %r is not a number"
-                    % (path, line, col + 1, cell)
-                ) from exc
-            if not math.isfinite(value):
-                raise DatasetParseError(
-                    "%s: line %d column %d: non-finite value %r" % (path, line, col + 1, cell)
+                    "%s: line %d has %d columns, expected %d" % (path, line, len(row), width)
                 )
-            feats.append(value)
-        features.append(feats)
+            feats = []
+            for col, cell in enumerate(row):
+                if col == label_index:
+                    labels.append(cell.strip())
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError as exc:
+                    raise DatasetParseError(
+                        "%s: line %d column %d: %r is not a number"
+                        % (path, line, col + 1, cell)
+                    ) from exc
+                if not math.isfinite(value):
+                    raise DatasetParseError(
+                        "%s: line %d column %d: non-finite value %r" % (path, line, col + 1, cell)
+                    )
+                feats.append(value)
+            features.append(feats)
 
+    if width is None:
+        raise DatasetParseError("%s: no data rows" % path)
     if width - (0 if label_index is None else 1) == 0:
         raise DatasetParseError("%s: no feature columns left" % path)
     return Dataset(
         features=np.asarray(features, dtype=float),
-        labels=tuple(labels) if labels is not None else None,
+        labels=tuple(labels) if label_index is not None else None,
         name=path.stem,
     )
+
+
+def _numbered_rows(reader, path):
+    """(physical line, row) per row as read; a csv.Error names its line."""
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise DatasetParseError("%s: line %d: %s" % (path, reader.line_num, exc)) from exc
 
 
 def _resolve_label_column(path, label_column, names, width):
@@ -177,29 +183,34 @@ def knn_accuracy(dataset, k=5, folds=5, seed=0):
 
 def _knn_accuracies(dataset, levels, k, folds, seed):
     """knn_accuracy on the first m features for each m of the ascending
-    ``levels``: one check of the arguments, one deal of the folds, and one
-    pass over the features per fold."""
+    ``levels``: one check and deal of the folds, then one pass per fold."""
+    labels, tests = _knn_folds(dataset.labels, k, folds, seed)
+    return _knn_pass(dataset.features, labels, tests, levels, k)
+
+
+def _knn_folds(labels, k, folds, seed):
+    """Check the k-NN arguments against the row ``labels`` and deal the
+    folds: the labels as an array and each fold's test-row mask."""
     if k < 1:
         raise ValueError("k must be at least 1")
     check_seed(seed)
-    if dataset.labels is None:
+    if labels is None:
         raise DegenerateLabelsError("dataset has no labels")
-    labels = np.asarray(dataset.labels)
-    if len(set(dataset.labels)) < 2:
+    if len(set(labels)) < 2:
         raise DegenerateLabelsError("need at least two distinct classes")
-    n_samples = dataset.n_samples
-    if folds < 2 or folds > n_samples:
-        raise BadFoldsError(
-            "folds must be in [2, %d], got %d" % (n_samples, folds)
-        )
-
+    if folds < 2 or folds > len(labels):
+        raise BadFoldsError("folds must be in [2, %d], got %d" % (len(labels), folds))
+    labels = np.asarray(labels)
     fold_of = _stratified_folds(labels, folds, seed)
-    X = dataset.features
-    accuracies = np.empty((len(levels), folds))
-    for f in range(folds):
-        test = fold_of == f
-        train = ~test
-        predictions = _knn_predict(X[train], labels[train], X[test], k, levels)
+    return labels, [fold_of == f for f in range(folds)]
+
+
+def _knn_pass(X, labels, tests, levels, k):
+    """Mean over the folds of the k-NN accuracy at each m of ``levels``,
+    each fold's test rows classified by its other rows."""
+    accuracies = np.empty((len(levels), len(tests)))
+    for f, test in enumerate(tests):
+        predictions = _knn_predict(X[~test], labels[~test], X[test], k, levels)
         accuracies[:, f] = np.mean(predictions == labels[test], axis=1)
     return [float(np.mean(row)) for row in accuracies]
 
@@ -300,8 +311,10 @@ def run_sweep(dataset, m_range=None, k=5, folds=5, seed=0, threads=1, pair_sampl
     default covers 1..n) and record, per m: the discarded-eigenvalue sum,
     pairwise shrinkage statistics, and k-NN accuracy measured on the
     m-dimensional transformed features. One model is fitted on the full
-    data and reused for every m; the k-NN arguments are checked, and the
-    accuracy at every m measured, before the pair engine runs.
+    data and reused for every m. The k-NN arguments, then the pair
+    arguments and budget, are checked before any pass (a ToolkitError
+    names the first m); then one k-NN pass covers every level, and the
+    pair tables are summarized one at a time.
     Deterministic for fixed inputs and seed; ``threads`` is accepted and
     has no effect, as in shrinkage_tables.
     """
@@ -316,41 +329,26 @@ def run_sweep(dataset, m_range=None, k=5, folds=5, seed=0, threads=1, pair_sampl
     levels = range(lo, hi + 1)
     model = fit(X)
     try:
-        projected = Dataset(features=transform(model, X), labels=dataset.labels,
-                            name=dataset.name)
-        accuracies = _knn_accuracies(projected, levels, k, folds, seed)
+        labels, tests = _knn_folds(dataset.labels, k, folds, seed)
+        tables = shrinkage_tables(model, X, levels, pair_sample=pair_sample, seed=seed)
     except ToolkitError as exc:
         raise exc.__class__("m=%d: %s" % (lo, exc)) from exc
-    rows = []
-    negative = 0
-    violations = 0
-    tables = shrinkage_tables(model, X, levels, pair_sample=pair_sample, seed=seed)
-    for m, accuracy in zip(levels, accuracies):
-        try:
-            stats = next(tables).summary()
-        except ToolkitError as exc:
-            raise exc.__class__("m=%d: %s" % (m, exc)) from exc
-        rows.append(
-            SweepRow(
-                m=m,
-                eigsum=discarded_eigenvalue_sum(model, m),
-                mean_shrinkage=stats.mean,
-                median_shrinkage=stats.median,
-                max_shrinkage=stats.max,
-                accuracy=accuracy,
-            )
-        )
-        negative += stats.negative_count
-        violations += stats.bound_violations
+    accuracies = _knn_pass(transform(model, X), labels, tests, levels, k)
+    # no loop variable holds a table, so each is freed before the next is built
+    stats = [next(tables).summary() for _ in levels]
+    rows = tuple(
+        SweepRow(m, discarded_eigenvalue_sum(model, m), s.mean, s.median, s.max, accuracy)
+        for m, s, accuracy in zip(levels, stats, accuracies)
+    )
     return SweepResult(
         dataset_name=dataset.name,
         seed=int(seed),
         classifier_config="knn k=%d folds=%d" % (k, folds),
-        rows=tuple(rows),
-        pair_count=stats.pair_count,
-        pairs_sampled=stats.sampled,
-        negative_shrinkage_pairs=negative,
-        bound_violation_pairs=violations,
+        rows=rows,
+        pair_count=stats[-1].pair_count,
+        pairs_sampled=stats[-1].sampled,
+        negative_shrinkage_pairs=sum(s.negative_count for s in stats),
+        bound_violation_pairs=sum(s.bound_violations for s in stats),
     )
 
 

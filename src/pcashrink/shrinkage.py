@@ -208,15 +208,17 @@ def _pair_distances(Z, i_idx, j_idx):
 
 
 def shrinkage_tables(model, data, ms, *, pair_sample=None, seed=0, threads=1):
-    """Yield one PairTable per retained dimension in ``ms``, in order.
+    """An iterator of one PairTable per retained dimension in ``ms``.
 
-    The pair list, the original distances and the full transform are
-    computed once; every table shares the read-only ``i``, ``j`` and
-    ``dist_original``. ``pair_sample`` caps how many pairs are visited:
-    None means PAIR_SAMPLE_DEFAULT, 0 forces all pairs, and a positive
-    value requests that many sampled pairs; a request of at least the
-    pair count visits all pairs unsampled. A negative count or a
-    negative ``seed`` raises ValueError, whether or not pairs are
+    The call checks every argument and computes the pair list, the
+    original distances and the full transform once. Each table is built
+    when the iterator reaches it and shares the read-only ``i``, ``j``
+    and ``dist_original``; a caller that drops it before taking the next
+    holds one level's arrays at a time. ``pair_sample`` caps how many
+    pairs are visited: None means PAIR_SAMPLE_DEFAULT, 0 forces all pairs,
+    and a positive value requests that many sampled pairs; a request of
+    at least the pair count visits all pairs unsampled. A negative count
+    or a negative ``seed`` raises ValueError, whether or not pairs are
     sampled. The engine runs in the calling thread; ``threads`` is
     accepted for existing callers and has no effect.
     """
@@ -237,7 +239,6 @@ def shrinkage_tables(model, data, ms, *, pair_sample=None, seed=0, threads=1):
     for shared in (i_idx, j_idx, d_orig):
         shared.setflags(write=False)
 
-    # one call per level, so a level's temporaries are freed before the next;
     # a point's error is the norm of its discarded coordinates (orthonormal basis)
     def level(m):
         d_trunc = _pair_distances(Y[:, :m], i_idx, j_idx)
@@ -254,8 +255,7 @@ def shrinkage_tables(model, data, ms, *, pair_sample=None, seed=0, threads=1):
             recon_error=point_error[i_idx] + point_error[j_idx],
         )
 
-    for m in ms:
-        yield level(m)
+    return map(level, ms)
 
 
 def shrinkage_table(model, data, m=None, *, pair_sample=None, seed=0, threads=1):

@@ -1,6 +1,8 @@
 """CSV ingestion, the k-NN cross-validation classifier, retained
 dimension sweeps, and the correlation summary."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -24,8 +26,9 @@ from pcashrink import (
     run_sweep,
     shrinkage_table,
 )
-from pcashrink import experiments
+from pcashrink import experiments, shrinkage
 from pcashrink.experiments import SweepResult, SweepRow, _knn_predict, _stratified_folds
+from pcashrink.serialize import csv_line
 
 
 def write(path, text):
@@ -114,6 +117,33 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="delimiter must be a single character, got %r"
                            % delimiter):
             load_csv(path, delimiter=delimiter)
+
+    @pytest.mark.parametrize("later", [
+        b"5,%s,a\n" % (b"6" * 131_073),  # over csv's 131,072-character field limit
+        b"5,6,a\n" * 5000 + b"\xff,6,a\n",  # not UTF-8, past the first read block
+    ], ids=["field-limit", "not-utf8"])
+    def test_first_error_in_file_order_wins(self, tmp_path, later):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"1,2,a\n3,oops,b\n" + later)
+        with pytest.raises(DatasetParseError) as info:
+            load_csv(path)
+        assert str(info.value) == "%s: line 2 column 2: 'oops' is not a number" % path
+
+    def test_memory_holds_no_raw_rows(self, tmp_path):
+        # 1000 rows x 40 columns: 4.9 MB while every cell string was kept,
+        # 1.9 MB when each row is parsed as it is read
+        rng = np.random.default_rng(0)
+        path = write(tmp_path / "t.csv", "".join(
+            csv_line(tuple(row) + ("ab"[i % 2],)) + "\n"
+            for i, row in enumerate(rng.standard_normal((1000, 39)))))
+        tracemalloc.start()
+        try:
+            ds = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.features.shape == (1000, 39)
+        assert peak < 3.5 * 2**20
 
 
 class TestDataset:
@@ -289,6 +319,40 @@ class TestRunSweep:
             run_sweep(ds, **kwargs)
         assert type(info.value) is error
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("budget, kwargs, error, message", [
+        (None, dict(pair_sample=-1), ValueError,
+         "pair sample must be 0 (all pairs) or positive, got -1"),
+        (10, dict(), shrinkage.TooManyPairsError,
+         "m=1: 190 pairs exceed the budget of 10; request fewer sampled pairs"),
+    ], ids=["negative-pair-sample", "over-budget"])
+    def test_pair_arguments_are_refused_before_the_knn(
+            self, monkeypatch, budget, kwargs, error, message):
+        def no_knn(*args, **kwargs):
+            raise AssertionError("the k-NN ran")
+
+        monkeypatch.setattr(experiments, "_knn_predict", no_knn)
+        if budget is not None:
+            monkeypatch.setattr(shrinkage, "PAIR_BUDGET", budget)
+        X = anisotropic_gaussian(n_samples=20, variances=(2.0, 0.5), seed=1).features
+        ds = Dataset(X, ["ab"[i % 2] for i in range(20)])
+        with pytest.raises(error) as info:
+            run_sweep(ds, **kwargs)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_memory_holds_one_level_table(self):
+        # 719,400 pairs: 41.0 MB with one level's table alive at a time,
+        # 56.1 MB when the previous table lives on while the next is built
+        ds = anisotropic_gaussian(1200, tuple(2.0 ** -k for k in range(8)), seed=3)
+        tracemalloc.start()
+        try:
+            result = run_sweep(ds, m_range=(1, 6), folds=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.rows) == 6
+        assert peak < 48 * 2**20
 
 
 class TestCorrelate:

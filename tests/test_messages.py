@@ -100,3 +100,13 @@ def test_bad_option_wins_over_unreadable_input(tmp_path, capsys, argv, message):
     out, err = capsys.readouterr()
     assert err == "pca-shrink: error: %s\n" % message
     assert out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_single_level_range_is_refused_before_input_is_read(tmp_path, capsys):
+    # one level gives one sweep row, too few to correlate
+    rc = main(["sweep", "--m-range", "3..3", "--input", str(tmp_path / "nope.csv"),
+               "--output", str(tmp_path / "out")])
+    assert rc == 3
+    out, err = capsys.readouterr()
+    assert err == "pca-shrink: [insufficient-rows] need at least two sweep rows, got 1\n"
+    assert out == "" and list(tmp_path.iterdir()) == []

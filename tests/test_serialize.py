@@ -1,0 +1,51 @@
+"""Golden renderings of json_text for the values no report on the tested
+inputs contains: None, empty containers and nesting, and what it refuses."""
+
+import numpy as np
+import pytest
+
+from pcashrink.experiments import SweepResult, SweepRow
+from pcashrink.reports import sweep_report_json
+from pcashrink.serialize import json_text
+
+
+@pytest.mark.parametrize("obj, text", [
+    (None, "null"),
+    ([], "[]"),
+    ((), "[]"),
+    ({}, "{}"),
+    ({"a": None, "b": [], "c": {}, "d": [1, None, (0.5, [])],
+      "e": {"f": {"g": np.int64(3)}, "h": True}},
+     '{\n'
+     '  "a": null,\n'
+     '  "b": [],\n'
+     '  "c": {},\n'
+     '  "d": [1, null, [0.5, []]],\n'
+     '  "e": {\n'
+     '    "f": {\n'
+     '      "g": 3\n'
+     '    },\n'
+     '    "h": true\n'
+     '  }\n'
+     '}'),
+], ids=["none", "empty-list", "empty-tuple", "empty-dict", "nested"])
+def test_json_text_golden(obj, text):
+    assert json_text(obj) == text + "\n"
+
+
+def test_json_text_refuses_a_set():
+    with pytest.raises(TypeError, match="cannot serialize <class 'set'>"):
+        json_text({"a": {1, 2}})
+
+
+def test_constant_accuracy_renders_null_correlations():
+    rows = tuple(SweepRow(m=m, eigsum=3.0 - m, mean_shrinkage=1.0 / m, median_shrinkage=1.0 / m,
+                          max_shrinkage=2.0 / m, accuracy=0.75) for m in (1, 2, 3))
+    result = SweepResult(dataset_name="flat", seed=0, classifier_config="knn k=5 folds=5",
+                         rows=rows, pair_count=10, pairs_sampled=False,
+                         negative_shrinkage_pairs=0, bound_violation_pairs=0)
+    text = sweep_report_json(result)
+    for key in ("eigsum_vs_accuracy", "mean_shrinkage_vs_accuracy"):
+        assert '    "%s": {\n      "r": null,\n      "strength": null\n    },\n' % key in text
+    assert '"eigsum_vs_mean_shrinkage": {\n      "r": 0.' in text
+    assert '"accuracy_correlations_weak": false\n}\n' in text

@@ -228,6 +228,19 @@ class TestPairEngine:
                 with pytest.raises(ValueError):
                     getattr(tables[-1], name)[0] = 0
 
+    @pytest.mark.parametrize("data, ms, options, error", [
+        (np.ones((1, 2)), [1], {}, InsufficientPairsError),
+        (None, [3], {}, DimMismatchError),
+        (None, [1], {"pair_sample": -1}, ValueError),
+        (None, [1], {"seed": -1}, ValueError),
+    ], ids=["one-row", "m-above-n", "negative-pair-sample", "negative-seed"])
+    def test_tables_check_arguments_when_called(self, three_point_model, data, ms, options,
+                                                error):
+        # no table is taken: the checks run at the call, not at the first next()
+        data = THREE_POINTS if data is None else data
+        with pytest.raises(error):
+            shrinkage_tables(three_point_model, data, ms, **options)
+
     def test_pair_budget_refuses_before_allocating(self):
         X = np.arange(100_000.0)[:, None]
         model = PcaModel(mean=[0.0], eigenvalues=[1.0], components=[[1.0]])
