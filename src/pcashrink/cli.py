@@ -165,6 +165,14 @@ def _parse_m_range(value):
         raise ValueError("bad m range %r, expected A..B" % text) from None
 
 
+def _sweep_range(lo, hi):
+    """(lo, hi), refused when it is one level: correlate needs two sweep
+    rows, so this runs before the fit and every pass."""
+    if lo == hi:
+        raise InsufficientRowsError("need at least two sweep rows, got 1")
+    return lo, hi
+
+
 def _load_dataset(args):
     return load_csv(
         _require(args, "input"),
@@ -304,10 +312,10 @@ def cmd_sweep(args):
     csv_path = base + ".csv"
     json_path = base + ".json"
     _check_outputs(args, csv_path, json_path)
-    m_range = None if args.m_range is None else _parse_m_range(args.m_range)
-    if m_range is not None and m_range[0] == m_range[1]:  # correlate needs two rows
-        raise InsufficientRowsError("need at least two sweep rows, got 1")
+    m_range = None if args.m_range is None else _sweep_range(*_parse_m_range(args.m_range))
     dataset = _load_dataset(args)
+    if m_range is None:
+        _sweep_range(1, dataset.n_features)
     result = run_sweep(
         dataset,
         m_range=m_range,

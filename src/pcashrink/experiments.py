@@ -164,7 +164,8 @@ def _resolve_label_column(path, label_column, names, width):
 
 def knn_accuracy(dataset, k=5, folds=5, seed=0):
     """Stratified k-fold cross-validation accuracy of a Euclidean k-NN
-    majority vote, averaged over folds (unweighted).
+    majority vote, averaged over folds (unweighted): the sweep's k-NN
+    pass at the one level of all features.
 
     Everything is deterministic for a fixed seed: folds come from a
     seeded per-class shuffle dealt round-robin, neighbours are ranked by
@@ -178,14 +179,8 @@ def knn_accuracy(dataset, k=5, folds=5, seed=0):
     the ranking's temporaries) at 8 MiB; the temporaries grow with
     neither the number of test rows nor the number of features.
     """
-    return _knn_accuracies(dataset, [dataset.n_features], k, folds, seed)[0]
-
-
-def _knn_accuracies(dataset, levels, k, folds, seed):
-    """knn_accuracy on the first m features for each m of the ascending
-    ``levels``: one check and deal of the folds, then one pass per fold."""
     labels, tests = _knn_folds(dataset.labels, k, folds, seed)
-    return _knn_pass(dataset.features, labels, tests, levels, k)
+    return _knn_pass(dataset.features, labels, tests, [dataset.n_features], k)[0]
 
 
 def _knn_folds(labels, k, folds, seed):
@@ -230,27 +225,25 @@ def _stratified_folds(labels, folds, seed):
     return fold_of
 
 
-def _knn_predict(X_train, y_train, X_test, k, levels=None):
+def _knn_predict(X_train, y_train, X_test, k, levels):
     """Class of each test row by the vote of its k nearest training rows
-    on the first m columns: one row per m of the ascending ``levels``, or
-    the one row for all columns when ``levels`` is None. Per chunk of test
-    rows the squared distances grow one column at a time, in column order,
-    so a level costs one column instead of m."""
+    on the first m columns, one row per m of the ascending ``levels``.
+    Per chunk of test rows the squared distances grow one column at a
+    time, in column order, so a level costs one column instead of m."""
     n_train = X_train.shape[0]
     k = min(k, n_train)
     classes, codes = np.unique(y_train, return_inverse=True)
-    steps = [X_train.shape[1]] if levels is None else levels
     chunk = max(1, KNN_BLOCK_BYTES // (4 * 8 * n_train))
-    predictions = np.empty((len(steps), X_test.shape[0]), dtype=np.intp)
+    predictions = np.empty((len(levels), X_test.shape[0]), dtype=np.intp)
     for lo in range(0, X_test.shape[0], chunk):
         test = X_test[lo:lo + chunk]
         d2 = np.zeros((test.shape[0], n_train))
-        for row, (start, m) in enumerate(zip([0, *steps], steps)):
+        for row, (start, m) in enumerate(zip([0, *levels], levels)):
             for c in range(start, m):
                 diff = X_train[:, c] - test[:, c, None]
                 d2 += diff * diff
             predictions[row, lo:lo + chunk] = _vote(codes[_nearest(d2, k)], classes.size)
-    return classes[predictions] if levels is not None else classes[predictions[0]]
+    return classes[predictions]
 
 
 def _nearest(dist, k):

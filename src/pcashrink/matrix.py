@@ -98,14 +98,16 @@ def _offdiag_norm(A):
     return float(np.sqrt(np.sum(off * off)))
 
 
-def jacobi_eigendecomposition(S, tol=JACOBI_TOL, max_sweeps=JACOBI_MAX_SWEEPS,
-                              symmetry_tol=SYMMETRY_TOL):
+def jacobi_eigendecomposition(S, max_sweeps=JACOBI_MAX_SWEEPS):
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps over all upper-triangle pivots (p, q) in row order, each time
     applying the Givens rotation that zeroes A[p, q], and accumulates the
     rotations into the eigenvector matrix. Iteration stops when the
-    off-diagonal Frobenius norm falls below ``tol * (1 + ||S||_F)``.
+    off-diagonal Frobenius norm falls below JACOBI_TOL * (1 + ||S||_F).
+    A matrix with max |S - S^T| above SYMMETRY_TOL * max(1, max |S|)
+    raises NotSymmetricError. Both tolerances are fixed; ``max_sweeps``
+    is the one knob.
 
     Returns an EigenPairs with eigenvalues sorted non-increasing (stable
     sort, so exact ties keep diagonal order) and each eigenvector scaled
@@ -122,14 +124,14 @@ def jacobi_eigendecomposition(S, tol=JACOBI_TOL, max_sweeps=JACOBI_MAX_SWEEPS,
         raise NonFiniteError("matrix contains NaN or infinite entries")
     asym = float(np.max(np.abs(A - A.T)))
     scale = float(np.max(np.abs(A)))
-    if asym > symmetry_tol * max(1.0, scale):
+    if asym > SYMMETRY_TOL * max(1.0, scale):
         raise NotSymmetricError("matrix is not symmetric: max |S - S^T| = %g" % asym)
 
     n = A.shape[0]
     # A on top of V, so one column update rotates both
     W = np.vstack([(A + A.T) / 2.0, np.eye(n)])
     A, V = W[:n], W[n:]
-    stop = tol * (1.0 + float(np.sqrt(np.sum(A * A))))
+    stop = JACOBI_TOL * (1.0 + float(np.sqrt(np.sum(A * A))))
 
     sweeps = 0
     residual = _offdiag_norm(A)

@@ -134,11 +134,6 @@ def pair_shrinkage(model, x_i, x_j, m=None, i=0, j=1):
     return replace(table.records()[0], i=i, j=j)
 
 
-def pair_reconstruction_error(model, x_i, x_j, m=None):
-    """Sum of the two points' own reconstruction distances at level m."""
-    return pair_shrinkage(model, x_i, x_j, m).recon_error
-
-
 def collision_witness(model, x, m, scale=1.0):
     """A point distinct from ``x`` with the same truncated image.
 
@@ -269,11 +264,6 @@ def shrinkage_summary(model, data, m=None, *, pair_sample=None, seed=0, threads=
     """ShrinkageSummary over (possibly sampled) pairs of ``data``."""
     table = shrinkage_table(model, data, m, pair_sample=pair_sample, seed=seed)
     return table.summary(violation_tol=violation_tol)
-
-
-def mean_shrinkage(model, data, m=None, *, pair_sample=None, seed=0, threads=1):
-    """Mean of dist_original - dist_truncated over the visited pairs."""
-    return shrinkage_summary(model, data, m, pair_sample=pair_sample, seed=seed).mean
 
 
 def pearson(xs, ys):

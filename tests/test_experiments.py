@@ -224,19 +224,19 @@ class TestKnnAccuracy:
         # lower training index ranks first and alone decides at k=1
         X_train = np.array([[1.0], [-1.0], [5.0]])
         for labels, expected in ((["b", "a", "c"], "b"), (["a", "b", "c"], "a")):
-            got = _knn_predict(X_train, np.asarray(labels), np.array([[0.0]]), 1)
+            got = _knn_predict(X_train, np.asarray(labels), np.array([[0.0]]), 1, [1])[0]
             assert got.tolist() == [expected]
 
     def test_vote_ties_go_to_the_best_ranked_class(self):
         X_train = np.array([[1.0], [2.0], [3.0], [4.0]])
         query = np.array([[0.0]])
         # two votes each; "z" holds the nearest neighbour, "a" the next two
-        got = _knn_predict(X_train, np.asarray(["z", "a", "a", "z"]), query, 4)
+        got = _knn_predict(X_train, np.asarray(["z", "a", "a", "z"]), query, 4, [1])[0]
         assert got.tolist() == ["z"]
-        got = _knn_predict(X_train, np.asarray(["a", "z", "z", "a"]), query, 4)
+        got = _knn_predict(X_train, np.asarray(["a", "z", "z", "a"]), query, 4, [1])[0]
         assert got.tolist() == ["a"]
         # a strict majority still beats the nearest neighbour
-        got = _knn_predict(X_train, np.asarray(["z", "a", "a", "q"]), query, 4)
+        got = _knn_predict(X_train, np.asarray(["z", "a", "a", "q"]), query, 4, [1])[0]
         assert got.tolist() == ["a"]
 
 

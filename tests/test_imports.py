@@ -28,3 +28,10 @@ def test_no_unused_module_imports(path):
     unused = ["%s (line %d)" % (name, line)
               for name, line in _imported_names(tree) if name not in used]
     assert not unused, "%s imports but never uses: %s" % (path.name, ", ".join(unused))
+
+
+def test_every_public_name_resolves():
+    import pcashrink
+
+    missing = [name for name in pcashrink.__all__ if not hasattr(pcashrink, name)]
+    assert not missing, "pcashrink.__all__ names missing attributes: %s" % ", ".join(missing)

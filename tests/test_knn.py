@@ -10,7 +10,7 @@ import pytest
 
 from pcashrink import Dataset, anisotropic_gaussian, fit, knn_accuracy, transform
 from pcashrink.cli import main
-from pcashrink.experiments import _knn_accuracies, _knn_predict, _stratified_folds
+from pcashrink.experiments import _knn_folds, _knn_pass, _knn_predict, _stratified_folds
 from pcashrink.serialize import csv_line
 
 
@@ -38,7 +38,7 @@ def assert_matches_reference(dataset, k, folds, seed=0):
     accuracies = []
     for f in range(folds):
         test = fold_of == f
-        got = _knn_predict(X[~test], labels[~test], X[test], k)
+        got = _knn_predict(X[~test], labels[~test], X[test], k, [X.shape[1]])[0]
         want = reference_knn_predict(X[~test], labels[~test], X[test], k)
         assert np.array_equal(got, want), (k, folds, f)
         accuracies.append(float(np.mean(want == labels[test])))
@@ -61,7 +61,7 @@ def assert_levels_match_reference(dataset, levels, k, folds, seed=0):
             want = reference_knn_predict(X[~test][:, :m], labels[~test], X[test][:, :m], k)
             assert np.array_equal(got[row], want), (m, k, folds, f)
             accuracies[row, f] = np.mean(want == labels[test])
-    assert _knn_accuracies(dataset, levels, k, folds, seed) == [
+    assert _knn_pass(X, *_knn_folds(dataset.labels, k, folds, seed), levels, k) == [
         float(np.mean(row)) for row in accuracies]
 
 
@@ -105,7 +105,7 @@ def test_one_point_test_folds_match_reference():
     assert_matches_reference(ds, k=5, folds=30)
     X = ds.features
     labels = np.asarray(ds.labels)
-    got = _knn_predict(X[1:], labels[1:], X[:1], 5)
+    got = _knn_predict(X[1:], labels[1:], X[:1], 5, [X.shape[1]])[0]
     assert np.array_equal(got, reference_knn_predict(X[1:], labels[1:], X[:1], 5))
 
 
@@ -120,7 +120,7 @@ def test_three_way_vote_tie_goes_to_the_best_ranked_class(labels, expected):
     X_train = np.arange(1.0, 7.0)[:, None]
     y_train = np.asarray(list(labels))
     query = np.array([[0.0], [0.5]])
-    got = _knn_predict(X_train, y_train, query, 6)
+    got = _knn_predict(X_train, y_train, query, 6, [1])[0]
     assert got.tolist() == [expected, expected]
     assert np.array_equal(got, reference_knn_predict(X_train, y_train, query, 6))
 
@@ -131,10 +131,10 @@ def test_memory_stays_within_the_block_budget():
     X_train = rng.standard_normal((20000, 20))
     y_train = rng.choice(["neg", "pos"], size=20000)
     X_test = rng.standard_normal((500, 20))
-    for levels in ([], [range(1, 21)]):
+    for levels in ([20], range(1, 21)):
         tracemalloc.start()
         try:
-            _knn_predict(X_train, y_train, X_test, 5, *levels)
+            _knn_predict(X_train, y_train, X_test, 5, levels)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -17,6 +17,7 @@ from pcashrink import (
     load_model,
     save_model,
 )
+from pcashrink import cli
 from pcashrink.cli import main
 from pcashrink.reports import format_correlation_lines
 
@@ -110,3 +111,18 @@ def test_single_level_range_is_refused_before_input_is_read(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert err == "pca-shrink: [insufficient-rows] need at least two sweep rows, got 1\n"
     assert out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_one_feature_sweep_is_refused_before_the_fit(tmp_path, capsys, monkeypatch):
+    # one feature gives the default range 1..1: one sweep row, too few to correlate
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    data = tmp_path / "one.csv"
+    data.write_text("".join("%d,%s\n" % (v, "ab"[v % 2]) for v in range(6)), encoding="utf-8")
+    rc = main(["sweep", "--input", str(data), "--output", str(tmp_path / "out")])
+    assert rc == 3
+    out, err = capsys.readouterr()
+    assert err == "pca-shrink: [insufficient-rows] need at least two sweep rows, got 1\n"
+    assert out == "" and [p.name for p in tmp_path.iterdir()] == ["one.csv"]

@@ -19,8 +19,6 @@ from pcashrink import (
     collision_witness,
     euclidean_distance,
     fit,
-    mean_shrinkage,
-    pair_reconstruction_error,
     pair_shrinkage,
     pearson,
     shrinkage_summary,
@@ -62,13 +60,13 @@ class TestPairShrinkage:
         assert abs(rec.shrinkage) <= 1e-12
 
     def test_reconstruction_error_oracle(self, three_point_model):
-        got = pair_reconstruction_error(
+        got = pair_shrinkage(
             three_point_model, THREE_POINTS[0], THREE_POINTS[2], m=1
-        )
+        ).recon_error
         assert_allclose(got, np.sqrt(2.0), atol=1e-12)
 
     def test_mean_shrinkage_oracle(self, three_point_model):
-        got = mean_shrinkage(three_point_model, THREE_POINTS, 1)
+        got = shrinkage_summary(three_point_model, THREE_POINTS, 1).mean
         assert_allclose(got, MEAN_SHRINKAGE_M1, atol=1e-12)
         assert_allclose(got, (4.0 - 2.0 * np.sqrt(2.0)) / 3.0, atol=1e-12)
 
@@ -80,12 +78,10 @@ class TestPairShrinkage:
         for a, b in cases:
             with pytest.raises(DimMismatchError):
                 pair_shrinkage(three_point_model, a, b, m=1)
-            with pytest.raises(DimMismatchError):
-                pair_reconstruction_error(three_point_model, a, b, m=1)
 
     def test_single_point_has_no_pairs(self, three_point_model):
         with pytest.raises(InsufficientPairsError):
-            mean_shrinkage(three_point_model, THREE_POINTS[:1], 1)
+            shrinkage_summary(three_point_model, THREE_POINTS[:1], 1)
 
 
 class TestCollisionWitness:
