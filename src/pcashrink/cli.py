@@ -24,7 +24,7 @@ from .reports import (
     sweep_report_json,
     write_pair_csv,
 )
-from .serialize import check_writable, csv_line, f17, json_text, read_json, write_text
+from .serialize import check_writable, f17, json_text, read_json, write_text
 from .shrinkage import VIOLATION_TOL, collision_witness, pair_shrinkage, shrinkage_table
 
 SEED_ENV_VAR = "PCA_SHRINK_SEED"
@@ -235,7 +235,8 @@ def cmd_transform(args):
             "rows": coords,
         })
     else:
-        text = "\n".join(csv_line(row) for row in coords) + "\n"
+        row = ",".join(["%.17g"] * coords.shape[1]) + "\n"
+        text = "".join([row % tuple(values) for values in coords.tolist()])
     if out is None:
         sys.stdout.write(text)
     else:

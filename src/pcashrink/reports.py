@@ -14,6 +14,9 @@ from .shrinkage import ShrinkageRecord
 
 SWEEP_CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 PAIR_CSV_HEADER = ",".join(f.name for f in fields(ShrinkageRecord))
+# one pair row: "%d" gives str() of an int and "%.17g" the f17 text of a float
+PAIR_CSV_ROW = ",".join({"int": "%d", "float": "%.17g"}[f.type]
+                        for f in fields(ShrinkageRecord)) + "\n"
 
 
 def sweep_csv(result):
@@ -70,9 +73,9 @@ def sweep_report_json(result, summary=None):
 
 def write_pair_csv(table, path):
     """Stream the pair CSV (header first, then the rows in engine order)
-    to ``path`` line by line."""
-    lines = chain([PAIR_CSV_HEADER], map(csv_line, table.rows()))
-    write_text(path, (part for line in lines for part in (line, "\n")))
+    to ``path``, one write per block of PairTable.row_blocks()."""
+    blocks = ("".join([PAIR_CSV_ROW % row for row in block]) for block in table.row_blocks())
+    write_text(path, chain([PAIR_CSV_HEADER + "\n"], blocks))
 
 
 def analyze_report(stats, n_features, dataset_name, witness_note, isometry_violations=None):

@@ -11,7 +11,7 @@ sample pair, or for a seeded subsample when the pair count explodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -34,7 +34,7 @@ PAIR_BUDGET = 20_000_000
 
 VIOLATION_TOL = 1e-9
 
-# pairs per engine step and per rows() conversion; small chunks keep the
+# pairs per engine step and per row_blocks() block; small chunks keep the
 # gather temporaries to a few MB at no cost in speed
 _CHUNK = 4096
 
@@ -110,19 +110,20 @@ class PairTable:
             violating_pairs=int(np.count_nonzero(negative | over)),
         )
 
-    def rows(self):
-        """Per-pair tuples in ShrinkageRecord field order, engine order.
+    def row_blocks(self):
+        """One iterator per _CHUNK pairs, in engine order, of per-pair
+        tuples in ShrinkageRecord field order (Python ints and floats).
 
-        Columns are converted to Python scalars a few thousand pairs at
-        a time, so memory stays flat for large tables."""
+        Columns are converted to Python scalars one block at a time, so
+        memory stays flat for large tables."""
         cols = (self.i, self.j, self.dist_original, self.dist_truncated,
                 self.shrinkage, self.recon_error)
         for lo in range(0, self.i.size, _CHUNK):
             i, j, d_orig, d_trunc, shrink, bound = (c[lo:lo + _CHUNK].tolist() for c in cols)
-            yield from zip(i, j, repeat(self.m), d_orig, d_trunc, shrink, bound)
+            yield zip(i, j, repeat(self.m), d_orig, d_trunc, shrink, bound)
 
     def records(self):
-        return [ShrinkageRecord(*row) for row in self.rows()]
+        return [ShrinkageRecord(*row) for row in chain.from_iterable(self.row_blocks())]
 
 
 def pair_shrinkage(model, x_i, x_j, m=None, i=0, j=1):

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: subcommands, exit codes, config
 file precedence, and the stdout/stderr split."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -229,6 +230,37 @@ class TestAnalyze:
         out, err = capsys.readouterr()
         assert "[too-many-pairs]" in err and "20476800" in err
         assert out == ""
+
+
+def test_pair_and_transform_csv_bytes_are_pinned(tmp_path, capsys):
+    """Any change to the bytes of the pair CSV or the transform CSV shows
+    here; the digests were taken while both went through csv_line."""
+    ds = anisotropic_gaussian(400, seed=5)
+    data = tmp_path / "data.csv"
+    data.write_text(
+        "".join(csv_line(tuple(row) + (lbl,)) + "\n" for row, lbl in zip(ds.features, ds.labels)),
+        encoding="utf-8",
+    )
+    runs = {
+        "all.csv": ("analyze", "--input", data, "--m", 3, "--output", tmp_path / "all.csv"),
+        "sampled.csv": ("analyze", "--input", data, "--m", 3, "--pair-sample", 5000,
+                        "--seed", 3, "--output", tmp_path / "sampled.csv"),
+        "coords.csv": ("transform", "--input", data, "--model", tmp_path / "model.json",
+                       "--m", 4, "--output", tmp_path / "coords.csv"),
+    }
+    assert run_cli("fit", "--input", data, "--output", tmp_path / "model.json") == 0
+    for argv in runs.values():
+        assert run_cli(*argv) == 0
+    capsys.readouterr()
+    got = {}
+    for name in runs:
+        raw = (tmp_path / name).read_bytes()
+        got[name] = (len(raw), hashlib.sha256(raw).hexdigest())
+    assert got == {
+        "all.csv": (6_869_411, "865a72c021dbb7f4a974f3b64db0ba09e1f7c0665bf07cc6652504622897bbb1"),
+        "sampled.csv": (430_508, "dc5e5a2d8c1cb1ae3cc758156ef6b12b0e6283bb5919df204d144f2287a4385b"),
+        "coords.csv": (31_858, "13358d5d25a61b785342a4addbada6d101263f15b523b16f816e00c25397f780"),
+    }
 
 
 class TestSweep:
