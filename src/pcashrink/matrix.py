@@ -2,9 +2,14 @@
 matrices.
 
 The eigensolver is written out explicitly (rather than calling LAPACK)
-because everything downstream depends on its exact behaviour: a stable
-descending eigenvalue sort and a canonical sign for each eigenvector make
-fitted models reproducible to the last bit.
+because everything downstream depends on its exact behaviour. It visits
+the pivots in a fixed round-robin order, ⌊n/2⌋ disjoint rotations per
+round applied as one batched update (Brent & Luk 1985), and stops on an
+off-diagonal norm relative to the matrix's own (Demmel & Veselić 1992),
+after scaling the matrix by an exact power of two. A stable descending
+eigenvalue sort and a canonical sign for each eigenvector then make
+fitted models reproducible to the last bit, and rescaling the input by
+2^k changes no bit of the eigenvectors.
 """
 
 from __future__ import annotations
@@ -87,10 +92,12 @@ def covariance(data):
 @dataclass(frozen=True)
 class EigenPairs:
     """Eigenvalues sorted non-increasing; column k of ``vectors`` is the
-    unit eigenvector paired with ``values[k]``."""
+    unit eigenvector paired with ``values[k]``. ``sweeps`` is the number
+    of full Jacobi sweeps the solver took."""
 
     values: np.ndarray
     vectors: np.ndarray
+    sweeps: int
 
 
 def _offdiag_norm(A):
@@ -98,22 +105,47 @@ def _offdiag_norm(A):
     return float(np.sqrt(np.sum(off * off)))
 
 
+def round_robin(n):
+    """The Jacobi pivot schedule for an n x n matrix.
+
+    Returns arrays P and Q of shape (rounds, n // 2) with P < Q: the
+    pivots of one round are disjoint, and one sweep (all rounds: n - 1
+    for even n, n for odd n) holds every pair p < q exactly once. Seat
+    the m = n + n % 2 indices at two rows of a table, facing each other;
+    index 0 keeps its seat and the others move one seat round the ring
+    per round. For odd n, index n is a bye and its pair is dropped.
+    """
+    m = n + n % 2
+    ring = (np.arange(m - 1)[:, None] + np.arange(m - 1)) % (m - 1) + 1
+    seats = np.hstack([np.zeros((m - 1, 1), dtype=ring.dtype), ring])
+    a, b = seats[:, : m // 2], seats[:, : m // 2 - 1 : -1]
+    P, Q = np.minimum(a, b), np.maximum(a, b)
+    keep = Q < n
+    return P[keep].reshape(m - 1, n // 2), Q[keep].reshape(m - 1, n // 2)
+
+
 def jacobi_eigendecomposition(S, max_sweeps=JACOBI_MAX_SWEEPS):
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
-    Sweeps over all upper-triangle pivots (p, q) in row order, each time
-    applying the Givens rotation that zeroes A[p, q], and accumulates the
-    rotations into the eigenvector matrix. Iteration stops when the
-    off-diagonal Frobenius norm falls below JACOBI_TOL * (1 + ||S||_F).
-    A matrix with max |S - S^T| above SYMMETRY_TOL * max(1, max |S|)
-    raises NotSymmetricError. Both tolerances are fixed; ``max_sweeps``
-    is the one knob.
+    S is first scaled by the power of two that brings max |S| into
+    [0.5, 1), so no norm below can overflow or underflow and 2^k S goes
+    through bit-identical iterations. Each sweep runs the rounds of
+    ``round_robin``: a round reads its pivots' A[p, q], A[p, p] and
+    A[q, q] as vectors, chooses each pivot's Givens rotation (a zero
+    pivot, or one too small to move either diagonal entry, gets the
+    identity and is set to zero), and applies them all as one two-sided
+    update of A and one update of the eigenvector matrix. Iteration stops
+    once ||offdiag(A)||_F <= JACOBI_TOL * ||A||_F. A matrix with
+    max |S - S^T| above SYMMETRY_TOL * max(1, max |S|) raises
+    NotSymmetricError. Both tolerances are fixed; ``max_sweeps`` is the
+    one knob.
 
     Returns an EigenPairs with eigenvalues sorted non-increasing (stable
-    sort, so exact ties keep diagonal order) and each eigenvector scaled
-    so its largest-magnitude entry is non-negative (first such entry on
-    ties). Raises NoConvergenceError, carrying the remaining off-diagonal
-    norm, if ``max_sweeps`` full sweeps are not enough.
+    sort, so exact ties keep diagonal order), each eigenvector scaled so
+    its largest-magnitude entry is non-negative (first such entry on
+    ties), and the number of sweeps taken. Raises NoConvergenceError,
+    carrying the remaining off-diagonal norm in the units of S, if
+    ``max_sweeps`` full sweeps are not enough.
     """
     A = np.asarray(S, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -128,55 +160,59 @@ def jacobi_eigendecomposition(S, max_sweeps=JACOBI_MAX_SWEEPS):
         raise NotSymmetricError("matrix is not symmetric: max |S - S^T| = %g" % asym)
 
     n = A.shape[0]
-    # A on top of V, so one column update rotates both
-    W = np.vstack([(A + A.T) / 2.0, np.eye(n)])
-    A, V = W[:n], W[n:]
-    stop = JACOBI_TOL * (1.0 + float(np.sqrt(np.sum(A * A))))
+    exponent = int(np.frexp(scale)[1])
+    # A beside V^T, so one row update rotates both
+    M = np.hstack([np.ldexp(A, -exponent), np.eye(n)])
+    A, Vt = M[:, :n], M[:, n:]
+    A[:] = (A + A.T) / 2.0
+    diag = A.diagonal()
+    stop = JACOBI_TOL * float(np.sqrt(np.sum(A * A)))
+    P, Q = round_robin(n)
+    # each round's rows p0, q0, p1, q1, ...: pair k is rows 2k and 2k + 1
+    rows = np.stack([P, Q], axis=2).reshape(P.shape[0], -1)
 
     sweeps = 0
     residual = _offdiag_norm(A)
     while residual > stop:
         if sweeps >= max_sweeps:
+            residual, stop = np.ldexp([residual, stop], exponent)
             raise NoConvergenceError(
                 "off-diagonal norm %g still above %g after %d sweeps"
                 % (residual, stop, max_sweeps),
-                residual=residual,
+                residual=float(residual),
             )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq, app, aqq = A[p, q], A[p, p], A[q, q]
-                if apq == 0.0:
-                    continue
-                # a pivot this far below the diagonal cannot move it;
-                # drop it instead of rotating (also dodges theta overflow)
-                g = 100.0 * abs(apq)
-                if abs(app) + g == abs(app) and abs(aqq) + g == abs(aqq):
-                    A[p, q] = A[q, p] = 0.0
-                    continue
-                theta = (aqq - app) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
+        for p, q, pq in zip(P, Q, rows):
+            apq, app, aqq = A[p, q], diag[p], diag[q]
+            # a pivot this far below both diagonals cannot move them (a
+            # zero pivot included): it gets t = 0, the identity
+            g = 100.0 * np.abs(apq)
+            rotate = (np.abs(app) + g != np.abs(app)) | (np.abs(aqq) + g != np.abs(aqq))
+            # t = sgn(theta) / (|theta| + sqrt(theta^2 + 1)) for
+            # theta = (aqq - app) / (2 apq), written so nothing overflows
+            d = aqq - app
+            t = np.zeros_like(apq)
+            np.divide(2.0 * apq, d + np.copysign(np.hypot(d, 2.0 * apq), d), out=t, where=rotate)
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            R = np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2)
 
-                # A <- J^T A J and V <- V J for the rotation J with
-                # J[p,p]=J[q,q]=c, J[p,q]=s, J[q,p]=-s. A stays exactly
-                # symmetric (every write sets both triangles), so rotating
-                # its rows would recompute its new columns bit for bit:
-                # copy them instead, then set diagonal and pivot explicitly.
-                W[:, p], W[:, q] = c * W[:, p] - s * W[:, q], s * W[:, p] + c * W[:, q]
-                A[p, :], A[q, :] = A[:, p], A[:, q]
-                A[p, p] = app - t * apq
-                A[q, q] = aqq + t * apq
-                A[p, q] = A[q, p] = 0.0
+            # J^T on the rows of A and V^T, for the rotation J with
+            # J[p,p]=J[q,q]=c, J[p,q]=s, J[q,p]=-s. As A is symmetric,
+            # (J^T A)^T = A J, and J^T on its rows gives J^T A J. Then set
+            # the diagonal and the pivots explicitly.
+            M[pq] = (R @ M[pq].reshape(-1, 2, 2 * n)).reshape(-1, 2 * n)
+            A[:] = A.T
+            A[pq] = (R @ A[pq].reshape(-1, 2, n)).reshape(-1, n)
+            A[p, p] = app - t * apq
+            A[q, q] = aqq + t * apq
+            A[p, q] = A[q, p] = 0.0
         sweeps += 1
         residual = _offdiag_norm(A)
 
-    values = np.diag(A).copy()
+    values = np.ldexp(diag, exponent)
     order = np.argsort(-values, kind="stable")
     values = values[order]
-    vectors = V[:, order]
+    vectors = Vt[order].T.copy()
     lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(n)]
     vectors[:, lead < 0.0] *= -1.0
-    return EigenPairs(values=values, vectors=vectors)
+    return EigenPairs(values=values, vectors=vectors, sweeps=sweeps)

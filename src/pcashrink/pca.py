@@ -74,8 +74,10 @@ def fit(data):
     """Fit a PcaModel to row-vector samples.
 
     The covariance matrix (1/N normalization) is diagonalized with the
-    cyclic Jacobi solver; between its stable sort and the canonical sign
-    choice, refitting the same data reproduces the model bit for bit.
+    cyclic Jacobi solver; between its fixed rotation schedule, stable
+    sort and canonical sign choice, refitting the same data reproduces
+    the model bit for bit, and data scaled by 2^k gives the same
+    components with eigenvalues scaled by exactly 4^k.
     A single-sample fit is allowed but flagged degenerate.
     """
     X = as_data_matrix(data)

@@ -15,79 +15,14 @@ from pcashrink import (
     NoConvergenceError,
     NonFiniteError,
     NotSymmetricError,
+    anisotropic_gaussian,
     covariance,
     euclidean_distance,
     jacobi_eigendecomposition,
 )
+from pcashrink.matrix import round_robin
 
 THREE_POINTS = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
-
-
-def reference_jacobi(S, tol=1e-12, max_sweeps=100):
-    """The solver's pivot loop written out with separate row, column and
-    eigenvector rotations and a per-column sign loop; the solver must
-    match it bit for bit. Returns (values, vectors) or raises
-    NoConvergenceError like the solver."""
-    A = np.asarray(S, dtype=float)
-    n = A.shape[0]
-    A = (A + A.T) / 2.0
-    V = np.eye(n)
-    stop = tol * (1.0 + float(np.sqrt(np.sum(A * A))))
-
-    def offdiag(A):
-        off = A - np.diag(np.diag(A))
-        return float(np.sqrt(np.sum(off * off)))
-
-    sweeps = 0
-    residual = offdiag(A)
-    while residual > stop:
-        if sweeps >= max_sweeps:
-            raise NoConvergenceError("no convergence", residual=residual)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                g = 100.0 * abs(apq)
-                if abs(A[p, p]) + g == abs(A[p, p]) and abs(A[q, q]) + g == abs(A[q, q]):
-                    A[p, q] = 0.0
-                    A[q, p] = 0.0
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                app, aqq = A[p, p], A[q, q]
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, p] = app - t * apq
-                A[q, q] = aqq + t * apq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                v_p = V[:, p].copy()
-                v_q = V[:, q].copy()
-                V[:, p] = c * v_p - s * v_q
-                V[:, q] = s * v_p + c * v_q
-        sweeps += 1
-        residual = offdiag(A)
-
-    values = np.diag(A).copy()
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = V[:, order]
-    for k in range(n):
-        col = vectors[:, k]
-        if col[int(np.argmax(np.abs(col)))] < 0.0:
-            vectors[:, k] = -col
-    return values, vectors
 
 
 class TestCovariance:
@@ -237,10 +172,11 @@ class TestJacobi:
         assert info.value.residual > 0.0
         assert info.value.code == "no-convergence"
 
-    def test_matches_reference_loop_bit_for_bit(self):
+    @staticmethod
+    def eigh_cases():
         rng = np.random.default_rng(41)
         cases = []
-        for n in (2, 3, 7, 30):
+        for n in (2, 3, 7, 30, 101):
             A = rng.standard_normal((n, n)) * rng.uniform(0.1, 10.0)
             cases.append((A + A.T) / 2.0)
         cases.append(covariance(rng.standard_normal((300, 100)) * rng.uniform(0.1, 5.0, 100)))
@@ -253,21 +189,71 @@ class TestJacobi:
         A = (A + A.T) / 2.0
         A[0, 3] = A[3, 0] = A[1, 5] = A[5, 1] = A[2, 4] = A[4, 2] = 0.0
         cases.append(A)
-        # pivot (0, 1) is negligible against its diagonal and is dropped,
-        # pivot (1, 2) is not and is rotated
-        assert 1e20 + 100.0 * 1e-3 == 1e20
         cases.append(np.array([[1e20, 1e-3, 0.0], [1e-3, 2e20, 1.0], [0.0, 1.0, 1.0]]))
-        for S in cases:
-            values, vectors = reference_jacobi(S)
-            got = jacobi_eigendecomposition(S)
-            assert got.values.tobytes() == values.tobytes()
-            assert got.vectors.tobytes() == vectors.tobytes()
+        cases.append(np.array([[-2.5]]))
+        cases.append(np.zeros((4, 4)))
+        return cases
 
-    def test_no_convergence_residual_matches_reference_loop(self):
+    def test_matches_eigh(self):
+        """Independent route: LAPACK's eigenvalues, and eigenpairs that
+        satisfy S V = V diag(values) with orthonormal V, all to 1e-12 of
+        the matrix's own scale."""
+        for S in self.eigh_cases():
+            n = S.shape[0]
+            got = jacobi_eigendecomposition(S)
+            want = np.linalg.eigh(S)[0][::-1]
+            scale = float(np.max(np.abs(want)))
+            assert np.max(np.abs(got.values - want)) <= 1e-12 * scale, n
+            residual = S @ got.vectors - got.vectors * got.values
+            assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(S), n
+            gram = got.vectors.T @ got.vectors
+            assert np.max(np.abs(gram - np.eye(n))) <= 1e-12, n
+
+    def test_zero_matrix_takes_no_sweep(self):
+        pairs = jacobi_eigendecomposition(np.zeros((5, 5)))
+        assert pairs.sweeps == 0
+        assert np.array_equal(pairs.values, np.zeros(5))
+        assert np.array_equal(pairs.vectors, np.eye(5))
+
+    def test_negligible_pivot_is_dropped(self):
+        # pivot (0, 1) cannot move either diagonal entry and is dropped, so
+        # 1e20 and 2e20 keep their basis vectors exactly (rotating it would
+        # mix in 1e-23 of the other axis); pivot (2, 3) needs a sweep
+        assert 1e20 + 100.0 * 1e-3 == 1e20
+        S = np.array([[1e20, 1e-3, 0.0, 0.0], [1e-3, 2e20, 0.0, 0.0],
+                      [0.0, 0.0, 1.0, 1e9], [0.0, 0.0, 1e9, 1.0]])
+        pairs = jacobi_eigendecomposition(S)
+        assert pairs.sweeps == 1
+        assert pairs.values.tolist() == [2e20, 1e20, 1.0 + 1e9, 1.0 - 1e9]
+        assert pairs.vectors[:, :2].tolist() == [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 100, 101])
+    def test_round_robin_schedule(self, n):
+        P, Q = round_robin(n)
+        assert P.shape == Q.shape == (n - 1 + n % 2, n // 2)
+        assert np.all(P < Q) and np.all(Q < n)
+        for p, q in zip(P, Q):
+            assert np.unique(np.concatenate([p, q])).size == 2 * (n // 2), "round not disjoint"
+        swept = sorted(zip(P.ravel().tolist(), Q.ravel().tolist()))
+        assert swept == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+    @pytest.mark.parametrize("n_samples, variances, sweeps", [
+        (3000, [np.exp(-k / 25.0) for k in range(100)], 9),   # the fit-wide benchmark input
+        (2000, [2.0 ** (-k / 2.0) for k in range(20)], 8),    # the sweep benchmark input
+    ], ids=["fit-wide", "sweep"])
+    def test_sweep_count_is_pinned(self, n_samples, variances, sweeps):
+        """A solver change that needs more sweeps fails here; the count
+        does not depend on timing, so it repeats exactly."""
+        X = anisotropic_gaussian(n_samples, variances, seed=101).features
+        assert jacobi_eigendecomposition(covariance(X)).sweeps == sweeps
+
+    @pytest.mark.parametrize("c", [1e-30, 1.0, 1e30])
+    def test_no_convergence_after_one_sweep(self, c):
         A = np.random.default_rng(43).standard_normal((6, 6))
-        S = (A + A.T) / 2.0
-        with pytest.raises(NoConvergenceError) as want:
-            reference_jacobi(S, max_sweeps=1)
-        with pytest.raises(NoConvergenceError) as got:
+        S = (A + A.T) / 2.0 * c
+        with pytest.raises(NoConvergenceError) as info:
             jacobi_eigendecomposition(S, max_sweeps=1)
-        assert got.value.residual == want.value.residual
+        # the off-diagonal norm left, in the units of S
+        residual = info.value.residual
+        assert np.isfinite(residual)
+        assert 1e-12 * np.linalg.norm(S) < residual < np.linalg.norm(S)

@@ -10,24 +10,33 @@ from pcashrink import anisotropic_gaussian, covariance, fit, shrinkage_table
 BASE = anisotropic_gaussian(300, seed=0).features
 SCALES = (1e-9, 1e-7, 1e-6, 1.0, 1e6)
 
-STOP_RULE = ("ROADMAP item 4: the Jacobi stop rule tol * (1 + ||S||_F) is not "
-             "relative, so small data stops early (5.4e-1 of lambda_max at x1e-9)")
 ABSOLUTE_TOL = ("ROADMAP item 3: d_orig - d_trunc against an absolute tolerance "
                 "flags 42,926 of 44,850 correct pairs at x1e6")
 
 
-def scales(failing, reason):
+def scales(failing=(), reason=None, values=SCALES):
     """One case per scale; those in ``failing`` are strict xfails."""
     xfail = pytest.mark.xfail(strict=True, reason=reason)
-    return [pytest.param(c, id="x%g" % c, marks=xfail if c in failing else ()) for c in SCALES]
+    return [pytest.param(c, id="x%g" % c, marks=xfail if c in failing else ()) for c in values]
 
 
-@pytest.mark.parametrize("c", scales({1e-9, 1e-7, 1e-6}, STOP_RULE))
+@pytest.mark.parametrize("c", scales(values=SCALES + (1e-150, 1e150)))
 def test_fit_eigenvalues_match_lapack(c):
     X = BASE * c
     want = np.linalg.eigvalsh(covariance(X))[::-1]
     got = fit(X).eigenvalues
     assert np.max(np.abs(got - want)) <= 1e-9 * want[0]
+
+
+@pytest.mark.parametrize("k", [-500, -240, -30, 30, 240, 500])
+def test_power_of_two_rescaling_is_exact(k):
+    """2^k X has the covariance 4^k S bit for bit, and the solver scales
+    both to the same matrix, so the components keep every bit and the
+    eigenvalues are scaled exactly."""
+    base = fit(BASE)
+    model = fit(np.ldexp(BASE, k))
+    assert model.components.tobytes() == base.components.tobytes()
+    assert model.eigenvalues.tobytes() == np.ldexp(base.eigenvalues, 2 * k).tobytes()
 
 
 @pytest.mark.parametrize("c", scales({1e6}, ABSOLUTE_TOL))
