@@ -299,7 +299,7 @@ class SweepResult:
     bound_violation_pairs: int
 
 
-def run_sweep(dataset, m_range=None, k=5, folds=5, seed=0, threads=1, pair_sample=None):
+def run_sweep(dataset, m_range=None, k=5, folds=5, seed=0, pair_sample=None):
     """Sweep the retained dimension m over ``m_range`` (inclusive; the
     default covers 1..n) and record, per m: the discarded-eigenvalue sum,
     pairwise shrinkage statistics, and k-NN accuracy measured on the
@@ -308,8 +308,7 @@ def run_sweep(dataset, m_range=None, k=5, folds=5, seed=0, threads=1, pair_sampl
     arguments and budget, are checked before any pass (a ToolkitError
     names the first m); then one k-NN pass covers every level, and the
     pair tables are summarized one at a time.
-    Deterministic for fixed inputs and seed; ``threads`` is accepted and
-    has no effect, as in shrinkage_tables.
+    Deterministic for fixed inputs and seed.
     """
     X = dataset.features
     n = X.shape[1]

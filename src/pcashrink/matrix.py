@@ -69,13 +69,6 @@ def as_data_matrix(data, name="data"):
     return arr
 
 
-def euclidean_distance(a, b):
-    """Euclidean distance between two equal-length vectors."""
-    u, v = as_vector_pair(a, b, ("a", "b"))
-    d = u - v
-    return float(np.sqrt(np.dot(d, d)))
-
-
 def covariance(data):
     """Population covariance matrix of row-vector samples.
 

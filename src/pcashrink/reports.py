@@ -8,7 +8,7 @@ from dataclasses import asdict, astuple, fields
 from itertools import chain
 
 from ._version import VERSION
-from .experiments import STRONG_CORRELATION, SweepRow, correlate
+from .experiments import STRONG_CORRELATION, SweepRow
 from .serialize import csv_line, f17, json_text, write_text
 from .shrinkage import ShrinkageRecord
 
@@ -39,11 +39,9 @@ def correlation_entry(r):
     return {"r": r, "strength": _strength(r)}
 
 
-def sweep_report(result, summary=None):
-    """Dict form of the full sweep report (rows, diagnostics,
-    correlations with strength flags)."""
-    if summary is None:
-        summary = correlate(result)
+def sweep_report(result, summary):
+    """Dict form of the full sweep report (rows, diagnostics, and the
+    CorrelationSummary ``summary`` with strength flags)."""
     accuracy_rs = [summary.r_eigsum_accuracy, summary.r_shrinkage_accuracy]
     return {
         "report": "pca-shrink-sweep",
@@ -67,7 +65,7 @@ def sweep_report(result, summary=None):
     }
 
 
-def sweep_report_json(result, summary=None):
+def sweep_report_json(result, summary):
     return json_text(sweep_report(result, summary))
 
 

@@ -10,8 +10,8 @@ sample pair, or for a seeded subsample when the pair count explodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import chain, repeat
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -122,9 +122,6 @@ class PairTable:
             i, j, d_orig, d_trunc, shrink, bound = (c[lo:lo + _CHUNK].tolist() for c in cols)
             yield zip(i, j, repeat(self.m), d_orig, d_trunc, shrink, bound)
 
-    def records(self):
-        return [ShrinkageRecord(*row) for row in chain.from_iterable(self.row_blocks())]
-
 
 def pair_shrinkage(model, x_i, x_j, m=None, i=0, j=1):
     """ShrinkageRecord for a single pair of points, from the pair engine
@@ -132,7 +129,8 @@ def pair_shrinkage(model, x_i, x_j, m=None, i=0, j=1):
     check_m(model, m)
     a, b = as_vector_pair(x_i, x_j, ("x_i", "x_j"))
     table = shrinkage_table(model, np.stack([a, b]), m)
-    return replace(table.records()[0], i=i, j=j)
+    (row,) = next(table.row_blocks())
+    return ShrinkageRecord(i, j, *row[2:])
 
 
 def collision_witness(model, x, m, scale=1.0):
@@ -203,7 +201,7 @@ def _pair_distances(Z, i_idx, j_idx):
     return out
 
 
-def shrinkage_tables(model, data, ms, *, pair_sample=None, seed=0, threads=1):
+def shrinkage_tables(model, data, ms, *, pair_sample=None, seed=0):
     """An iterator of one PairTable per retained dimension in ``ms``.
 
     The call checks every argument and computes the pair list, the
@@ -215,8 +213,7 @@ def shrinkage_tables(model, data, ms, *, pair_sample=None, seed=0, threads=1):
     and a positive value requests that many sampled pairs; a request of
     at least the pair count visits all pairs unsampled. A negative count
     or a negative ``seed`` raises ValueError, whether or not pairs are
-    sampled. The engine runs in the calling thread; ``threads`` is
-    accepted for existing callers and has no effect.
+    sampled. The engine runs in the calling thread.
     """
     X = as_data_matrix(data)
     Y = transform(model, X)
@@ -256,15 +253,10 @@ def shrinkage_tables(model, data, ms, *, pair_sample=None, seed=0, threads=1):
 
 def shrinkage_table(model, data, m=None, *, pair_sample=None, seed=0, threads=1):
     """Per-pair distances before and after truncation at level m; see
-    shrinkage_tables for the pair-sampling rule and ``threads``."""
+    shrinkage_tables for the pair-sampling rule. ``threads`` has no
+    effect; it stays only because the benchmark's thread baseline
+    (perfbench/worker.py) passes threads=1 and threads=2."""
     return next(shrinkage_tables(model, data, [m], pair_sample=pair_sample, seed=seed))
-
-
-def shrinkage_summary(model, data, m=None, *, pair_sample=None, seed=0, threads=1,
-                      violation_tol=VIOLATION_TOL):
-    """ShrinkageSummary over (possibly sampled) pairs of ``data``."""
-    table = shrinkage_table(model, data, m, pair_sample=pair_sample, seed=seed)
-    return table.summary(violation_tol=violation_tol)
 
 
 def pearson(xs, ys):

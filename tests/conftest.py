@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pcashrink import fit
+from pcashrink.serialize import csv_line
 
 
 def random_dataset(rng, max_features=10, max_samples=50):
@@ -11,6 +12,16 @@ def random_dataset(rng, max_features=10, max_samples=50):
     scales = rng.uniform(0.1, 4.0, size=n)
     shift = rng.uniform(-5.0, 5.0, size=n)
     return rng.standard_normal((n_samples, n)) * scales + shift
+
+
+def write_dataset_csv(path, dataset):
+    """Write ``dataset`` to ``path`` as headerless CSV, one line per row:
+    its features in csv_line's 17-digit form, then its label. Returns
+    ``path``."""
+    path.write_text("".join(csv_line(tuple(row) + (label,)) + "\n"
+                            for row, label in zip(dataset.features, dataset.labels)),
+                    encoding="utf-8")
+    return path
 
 
 @pytest.fixture(scope="session")

@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_dataset
+from conftest import random_dataset, write_dataset_csv
 from pcashrink import (
     FullRankInjectiveError,
     collision_witness,
     correlate,
     discarded_eigenvalue_sum,
-    euclidean_distance,
     fit,
     jacobi_eigendecomposition,
     reconstruct,
@@ -30,7 +29,6 @@ from pcashrink import (
 from pcashrink.cli import main
 from pcashrink.experiments import SweepResult, SweepRow, anisotropic_gaussian
 from pcashrink.reports import sweep_report
-from pcashrink.serialize import csv_line
 
 CORPUS_SIZE = 100
 
@@ -64,10 +62,10 @@ def test_criterion_1_truncation_loses_injectivity(corpus):
         n = model.n_features
         m = int(rng.integers(1, n))
         witness = collision_witness(model, X[0], m)
-        gap = euclidean_distance(transform(model, X[0], m), transform(model, witness, m))
+        gap = np.linalg.norm(transform(model, X[0], m) - transform(model, witness, m))
         worst_gap = max(worst_gap, gap)
         assert gap <= 1e-9, "witness images %g apart at m=%d" % (gap, m)
-        assert euclidean_distance(X[0], witness) >= 1.0 - 1e-9, "witness equals the point"
+        assert np.linalg.norm(X[0] - witness) >= 1.0 - 1e-9, "witness equals the point"
         with pytest.raises(FullRankInjectiveError):
             collision_witness(model, X[0], n)
     elapsed = build + time.perf_counter() - start
@@ -205,22 +203,23 @@ def test_criterion_7_weak_correlations_are_flagged():
     """Report strength labels follow |r| against the 0.7 threshold, with
     np.corrcoef as the independent check on each coefficient."""
 
-    def result_from(accuracy):
+    def report_for(accuracy):
         rows = tuple(
             SweepRow(m=k + 1, eigsum=float(8 - 2 * k), mean_shrinkage=float(4 - k),
                      median_shrinkage=0.0, max_shrinkage=0.0, accuracy=float(a))
             for k, a in enumerate(accuracy)
         )
-        return SweepResult(
+        result = SweepResult(
             dataset_name="crafted", seed=0, classifier_config="knn k=5 folds=5",
             rows=rows, pair_count=6, pairs_sampled=False,
             negative_shrinkage_pairs=0, bound_violation_pairs=0,
         )
+        return sweep_report(result, correlate(result))
 
     # accuracy bouncing around: weakly correlated with the monotone columns
-    weak = sweep_report(result_from([0.5, 0.9, 0.4, 0.85]))
+    weak = report_for([0.5, 0.9, 0.4, 0.85])
     # accuracy rising in lock step: strongly correlated
-    strong = sweep_report(result_from([0.2, 0.4, 0.6, 0.8]))
+    strong = report_for([0.2, 0.4, 0.6, 0.8])
 
     checked = 0
     for report in (weak, strong):
@@ -240,7 +239,7 @@ def test_criterion_7_weak_correlations_are_flagged():
     assert strong["accuracy_correlations_weak"] is False
 
     # an undefined coefficient must stay null, not masquerade as weak
-    constant = sweep_report(result_from([0.9, 0.9, 0.9, 0.9]))
+    constant = report_for([0.9, 0.9, 0.9, 0.9])
     assert constant["correlations"]["eigsum_vs_accuracy"]["r"] is None
     assert constant["correlations"]["eigsum_vs_accuracy"]["strength"] is None
 
@@ -252,10 +251,7 @@ def test_criterion_8_reports_are_byte_identical(tmp_path):
     """Same seed, same bytes: repeated runs and different --threads
     settings of the sweep and analyze commands agree exactly."""
     dataset = anisotropic_gaussian(n_samples=80, variances=(4.0, 1.0, 0.25, 0.1), seed=5)
-    data = tmp_path / "data.csv"
-    lines = [csv_line(tuple(row) + (label,))
-             for row, label in zip(dataset.features, dataset.labels)]
-    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    data = write_dataset_csv(tmp_path / "data.csv", dataset)
 
     def sweep(tag, threads):
         base = tmp_path / tag

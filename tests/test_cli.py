@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import write_dataset_csv
 from pcashrink import cli, load_model, transform
 from pcashrink.cli import main
 from pcashrink.experiments import anisotropic_gaussian
-from pcashrink.serialize import csv_line
 from pcashrink.shrinkage import VIOLATION_TOL, PairTable
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -25,10 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.fixture()
 def data_csv(tmp_path):
     ds = anisotropic_gaussian(n_samples=50, variances=(4.0, 1.0, 0.25), seed=21)
-    path = tmp_path / "data.csv"
-    lines = [csv_line(tuple(row) + (label,)) for row, label in zip(ds.features, ds.labels)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return write_dataset_csv(tmp_path / "data.csv", ds)
 
 
 def run_cli(*argv):
@@ -241,11 +238,7 @@ def test_pair_and_transform_csv_bytes_are_pinned(tmp_path, capsys):
     4.6e-15 of its pair's dist_original, and shrinkage within 2.0e-15 of
     the column's largest value."""
     ds = anisotropic_gaussian(400, seed=5)
-    data = tmp_path / "data.csv"
-    data.write_text(
-        "".join(csv_line(tuple(row) + (lbl,)) + "\n" for row, lbl in zip(ds.features, ds.labels)),
-        encoding="utf-8",
-    )
+    data = write_dataset_csv(tmp_path / "data.csv", ds)
     runs = {
         "all.csv": ("analyze", "--input", data, "--m", 3, "--output", tmp_path / "all.csv"),
         "sampled.csv": ("analyze", "--input", data, "--m", 3, "--pair-sample", 5000,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import write_dataset_csv
 from pcashrink import (
     BadFoldsError,
     DatasetIOError,
@@ -28,7 +29,6 @@ from pcashrink import (
 )
 from pcashrink import experiments, shrinkage
 from pcashrink.experiments import SweepResult, SweepRow, _knn_predict, _stratified_folds
-from pcashrink.serialize import csv_line
 
 
 def write(path, text):
@@ -133,9 +133,8 @@ class TestLoadCsv:
         # 1000 rows x 40 columns: 4.9 MB while every cell string was kept,
         # 1.9 MB when each row is parsed as it is read
         rng = np.random.default_rng(0)
-        path = write(tmp_path / "t.csv", "".join(
-            csv_line(tuple(row) + ("ab"[i % 2],)) + "\n"
-            for i, row in enumerate(rng.standard_normal((1000, 39)))))
+        path = write_dataset_csv(tmp_path / "t.csv", Dataset(
+            rng.standard_normal((1000, 39)), labels=("a", "b") * 500))
         tracemalloc.start()
         try:
             ds = load_csv(path)

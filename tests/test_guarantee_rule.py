@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import write_dataset_csv
 from pcashrink import fit, shrinkage
 from pcashrink.cli import main
 from pcashrink.experiments import anisotropic_gaussian
-from pcashrink.serialize import csv_line
 from pcashrink.shrinkage import shrinkage_table, shrinkage_tables
 
 
@@ -61,9 +61,7 @@ def test_violating_pairs_counts_each_pair_once():
 @pytest.mark.parametrize("m", [2, 4])
 def test_analyze_logs_distinct_violating_pairs(tmp_path, capsys, m):
     ds = sixty_rows()
-    data = tmp_path / "data.csv"
-    data.write_text("".join(csv_line(tuple(row) + (label,)) + "\n"
-                            for row, label in zip(ds.features, ds.labels)), encoding="utf-8")
+    data = write_dataset_csv(tmp_path / "data.csv", ds)
     pairs = tmp_path / "pairs.csv"
     rc = main(["analyze", "--input", str(data), "--m", str(m), "--violation-tol", "-1",
                "--output", str(pairs)])

@@ -8,10 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import write_dataset_csv
 from pcashrink import Dataset, anisotropic_gaussian, fit, knn_accuracy, transform
 from pcashrink.cli import main
 from pcashrink.experiments import _knn_folds, _knn_pass, _knn_predict, _stratified_folds
-from pcashrink.serialize import csv_line
 
 
 def reference_knn_predict(X_train, y_train, X_test, k):
@@ -149,11 +149,7 @@ def test_small_sweep_bytes_are_pinned(tmp_path, capsys):
     every accuracy were identical, and eigsum and each shrinkage column
     within 1.3e-15 of the column's largest value."""
     ds = anisotropic_gaussian(400, seed=5)
-    data = tmp_path / "data.csv"
-    data.write_text(
-        "".join(csv_line(tuple(row) + (lbl,)) + "\n" for row, lbl in zip(ds.features, ds.labels)),
-        encoding="utf-8",
-    )
+    data = write_dataset_csv(tmp_path / "data.csv", ds)
     rc = main(["sweep", "--input", str(data), "--k", "5", "--folds", "4", "--seed", "3",
                "--output", str(tmp_path / "s")])
     capsys.readouterr()

@@ -1,4 +1,4 @@
-"""Covariance, distances, and the cyclic Jacobi eigensolver.
+"""Covariance and the cyclic Jacobi eigensolver.
 
 The solver is checked two independent ways: against closed-form 2x2
 eigenvalues and against LAPACK (np.linalg.eigh), which shares no code
@@ -17,7 +17,6 @@ from pcashrink import (
     NotSymmetricError,
     anisotropic_gaussian,
     covariance,
-    euclidean_distance,
     jacobi_eigendecomposition,
 )
 from pcashrink.matrix import round_robin
@@ -60,29 +59,6 @@ class TestCovariance:
     def test_rejects_nan(self):
         with pytest.raises(NonFiniteError):
             covariance([[1.0, np.nan]])
-
-
-class TestEuclideanDistance:
-    def test_hand_values(self):
-        assert euclidean_distance([0.0, 0.0], [3.0, 4.0]) == 5.0
-        assert euclidean_distance([2.0], [2.0]) == 0.0
-
-    def test_symmetry_and_triangle(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            a, b, c = rng.standard_normal((3, 4)) * 3
-            assert euclidean_distance(a, b) == euclidean_distance(b, a)
-            assert euclidean_distance(a, c) <= (
-                euclidean_distance(a, b) + euclidean_distance(b, c) + 1e-12
-            )
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimMismatchError):
-            euclidean_distance([1.0, 2.0], [1.0])
-
-    def test_non_finite(self):
-        with pytest.raises(NonFiniteError):
-            euclidean_distance([np.inf, 0.0], [0.0, 0.0])
 
 
 class TestJacobi:

@@ -10,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import write_dataset_csv
 from pcashrink import fit, shrinkage_table
 from pcashrink.cli import main
 from pcashrink.experiments import anisotropic_gaussian, run_sweep
-from pcashrink.serialize import csv_line
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,15 +35,12 @@ def test_shrinkage_table_starts_no_thread():
 
 
 def test_run_sweep_starts_no_thread():
-    result = run_sweep(DATA, m_range=(1, 2), folds=3, threads=2)
+    result = run_sweep(DATA, m_range=(1, 2), folds=3)
     assert len(result.rows) == 2
 
 
 def test_cli_sweep_starts_no_thread(tmp_path, capsys):
-    data = tmp_path / "data.csv"
-    data.write_text("".join(csv_line(tuple(row) + (label,)) + "\n"
-                            for row, label in zip(DATA.features, DATA.labels)),
-                    encoding="utf-8")
+    data = write_dataset_csv(tmp_path / "data.csv", DATA)
     rc = main(["sweep", "--input", str(data), "--m-range", "1..2", "--folds", "3",
                "--threads", "4", "--output", str(tmp_path / "sweep")])
     assert rc == 0

@@ -6,18 +6,15 @@ import os
 
 import pytest
 
+from conftest import write_dataset_csv
 from pcashrink.cli import main
 from pcashrink.experiments import anisotropic_gaussian
-from pcashrink.serialize import csv_line
 
 
 @pytest.fixture()
 def data_csv(tmp_path):
     ds = anisotropic_gaussian(n_samples=40, variances=(4.0, 1.0, 0.25), seed=8)
-    path = tmp_path / "sweep.csv"
-    lines = [csv_line(tuple(row) + (label,)) for row, label in zip(ds.features, ds.labels)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return write_dataset_csv(tmp_path / "sweep.csv", ds)
 
 
 def refused(capsys, argv, source, target, option="--input"):

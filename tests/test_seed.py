@@ -5,9 +5,9 @@ import json
 
 import pytest
 
+from conftest import write_dataset_csv
 from pcashrink import anisotropic_gaussian, fit, knn_accuracy, shrinkage_table, shrinkage_tables
 from pcashrink.cli import main
-from pcashrink.serialize import csv_line
 
 MESSAGE = "seed must be a non-negative integer, got -1"
 DATA = anisotropic_gaussian(40, (4.0, 1.0, 0.25), seed=5)
@@ -31,10 +31,7 @@ def test_knn_accuracy_refuses_negative_seed():
 
 @pytest.fixture()
 def data_csv(tmp_path):
-    path = tmp_path / "data.csv"
-    lines = [csv_line(tuple(row) + (label,)) for row, label in zip(DATA.features, DATA.labels)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return write_dataset_csv(tmp_path / "data.csv", DATA)
 
 
 @pytest.mark.parametrize("source", ["flag", "config", "env"])

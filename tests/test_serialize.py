@@ -4,7 +4,7 @@ inputs contains: None, empty containers and nesting, and what it refuses."""
 import numpy as np
 import pytest
 
-from pcashrink.experiments import SweepResult, SweepRow
+from pcashrink.experiments import SweepResult, SweepRow, correlate
 from pcashrink.reports import sweep_report_json
 from pcashrink.serialize import json_text
 
@@ -44,7 +44,7 @@ def test_constant_accuracy_renders_null_correlations():
     result = SweepResult(dataset_name="flat", seed=0, classifier_config="knn k=5 folds=5",
                          rows=rows, pair_count=10, pairs_sampled=False,
                          negative_shrinkage_pairs=0, bound_violation_pairs=0)
-    text = sweep_report_json(result)
+    text = sweep_report_json(result, correlate(result))
     for key in ("eigsum_vs_accuracy", "mean_shrinkage_vs_accuracy"):
         assert '    "%s": {\n      "r": null,\n      "strength": null\n    },\n' % key in text
     assert '"eigsum_vs_mean_shrinkage": {\n      "r": 0.' in text

@@ -13,15 +13,14 @@ from pcashrink import (
     DimMismatchError,
     FullRankInjectiveError,
     InsufficientPairsError,
+    NonFiniteError,
     PcaModel,
     TooManyPairsError,
     ZeroVarianceError,
     collision_witness,
-    euclidean_distance,
     fit,
     pair_shrinkage,
     pearson,
-    shrinkage_summary,
     shrinkage_table,
     shrinkage_tables,
     transform,
@@ -66,7 +65,7 @@ class TestPairShrinkage:
         assert_allclose(got, np.sqrt(2.0), atol=1e-12)
 
     def test_mean_shrinkage_oracle(self, three_point_model):
-        got = shrinkage_summary(three_point_model, THREE_POINTS, 1).mean
+        got = shrinkage_table(three_point_model, THREE_POINTS, 1).summary().mean
         assert_allclose(got, MEAN_SHRINKAGE_M1, atol=1e-12)
         assert_allclose(got, (4.0 - 2.0 * np.sqrt(2.0)) / 3.0, atol=1e-12)
 
@@ -81,7 +80,7 @@ class TestPairShrinkage:
 
     def test_single_point_has_no_pairs(self, three_point_model):
         with pytest.raises(InsufficientPairsError):
-            shrinkage_summary(three_point_model, THREE_POINTS[:1], 1)
+            shrinkage_table(three_point_model, THREE_POINTS[:1], 1).summary()
 
 
 class TestCollisionWitness:
@@ -90,17 +89,13 @@ class TestCollisionWitness:
             n = model.n_features
             for m in range(1, n):
                 witness = collision_witness(model, X[0], m)
-                gap = euclidean_distance(
-                    transform(model, X[0], m), transform(model, witness, m)
-                )
+                gap = np.linalg.norm(transform(model, X[0], m) - transform(model, witness, m))
                 assert gap <= 1e-9, "witness images split by %g" % gap
-                assert_allclose(euclidean_distance(X[0], witness), 1.0, rtol=1e-12)
+                assert_allclose(np.linalg.norm(X[0] - witness), 1.0, rtol=1e-12)
 
     def test_scale_controls_offset(self, three_point_model):
         witness = collision_witness(three_point_model, THREE_POINTS[0], 1, scale=-2.5)
-        assert_allclose(
-            euclidean_distance(THREE_POINTS[0], witness), 2.5, rtol=1e-12
-        )
+        assert_allclose(np.linalg.norm(THREE_POINTS[0] - witness), 2.5, rtol=1e-12)
 
     def test_full_rank_refuses(self, three_point_model):
         with pytest.raises(FullRankInjectiveError) as info:
@@ -128,12 +123,12 @@ class TestPairEngine:
 
     def test_records_round_trip(self, three_point_model):
         table = shrinkage_table(three_point_model, THREE_POINTS, 1)
-        records = table.records()
-        assert [(r.i, r.j) for r in records] == [(0, 1), (0, 2), (1, 2)]
-        assert_allclose(records[1].shrinkage, PAIR_02_SHRINKAGE, atol=1e-12)
+        rows = [row for block in table.row_blocks() for row in block]
+        assert [row[:3] for row in rows] == [(0, 1, 1), (0, 2, 1), (1, 2, 1)]
+        assert_allclose(rows[1][5], PAIR_02_SHRINKAGE, atol=1e-12)
 
     def test_summary_statistics(self, three_point_model):
-        stats = shrinkage_summary(three_point_model, THREE_POINTS, 1)
+        stats = shrinkage_table(three_point_model, THREE_POINTS, 1).summary()
         assert stats.pair_count == 3
         assert not stats.sampled
         assert_allclose(stats.mean, MEAN_SHRINKAGE_M1, atol=1e-12)
@@ -144,9 +139,7 @@ class TestPairEngine:
     def test_negative_tolerance_flags_everything(self, three_point_model):
         # the violation gate is driven by this knob; with an impossible
         # tolerance every pair must be flagged
-        stats = shrinkage_summary(
-            three_point_model, THREE_POINTS, 1, violation_tol=-1.0
-        )
+        stats = shrinkage_table(three_point_model, THREE_POINTS, 1).summary(violation_tol=-1.0)
         assert stats.negative_count + stats.bound_violations > 0
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
@@ -210,7 +203,7 @@ class TestPairEngine:
         model = fit(X)
         levels = range(1, model.n_features + 1)
         columns = ("i", "j", "dist_original", "dist_truncated", "shrinkage", "recon_error")
-        for options in ({}, {"pair_sample": 500, "seed": 3}, {"threads": 2}):
+        for options in ({}, {"pair_sample": 500, "seed": 3}):
             tables = list(shrinkage_tables(model, X, levels, **options))
             assert len(tables) == len(levels)
             for m, table in zip(levels, tables):
@@ -272,3 +265,7 @@ class TestPearson:
     def test_length_mismatch(self):
         with pytest.raises(DimMismatchError):
             pearson([1.0, 2.0], [1.0, 2.0, 3.0])
+
+    def test_non_finite(self):
+        with pytest.raises(NonFiniteError):
+            pearson([np.inf, 0.0], [0.0, 1.0])
