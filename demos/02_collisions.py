@@ -18,7 +18,7 @@ model = fit(X)
 x = X[0]
 
 for m in (1, 2, 3):
-    other = collision_witness(model, x, m, scale=5.0)
+    other = collision_witness(model, x, m)
     gap = np.linalg.norm(transform(model, x, m) - transform(model, other, m))
     moved = np.linalg.norm(x - other)
     print("m=%d: moved the point %.1f units, truncated images differ by %.1e"

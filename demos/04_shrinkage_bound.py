@@ -11,7 +11,7 @@ Run:  python3 demos/04_shrinkage_bound.py
 
 import numpy as np
 
-from pcashrink import fit, pair_shrinkage, shrinkage_table
+from pcashrink import fit, shrinkage_table
 
 rng = np.random.default_rng(3)
 X = rng.standard_normal((200, 6)) * [4.0, 2.0, 1.0, 0.5, 0.25, 0.1]
@@ -28,10 +28,8 @@ print()
 
 # the tightest pair, spelled out
 k = int(np.argmax(ratio))
-rec = pair_shrinkage(model, X[table.i[k]], X[table.j[k]], m=2,
-                     i=int(table.i[k]), j=int(table.j[k]))
-print("tightest pair (%d, %d):" % (rec.i, rec.j))
-print("  distance before truncation  %.4f" % rec.dist_original)
-print("  distance after              %.4f" % rec.dist_truncated)
-print("  shrinkage                   %.4f" % rec.shrinkage)
-print("  reconstruction-error bound  %.4f" % rec.recon_error)
+print("tightest pair (%d, %d):" % (table.i[k], table.j[k]))
+print("  distance before truncation  %.4f" % table.dist_original[k])
+print("  distance after              %.4f" % table.dist_truncated[k])
+print("  shrinkage                   %.4f" % table.shrinkage[k])
+print("  reconstruction-error bound  %.4f" % table.recon_error[k])

@@ -39,10 +39,8 @@ from .pca import (
 from .shrinkage import (
     CorrelationSummary,
     PairTable,
-    ShrinkageRecord,
     ShrinkageSummary,
     collision_witness,
-    pair_shrinkage,
     pearson,
     shrinkage_table,
     shrinkage_tables,
@@ -86,11 +84,9 @@ __all__ = [
     "discarded_eigenvalue_sum",
     "save_model",
     "load_model",
-    "ShrinkageRecord",
     "ShrinkageSummary",
     "PairTable",
     "CorrelationSummary",
-    "pair_shrinkage",
     "collision_witness",
     "shrinkage_table",
     "shrinkage_tables",

@@ -13,6 +13,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from ._version import VERSION
 from .errors import DatasetIOError, DatasetParseError, InsufficientRowsError, ToolkitError
 from .experiments import correlate, load_csv, run_sweep
@@ -25,7 +27,7 @@ from .reports import (
     write_pair_csv,
 )
 from .serialize import check_writable, f17, json_text, read_json, write_text
-from .shrinkage import VIOLATION_TOL, collision_witness, pair_shrinkage, shrinkage_table
+from .shrinkage import VIOLATION_TOL, check_violation_tol, collision_witness, shrinkage_table
 
 SEED_ENV_VAR = "PCA_SHRINK_SEED"
 
@@ -250,8 +252,9 @@ def cmd_analyze(args):
     if out is not None:
         _check_outputs(args, out)
     m = _require(args, "m")
-    dataset = _load_dataset(args)
     tol = args.violation_tol
+    check_violation_tol(tol)
+    dataset = _load_dataset(args)
     model = fit(dataset.features)
     table = shrinkage_table(
         model,
@@ -269,13 +272,13 @@ def cmd_analyze(args):
                         "reason": "full-rank transform is injective"}
     else:
         base = dataset.features[0]
-        pair = pair_shrinkage(model, base, collision_witness(model, base, m), m)
+        pair = shrinkage_table(model, np.stack([base, collision_witness(model, base, m)]), m)
         witness_note = {
             "exists": True,
             "base_index": 0,
             "offset_axis": m,
-            "original_distance": pair.dist_original,
-            "truncated_image_distance": pair.dist_truncated,
+            "original_distance": float(pair.dist_original[0]),
+            "truncated_image_distance": float(pair.dist_truncated[0]),
         }
 
     if out is not None:

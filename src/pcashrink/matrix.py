@@ -45,16 +45,6 @@ def as_vector(x, name="vector"):
     return arr
 
 
-def as_vector_pair(a, b, names):
-    """Validate ``a`` and ``b`` with as_vector (``names`` gives their names
-    in messages) and check that their lengths match."""
-    u = as_vector(a, names[0])
-    v = as_vector(b, names[1])
-    if u.shape[0] != v.shape[0]:
-        raise DimMismatchError("length mismatch: %d vs %d" % (u.shape[0], v.shape[0]))
-    return u, v
-
-
 def as_data_matrix(data, name="data"):
     """Validate and return ``data`` as a finite 2-D float array of row samples."""
     arr = np.asarray(data, dtype=float)

@@ -5,18 +5,18 @@ two runs with the same inputs produce byte-identical files."""
 from __future__ import annotations
 
 from dataclasses import asdict, astuple, fields
-from itertools import chain
+from itertools import chain, repeat
 
 from ._version import VERSION
 from .experiments import STRONG_CORRELATION, SweepRow
 from .serialize import csv_line, f17, json_text, write_text
-from .shrinkage import ShrinkageRecord
 
 SWEEP_CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
-PAIR_CSV_HEADER = ",".join(f.name for f in fields(ShrinkageRecord))
+PAIR_CSV_HEADER = "i,j,m,dist_original,dist_truncated,shrinkage,recon_error"
 # one pair row: "%d" gives str() of an int and "%.17g" the f17 text of a float
-PAIR_CSV_ROW = ",".join({"int": "%d", "float": "%.17g"}[f.type]
-                        for f in fields(ShrinkageRecord)) + "\n"
+PAIR_CSV_ROW = "%d,%d,%d" + ",%.17g" * 4 + "\n"
+# pair rows rendered per write; a block's Python values take a few MB
+_PAIR_CSV_BLOCK = 4096
 
 
 def sweep_csv(result):
@@ -70,9 +70,17 @@ def sweep_report_json(result, summary):
 
 
 def write_pair_csv(table, path):
-    """Stream the pair CSV (header first, then the rows in engine order)
-    to ``path``, one write per block of PairTable.row_blocks()."""
-    blocks = ("".join([PAIR_CSV_ROW % row for row in block]) for block in table.row_blocks())
+    """Stream the pair CSV of a PairTable (header first, then the rows in
+    engine order) to ``path``, one write per _PAIR_CSV_BLOCK rows; each
+    block's columns become Python scalars only when it is written."""
+    cols = (table.i, table.j, table.dist_original, table.dist_truncated,
+            table.shrinkage, table.recon_error)
+
+    def block(lo):
+        i, j, *floats = (c[lo:lo + _PAIR_CSV_BLOCK].tolist() for c in cols)
+        return "".join([PAIR_CSV_ROW % row for row in zip(i, j, repeat(table.m), *floats)])
+
+    blocks = map(block, range(0, table.i.size, _PAIR_CSV_BLOCK))
     write_text(path, chain([PAIR_CSV_HEADER + "\n"], blocks))
 
 

@@ -11,7 +11,6 @@ sample pair, or for a seeded subsample when the pair count explodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .errors import (
     TooManyPairsError,
     ZeroVarianceError,
 )
-from .matrix import as_data_matrix, as_vector, as_vector_pair
+from .matrix import as_data_matrix, as_vector
 from .pca import check_m, transform
 
 # pairs visited when no count is requested: all pairs while there are at
@@ -34,28 +33,9 @@ PAIR_BUDGET = 20_000_000
 
 VIOLATION_TOL = 1e-9
 
-# pairs per engine step and per row_blocks() block; small chunks keep the
-# gather temporaries to a few MB at no cost in speed
+# pairs per engine step; small chunks keep the gather temporaries to a few
+# MB at no cost in speed
 _CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class ShrinkageRecord:
-    """Distance bookkeeping for one sample pair at truncation level m.
-
-    ``shrinkage`` is dist_original - dist_truncated (non-negative up to
-    roundoff); ``recon_error`` is the sum of the two endpoints' own
-    reconstruction distances (the norms of their discarded coordinates,
-    exactly 0 at full rank), which bounds the shrinkage from above.
-    """
-
-    i: int
-    j: int
-    m: int
-    dist_original: float
-    dist_truncated: float
-    shrinkage: float
-    recon_error: float
 
 
 @dataclass(frozen=True)
@@ -76,7 +56,10 @@ class ShrinkageSummary:
 
 @dataclass(frozen=True)
 class PairTable:
-    """Columnar per-pair results from the pair engine."""
+    """Columnar per-pair results of the pair engine at level m; pair k
+    joins samples i[k] < j[k]. ``shrinkage`` is dist_original -
+    dist_truncated; ``recon_error``, the sum of the two endpoints' own
+    reconstruction distances (exactly 0 at full rank), bounds it above."""
 
     m: int
     sampled: bool
@@ -91,10 +74,8 @@ class PairTable:
         """Aggregate statistics; a pair violates the guarantees when its
         shrinkage is below -violation_tol or above its bound plus
         violation_tol, which at full rank (bound 0) is the isometry check.
-        A NaN or infinite tolerance would turn that check off (or flag
-        every pair), so it is refused."""
-        if not np.isfinite(violation_tol):
-            raise ValueError("violation tolerance must be finite, got %r" % (violation_tol,))
+        See check_violation_tol for the tolerances refused."""
+        check_violation_tol(violation_tol)
         d = self.shrinkage
         negative = d < -violation_tol
         over = d > self.recon_error + violation_tol
@@ -110,55 +91,38 @@ class PairTable:
             violating_pairs=int(np.count_nonzero(negative | over)),
         )
 
-    def row_blocks(self):
-        """One iterator per _CHUNK pairs, in engine order, of per-pair
-        tuples in ShrinkageRecord field order (Python ints and floats).
 
-        Columns are converted to Python scalars one block at a time, so
-        memory stays flat for large tables."""
-        cols = (self.i, self.j, self.dist_original, self.dist_truncated,
-                self.shrinkage, self.recon_error)
-        for lo in range(0, self.i.size, _CHUNK):
-            i, j, d_orig, d_trunc, shrink, bound = (c[lo:lo + _CHUNK].tolist() for c in cols)
-            yield zip(i, j, repeat(self.m), d_orig, d_trunc, shrink, bound)
-
-
-def pair_shrinkage(model, x_i, x_j, m=None, i=0, j=1):
-    """ShrinkageRecord for a single pair of points, from the pair engine
-    run on the two-row matrix [x_i; x_j]."""
-    check_m(model, m)
-    a, b = as_vector_pair(x_i, x_j, ("x_i", "x_j"))
-    table = shrinkage_table(model, np.stack([a, b]), m)
-    (row,) = next(table.row_blocks())
-    return ShrinkageRecord(i, j, *row[2:])
-
-
-def collision_witness(model, x, m, scale=1.0):
+def collision_witness(model, x, m):
     """A point distinct from ``x`` with the same truncated image.
 
-    The witness moves ``x`` along the first discarded eigenvector, which
-    the truncated transform annihilates. At full rank no such direction
-    exists and FullRankInjectiveError is raised.
+    The witness moves ``x`` exactly one unit along the first discarded
+    eigenvector, which the truncated transform annihilates. At full rank
+    no such direction exists and FullRankInjectiveError is raised.
     """
     m = check_m(model, m)
     if m == model.n_features:
         raise FullRankInjectiveError(
             "the full-rank transform is injective; no collision exists"
         )
-    if scale == 0.0:
-        raise ValueError("scale must be non-zero")
     vec = as_vector(x, "x")
     if vec.shape[0] != model.n_features:
         raise DimMismatchError(
             "expected %d features, got %d" % (model.n_features, vec.shape[0])
         )
-    return vec + scale * model.components[:, m]
+    return vec + model.components[:, m]
 
 
 def check_seed(seed):
     """Refuse a negative seed by name; numpy's own refusal names no option."""
     if seed < 0:
         raise ValueError("seed must be a non-negative integer, got %d" % seed)
+
+
+def check_violation_tol(tol):
+    """Refuse a NaN or infinite violation tolerance, which would turn the
+    guarantee check off (or flag every pair)."""
+    if not np.isfinite(tol):
+        raise ValueError("violation tolerance must be finite, got %r" % (tol,))
 
 
 def _pair_indices(n_samples, pair_sample, seed):
@@ -266,7 +230,10 @@ def pearson(xs, ys):
     the single-observation case), DimMismatchError when the lengths differ.
     The returned value is clipped to [-1, 1] to absorb roundoff.
     """
-    x, y = as_vector_pair(xs, ys, ("xs", "ys"))
+    x = as_vector(xs, "xs")
+    y = as_vector(ys, "ys")
+    if x.shape[0] != y.shape[0]:
+        raise DimMismatchError("length mismatch: %d vs %d" % (x.shape[0], y.shape[0]))
     dx = x - x.mean()
     dy = y - y.mean()
     sx = float(np.sqrt(np.dot(dx, dx)))

@@ -230,11 +230,13 @@ class TestAnalyze:
 
 
 def test_pair_and_transform_csv_bytes_are_pinned(tmp_path, capsys):
-    """Any change to the bytes of the pair CSV or the transform CSV shows
-    here. The digests were taken while both went through csv_line, and
-    re-pinned when the Jacobi solver moved to batched round-robin rotations
-    and changed the fit's last bits: against the previous files, i, j and
-    m were identical, every distance within 1.2e-15 and recon_error within
+    """Any change to the bytes of the pair CSV, the transform CSV, or the
+    analyze stdout and JSON report (whose witness distances come from the
+    pair engine run on a two-row matrix) shows here. The two CSV digests
+    were taken while both went through csv_line, and re-pinned when the
+    Jacobi solver moved to batched round-robin rotations and changed the
+    fit's last bits: against the previous files, i, j and m were
+    identical, every distance within 1.2e-15 and recon_error within
     4.6e-15 of its pair's dist_original, and shrinkage within 2.0e-15 of
     the column's largest value."""
     ds = anisotropic_gaussian(400, seed=5)
@@ -245,12 +247,17 @@ def test_pair_and_transform_csv_bytes_are_pinned(tmp_path, capsys):
                         "--seed", 3, "--output", tmp_path / "sampled.csv"),
         "coords.csv": ("transform", "--input", data, "--model", tmp_path / "model.json",
                        "--m", 4, "--output", tmp_path / "coords.csv"),
+        "report.json": ("analyze", "--input", data, "--m", 3, "--format", "json",
+                        "--output", tmp_path / "report.json"),
     }
     assert run_cli("fit", "--input", data, "--output", tmp_path / "model.json") == 0
-    for argv in runs.values():
-        assert run_cli(*argv) == 0
     capsys.readouterr()
     got = {}
+    for name, argv in runs.items():
+        assert run_cli(*argv) == 0
+        raw = capsys.readouterr().out.encode("utf-8")
+        if name == "all.csv":  # the analyze summary, witness line included
+            got["all.stdout"] = (len(raw), hashlib.sha256(raw).hexdigest())
     for name in runs:
         raw = (tmp_path / name).read_bytes()
         got[name] = (len(raw), hashlib.sha256(raw).hexdigest())
@@ -258,6 +265,8 @@ def test_pair_and_transform_csv_bytes_are_pinned(tmp_path, capsys):
         "all.csv": (6_869_227, "de6fdc7b64e949b7cd2a50ec76d315cbd0756209d8edd750e1749767540b6b80"),
         "sampled.csv": (430_455, "4d591738f1d10a2d2c10dccfd6f66b10c66a4139731a9334125cc13b87aa82a4"),
         "coords.csv": (31_860, "b56f63a8995e0b32f2081a8b052e2616359b49d36d58df0d19d4a48f91632081"),
+        "all.stdout": (316, "bfc39866ad30a3949a9036bec33019157368a52e2743e7c3bc1a11da41d702c6"),
+        "report.json": (518, "5658e082d08501397495e3ced476a272b241562ebaa451a09ba1cdf6028ebe84"),
     }
 
 

@@ -1,8 +1,8 @@
 """Every demo script runs to completion and prints something.
 
-The demos are the only callers of the single-pair helpers and the
-report renderers outside the CLI, so each one runs here in a fresh
-interpreter against the source tree."""
+The demos use the collision witness, the pair table and the report
+renderers the way a library user would, outside the CLI, so each one
+runs here in a fresh interpreter against the source tree."""
 
 import os
 import subprocess

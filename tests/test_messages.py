@@ -93,7 +93,11 @@ def test_unknown_label_name(tmp_path):
     (("analyze",), "missing required option --m"),
     (("sweep", "--m-range", "1..x"), "bad m range '1..x', expected A..B"),
     (("sweep", "--m-range", "3"), "bad m range '3', expected A..B"),
-], ids=["analyze-no-m", "sweep-1..x", "sweep-single-m"])
+    (("analyze", "--m", "2", "--violation-tol", "nan"),
+     "violation tolerance must be finite, got nan"),
+    (("analyze", "--m", "2", "--violation-tol", "inf"),
+     "violation tolerance must be finite, got inf"),
+], ids=["analyze-no-m", "sweep-1..x", "sweep-single-m", "analyze-nan-tol", "analyze-inf-tol"])
 def test_bad_option_wins_over_unreadable_input(tmp_path, capsys, argv, message):
     rc = main(list(argv) + ["--input", str(tmp_path / "nope.csv"),
                             "--output", str(tmp_path / "out")])

@@ -21,8 +21,9 @@ EDGE_INTS = [0, 1, 4095, 2**63 - 1, np.int64(7), np.int64(2**62)]
 
 
 def edge_rows():
-    """Rows in ShrinkageRecord field order; each float column takes every
-    edge value, and the int columns take every edge int."""
+    """Rows in PAIR_CSV_HEADER column order (i, j, m, then the four
+    floats); each float column takes every edge value, and the int columns
+    take every edge int."""
     rows = []
     for k in range(len(EDGE_FLOATS)):
         ints = [EDGE_INTS[(k + s) % len(EDGE_INTS)] for s in range(3)]

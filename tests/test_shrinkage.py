@@ -1,5 +1,6 @@
 """Pairwise distance shrinkage, collision witnesses, the pair
-engine, and the Pearson helper.
+engine, and the Pearson helper. A single pair is the pair engine run on
+a two-row matrix.
 
 The frozen numbers below were computed independently with LAPACK
 eigendecompositions and plain-Python arithmetic before this module
@@ -19,7 +20,6 @@ from pcashrink import (
     ZeroVarianceError,
     collision_witness,
     fit,
-    pair_shrinkage,
     pearson,
     shrinkage_table,
     shrinkage_tables,
@@ -44,24 +44,20 @@ def three_point_model():
 
 class TestPairShrinkage:
     def test_frozen_oracle(self, three_point_model):
-        rec = pair_shrinkage(
-            three_point_model, THREE_POINTS[0], THREE_POINTS[2], m=1, i=0, j=2
-        )
-        assert rec.dist_original == 2.0
-        assert_allclose(rec.dist_truncated, PAIR_02_TRUNCATED, atol=1e-12)
-        assert_allclose(rec.shrinkage, PAIR_02_SHRINKAGE, atol=1e-12)
-        assert_allclose(rec.recon_error, PAIR_02_BOUND, atol=1e-12)
-        assert (rec.i, rec.j, rec.m) == (0, 2, 1)
+        pair = shrinkage_table(three_point_model, THREE_POINTS[[0, 2]], 1)
+        assert pair.dist_original[0] == 2.0
+        assert_allclose(pair.dist_truncated[0], PAIR_02_TRUNCATED, atol=1e-12)
+        assert_allclose(pair.shrinkage[0], PAIR_02_SHRINKAGE, atol=1e-12)
+        assert_allclose(pair.recon_error[0], PAIR_02_BOUND, atol=1e-12)
+        assert (pair.i.tolist(), pair.j.tolist(), pair.m) == ([0], [1], 1)
 
     def test_full_rank_pair_keeps_distance(self, three_point_model):
-        rec = pair_shrinkage(three_point_model, THREE_POINTS[0], THREE_POINTS[1], m=2)
-        assert_allclose(rec.dist_truncated, rec.dist_original, rtol=1e-12)
-        assert abs(rec.shrinkage) <= 1e-12
+        pair = shrinkage_table(three_point_model, THREE_POINTS[[0, 1]], 2)
+        assert_allclose(pair.dist_truncated[0], pair.dist_original[0], rtol=1e-12)
+        assert abs(pair.shrinkage[0]) <= 1e-12
 
     def test_reconstruction_error_oracle(self, three_point_model):
-        got = pair_shrinkage(
-            three_point_model, THREE_POINTS[0], THREE_POINTS[2], m=1
-        ).recon_error
+        got = shrinkage_table(three_point_model, THREE_POINTS[[0, 2]], 1).recon_error[0]
         assert_allclose(got, np.sqrt(2.0), atol=1e-12)
 
     def test_mean_shrinkage_oracle(self, three_point_model):
@@ -70,13 +66,9 @@ class TestPairShrinkage:
         assert_allclose(got, (4.0 - 2.0 * np.sqrt(2.0)) / 3.0, atol=1e-12)
 
     def test_mismatched_vectors_raise_dim_mismatch(self, three_point_model):
-        cases = [
-            ([1.0, 1.0], [1.0, 1.0, 1.0]),  # the two vectors differ in length
-            ([1.0, 1.0, 1.0], [1.0, -1.0, 0.0]),  # both wrong for a 2-feature model
-        ]
-        for a, b in cases:
-            with pytest.raises(DimMismatchError):
-                pair_shrinkage(three_point_model, a, b, m=1)
+        # a 3-feature pair for a 2-feature model
+        with pytest.raises(DimMismatchError):
+            shrinkage_table(three_point_model, [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], 1)
 
     def test_single_point_has_no_pairs(self, three_point_model):
         with pytest.raises(InsufficientPairsError):
@@ -93,18 +85,10 @@ class TestCollisionWitness:
                 assert gap <= 1e-9, "witness images split by %g" % gap
                 assert_allclose(np.linalg.norm(X[0] - witness), 1.0, rtol=1e-12)
 
-    def test_scale_controls_offset(self, three_point_model):
-        witness = collision_witness(three_point_model, THREE_POINTS[0], 1, scale=-2.5)
-        assert_allclose(np.linalg.norm(THREE_POINTS[0] - witness), 2.5, rtol=1e-12)
-
     def test_full_rank_refuses(self, three_point_model):
         with pytest.raises(FullRankInjectiveError) as info:
             collision_witness(three_point_model, THREE_POINTS[0], 2)
         assert info.value.code == "full-rank-injective"
-
-    def test_zero_scale_rejected(self, three_point_model):
-        with pytest.raises(ValueError):
-            collision_witness(three_point_model, THREE_POINTS[0], 1, scale=0.0)
 
 
 class TestPairEngine:
@@ -115,17 +99,18 @@ class TestPairEngine:
         assert table.i.size == X.shape[0] * (X.shape[0] - 1) // 2
         for k in range(0, table.i.size, 7):
             i, j = int(table.i[k]), int(table.j[k])
-            rec = pair_shrinkage(model, X[i], X[j], m, i=i, j=j)
-            assert_allclose(table.dist_original[k], rec.dist_original, rtol=1e-12)
-            assert_allclose(table.dist_truncated[k], rec.dist_truncated, rtol=1e-12, atol=1e-12)
-            assert_allclose(table.shrinkage[k], rec.shrinkage, atol=1e-10)
-            assert_allclose(table.recon_error[k], rec.recon_error, rtol=1e-12, atol=1e-12)
+            pair = shrinkage_table(model, X[[i, j]], m)
+            assert_allclose(table.dist_original[k], pair.dist_original[0], rtol=1e-12)
+            assert_allclose(table.dist_truncated[k], pair.dist_truncated[0],
+                            rtol=1e-12, atol=1e-12)
+            assert_allclose(table.shrinkage[k], pair.shrinkage[0], atol=1e-10)
+            assert_allclose(table.recon_error[k], pair.recon_error[0], rtol=1e-12, atol=1e-12)
 
     def test_records_round_trip(self, three_point_model):
         table = shrinkage_table(three_point_model, THREE_POINTS, 1)
-        rows = [row for block in table.row_blocks() for row in block]
-        assert [row[:3] for row in rows] == [(0, 1, 1), (0, 2, 1), (1, 2, 1)]
-        assert_allclose(rows[1][5], PAIR_02_SHRINKAGE, atol=1e-12)
+        assert list(zip(table.i.tolist(), table.j.tolist())) == [(0, 1), (0, 2), (1, 2)]
+        assert table.m == 1
+        assert_allclose(table.shrinkage[1], PAIR_02_SHRINKAGE, atol=1e-12)
 
     def test_summary_statistics(self, three_point_model):
         stats = shrinkage_table(three_point_model, THREE_POINTS, 1).summary()
