@@ -24,7 +24,7 @@ from .errors import (
 from .matrix import as_data_matrix
 from .pca import discarded_eigenvalue_sum, fit, transform
 from .serialize import open_text
-from .shrinkage import CorrelationSummary, check_seed, pearson, shrinkage_tables
+from .shrinkage import CorrelationSummary, check_seed, pearson, shrinkage_summaries
 
 STRONG_CORRELATION = 0.7
 # Bytes of the k-NN temporaries per chunk of test rows. A byte budget, not a
@@ -306,9 +306,10 @@ def run_sweep(dataset, m_range=None, k=5, folds=5, seed=0, pair_sample=None):
     m-dimensional transformed features. One model is fitted on the full
     data and reused for every m. The k-NN arguments, then the pair
     arguments and budget, are checked before any pass (a ToolkitError
-    names the first m); then one k-NN pass covers every level, and the
-    pair tables are summarized one at a time.
-    Deterministic for fixed inputs and seed.
+    names the first m); then one k-NN pass covers every level, and
+    shrinkage_summaries summarizes the pairs one level at a time without
+    building a pair table: besides the shared original distances, a
+    level holds one pair column. Deterministic for fixed inputs and seed.
     """
     X = dataset.features
     n = X.shape[1]
@@ -322,12 +323,11 @@ def run_sweep(dataset, m_range=None, k=5, folds=5, seed=0, pair_sample=None):
     model = fit(X)
     try:
         labels, tests = _knn_folds(dataset.labels, k, folds, seed)
-        tables = shrinkage_tables(model, X, levels, pair_sample=pair_sample, seed=seed)
+        summaries = shrinkage_summaries(model, X, levels, pair_sample=pair_sample, seed=seed)
     except ToolkitError as exc:
         raise exc.__class__("m=%d: %s" % (lo, exc)) from exc
     accuracies = _knn_pass(transform(model, X), labels, tests, levels, k)
-    # no loop variable holds a table, so each is freed before the next is built
-    stats = [next(tables).summary() for _ in levels]
+    stats = list(summaries)
     rows = tuple(
         SweepRow(m, discarded_eigenvalue_sum(model, m), s.mean, s.median, s.max, accuracy)
         for m, s, accuracy in zip(levels, stats, accuracies)

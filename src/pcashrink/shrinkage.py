@@ -33,8 +33,9 @@ PAIR_BUDGET = 20_000_000
 
 VIOLATION_TOL = 1e-9
 
-# pairs per engine step; small chunks keep the gather temporaries to a few
-# MB at no cost in speed
+# pairs per engine step (all-pairs steps take whole rows, so a longer row is
+# a step of its own); small steps keep the temporaries to a few MB at no
+# cost in speed
 _CHUNK = 4096
 
 
@@ -74,22 +75,38 @@ class PairTable:
         """Aggregate statistics; a pair violates the guarantees when its
         shrinkage is below -violation_tol or above its bound plus
         violation_tol, which at full rank (bound 0) is the isometry check.
-        See check_violation_tol for the tolerances refused."""
+        See check_violation_tol for the tolerances refused. The table's
+        columns are left as they are."""
         check_violation_tol(violation_tol)
-        d = self.shrinkage
-        negative = d < -violation_tol
-        over = d > self.recon_error + violation_tol
-        return ShrinkageSummary(
-            m=self.m,
-            pair_count=int(d.size),
-            sampled=self.sampled,
-            mean=float(np.mean(d)),
-            median=float(np.median(d)),
-            max=float(np.max(d)),
-            negative_count=int(np.count_nonzero(negative)),
-            bound_violations=int(np.count_nonzero(over)),
-            violating_pairs=int(np.count_nonzero(negative | over)),
-        )
+        counts = _violation_counts(self.shrinkage, self.recon_error, violation_tol)
+        return _summarize(self.m, self.sampled, self.shrinkage.copy(), counts)
+
+
+def _violation_counts(d, bound, tol):
+    """Negative, over-bound and violating (either, counted once) pairs
+    among shrinkages ``d`` with bounds ``bound``: the guarantee rule."""
+    negative = d < -tol
+    over = d > bound + tol
+    return np.array([np.count_nonzero(negative), np.count_nonzero(over),
+                     np.count_nonzero(negative | over)])
+
+
+def _summarize(m, sampled, d, counts):
+    """ShrinkageSummary of the shrinkage column ``d`` and its summed
+    _violation_counts; the median reorders ``d`` in place."""
+    mean, top = float(np.mean(d)), float(np.max(d))
+    negative, over, violating = (int(c) for c in counts)
+    return ShrinkageSummary(
+        m=m,
+        pair_count=int(d.size),
+        sampled=sampled,
+        mean=mean,
+        median=float(np.median(d, overwrite_input=True)),
+        max=top,
+        negative_count=negative,
+        bound_violations=over,
+        violating_pairs=violating,
+    )
 
 
 def collision_witness(model, x, m):
@@ -125,8 +142,49 @@ def check_violation_tol(tol):
         raise ValueError("violation tolerance must be finite, got %r" % (tol,))
 
 
-def _pair_indices(n_samples, pair_sample, seed):
-    """Index arrays (i, j) with i < j: all pairs or a seeded subsample.
+class _Pairs:
+    """The pairs one engine call visits, in pair-column order: all pairs
+    of ``n_samples`` rows in triu_indices order when ``ij`` is None, else
+    the sampled index arrays ``ij = (i, j)`` with i < j."""
+
+    def __init__(self, n_samples, ij):
+        self.n_samples = n_samples
+        self.ij = ij
+        self.sampled = ij is not None
+        self.count = ij[0].size if self.sampled else n_samples * (n_samples - 1) // 2
+
+    def indices(self):
+        """The index columns (i, j) of a PairTable."""
+        if self.sampled:
+            return self.ij
+        return tuple(v.astype(np.int64, copy=False) for v in np.triu_indices(self.n_samples, k=1))
+
+    def steps(self):
+        """The pairs in steps of about _CHUNK, as (lo, hi, ends): pairs
+        lo..hi-1 of the pair column join rows a and b of each (a, b) in
+        ``ends``, in order. All pairs go in whole rows, row r's pairs
+        (r, r+1..N-1) being (r, slice(r + 1, None)), with no index array;
+        sampled pairs are gathered by their index slices."""
+        if self.sampled:
+            i_idx, j_idx = self.ij
+            for lo in range(0, i_idx.size, _CHUNK):
+                hi = min(lo + _CHUNK, i_idx.size)
+                yield lo, hi, [(i_idx[lo:hi], j_idx[lo:hi])]
+            return
+        n = self.n_samples
+        lo = hi = 0
+        ends = []
+        for r in range(n - 1):
+            if ends and hi - lo + n - 1 - r > _CHUNK:
+                yield lo, hi, ends
+                lo, ends = hi, []
+            ends.append((r, slice(r + 1, None)))
+            hi += n - 1 - r
+        yield lo, hi, ends
+
+
+def _choose_pairs(n_samples, pair_sample, seed):
+    """The _Pairs to visit: all pairs or a seeded subsample.
 
     A ``pair_sample`` of 0, or of at least the pair count, means all
     pairs. Sampling draws pairs uniformly with replacement and is
@@ -143,8 +201,7 @@ def _pair_indices(n_samples, pair_sample, seed):
             % (count, PAIR_BUDGET)
         )
     if not sampled:
-        i_idx, j_idx = np.triu_indices(n_samples, k=1)
-        return i_idx.astype(np.int64), j_idx.astype(np.int64), False
+        return _Pairs(n_samples, None)
     rng = np.random.default_rng([int(seed), n_samples, 0x70A1])
     a = rng.integers(0, n_samples, size=pair_sample, dtype=np.int64)
     b = rng.integers(0, n_samples, size=pair_sample, dtype=np.int64)
@@ -152,17 +209,56 @@ def _pair_indices(n_samples, pair_sample, seed):
     while clash.any():
         b[clash] = rng.integers(0, n_samples, size=int(np.count_nonzero(clash)), dtype=np.int64)
         clash = a == b
-    return np.minimum(a, b), np.maximum(a, b), True
+    return _Pairs(n_samples, (np.minimum(a, b), np.maximum(a, b)))
 
 
-def _pair_distances(Z, i_idx, j_idx):
-    """Distance between rows i and j of ``Z`` for every pair, one fixed
-    _CHUNK slice at a time."""
-    out = np.empty(i_idx.size)
-    for lo in range(0, i_idx.size, _CHUNK):
-        diff = Z[i_idx[lo:lo + _CHUNK]] - Z[j_idx[lo:lo + _CHUNK]]
-        out[lo:lo + _CHUNK] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+def _pairwise(ufunc, v, ends, out):
+    """``ufunc(v[b], v[a])`` for the pairs of one step, written to ``out``."""
+    k = 0
+    for a, b in ends:
+        vb = v[b]
+        ufunc(vb, v[a], out=out[k:k + len(vb)])
+        k += len(vb)
     return out
+
+
+def _distances(Z, step):
+    """Distances between the rows of ``Z`` that one step's pairs join: the
+    pair kernel of every engine path."""
+    lo, hi, ends = step
+    diff = _pairwise(np.subtract, Z, ends, np.empty((hi - lo, Z.shape[1])))
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def _pair_pass(model, data, ms, pair_sample, seed):
+    """Check every argument of an engine call and do the work its levels
+    share: returns the checked levels, the _Pairs, the full transform and
+    the read-only original distances."""
+    X = as_data_matrix(data)
+    Y = transform(model, X)
+    n_samples = X.shape[0]
+    if n_samples < 2:
+        raise InsufficientPairsError("need at least two samples to form a pair")
+    ms = [check_m(model, m) for m in ms]
+
+    if pair_sample is None:
+        pair_sample = PAIR_SAMPLE_DEFAULT
+    elif pair_sample < 0:
+        raise ValueError("pair sample must be 0 (all pairs) or positive, got %d" % pair_sample)
+    check_seed(seed)
+    pairs = _choose_pairs(n_samples, pair_sample, seed)
+    d_orig = np.empty(pairs.count)
+    for step in pairs.steps():
+        d_orig[step[0]:step[1]] = _distances(X, step)
+    d_orig.setflags(write=False)
+    return ms, pairs, Y, d_orig
+
+
+def _point_errors(Y, m):
+    """Each point's reconstruction error at level m: the norm of its
+    discarded coordinates (the basis is orthonormal)."""
+    tail = Y[:, m:]
+    return np.sqrt(np.einsum("ij,ij->i", tail, tail))
 
 
 def shrinkage_tables(model, data, ms, *, pair_sample=None, seed=0):
@@ -179,38 +275,56 @@ def shrinkage_tables(model, data, ms, *, pair_sample=None, seed=0):
     or a negative ``seed`` raises ValueError, whether or not pairs are
     sampled. The engine runs in the calling thread.
     """
-    X = as_data_matrix(data)
-    Y = transform(model, X)
-    n_samples = X.shape[0]
-    if n_samples < 2:
-        raise InsufficientPairsError("need at least two samples to form a pair")
-    ms = [check_m(model, m) for m in ms]
+    ms, pairs, Y, d_orig = _pair_pass(model, data, ms, pair_sample, seed)
+    i_idx, j_idx = pairs.indices()
+    i_idx.setflags(write=False)
+    j_idx.setflags(write=False)
 
-    if pair_sample is None:
-        pair_sample = PAIR_SAMPLE_DEFAULT
-    elif pair_sample < 0:
-        raise ValueError("pair sample must be 0 (all pairs) or positive, got %d" % pair_sample)
-    check_seed(seed)
-    i_idx, j_idx, sampled = _pair_indices(n_samples, pair_sample, seed)
-    d_orig = _pair_distances(X, i_idx, j_idx)
-    for shared in (i_idx, j_idx, d_orig):
-        shared.setflags(write=False)
-
-    # a point's error is the norm of its discarded coordinates (orthonormal basis)
     def level(m):
-        d_trunc = _pair_distances(Y[:, :m], i_idx, j_idx)
-        tail = Y[:, m:]
-        point_error = np.sqrt(np.einsum("ij,ij->i", tail, tail))
+        point_error = _point_errors(Y, m)
+        d_trunc = np.empty(pairs.count)
+        recon = np.empty(pairs.count)
+        for step in pairs.steps():
+            lo, hi, ends = step
+            d_trunc[lo:hi] = _distances(Y[:, :m], step)
+            _pairwise(np.add, point_error, ends, recon[lo:hi])
         return PairTable(
             m=m,
-            sampled=sampled,
+            sampled=pairs.sampled,
             i=i_idx,
             j=j_idx,
             dist_original=d_orig,
             dist_truncated=d_trunc,
             shrinkage=d_orig - d_trunc,
-            recon_error=point_error[i_idx] + point_error[j_idx],
+            recon_error=recon,
         )
+
+    return map(level, ms)
+
+
+def shrinkage_summaries(model, data, ms, *, pair_sample=None, seed=0):
+    """An iterator of one ShrinkageSummary per retained dimension in
+    ``ms``, equal to ``shrinkage_tables(...)`` tables' ``summary()`` at
+    VIOLATION_TOL, without building the tables.
+
+    Arguments are checked and shared work is done as in
+    shrinkage_tables. Each level then holds one pair column besides the
+    shared original distances: the truncated distances, turned into
+    shrinkages in place a step at a time while each step's pairs are
+    counted against their bounds.
+    """
+    ms, pairs, Y, d_orig = _pair_pass(model, data, ms, pair_sample, seed)
+
+    def level(m):
+        point_error = _point_errors(Y, m)
+        d = np.empty(pairs.count)
+        counts = 0
+        for step in pairs.steps():
+            lo, hi, ends = step
+            block = np.subtract(d_orig[lo:hi], _distances(Y[:, :m], step), out=d[lo:hi])
+            bound = _pairwise(np.add, point_error, ends, np.empty(hi - lo))
+            counts = counts + _violation_counts(block, bound, VIOLATION_TOL)
+        return _summarize(m, pairs.sampled, d, counts)
 
     return map(level, ms)
 

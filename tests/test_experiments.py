@@ -311,7 +311,7 @@ class TestRunSweep:
         def no_pair_engine(*args, **kwargs):
             raise AssertionError("the pair engine ran")
 
-        monkeypatch.setattr(experiments, "shrinkage_tables", no_pair_engine)
+        monkeypatch.setattr(experiments, "shrinkage_summaries", no_pair_engine)
         X = anisotropic_gaussian(n_samples=20, variances=(2.0, 0.5), seed=1).features
         ds = Dataset(X, None if labels is None else [labels[i % len(labels)] for i in range(20)])
         with pytest.raises(error) as info:
@@ -341,8 +341,9 @@ class TestRunSweep:
         assert str(info.value) == message
 
     def test_memory_holds_one_level_table(self):
-        # 719,400 pairs: 41.0 MB with one level's table alive at a time,
-        # 56.1 MB when the previous table lives on while the next is built
+        # 719,400 pairs: 12.5 MiB with the shared original distances and one
+        # level's shrinkage column alive (5.5 MiB each); a six-column pair
+        # table per level peaked at 41.0 MiB
         ds = anisotropic_gaussian(1200, tuple(2.0 ** -k for k in range(8)), seed=3)
         tracemalloc.start()
         try:
@@ -351,7 +352,7 @@ class TestRunSweep:
         finally:
             tracemalloc.stop()
         assert len(result.rows) == 6
-        assert peak < 48 * 2**20
+        assert peak < 16 * 2**20
 
 
 class TestCorrelate:

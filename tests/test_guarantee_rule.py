@@ -90,14 +90,14 @@ def test_automatic_pair_rule(monkeypatch, n_samples, pairs, sampled):
     """All pairs up to 2000 samples, a 2,000,000-pair subsample beyond;
     the engine is stopped once its pair list exists."""
     seen = {}
-    real = shrinkage._pair_indices
+    real = shrinkage._choose_pairs
 
     def spy(*args):
-        i, _, was_sampled = real(*args)
-        seen.update(pairs=i.size, sampled=was_sampled)
+        chosen = real(*args)
+        seen.update(pairs=chosen.count, sampled=chosen.sampled)
         raise _Stop
 
-    monkeypatch.setattr(shrinkage, "_pair_indices", spy)
+    monkeypatch.setattr(shrinkage, "_choose_pairs", spy)
     X = np.arange(float(n_samples))[:, None]
     with pytest.raises(_Stop):
         shrinkage_table(fit(X), X, 1)

@@ -12,7 +12,7 @@ _spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "sp
 spans = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(spans)
 
-# run_sweep reaches the pair engine through shrinkage_tables, so this site is
+# run_sweep reaches the pair engine through shrinkage_summaries, so this site is
 # stale until the benchmark is re-pointed (see the FOUND: line on
 # perfbench/spans.py in CHANGES.md); that change removes this mark
 STALE = {
