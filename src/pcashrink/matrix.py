@@ -64,12 +64,17 @@ def covariance(data):
 
     Uses the 1/N normalization, so a single sample gives the zero matrix.
     The accumulated product is symmetrized before returning to scrub
-    floating-point asymmetry.
+    floating-point asymmetry. Data whose covariance overflows the float
+    range raise NonFiniteError.
     """
     X = as_data_matrix(data)
-    centered = X - X.mean(axis=0)
-    cov = centered.T @ centered / X.shape[0]
-    return (cov + cov.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = X - X.mean(axis=0)
+        cov = centered.T @ centered / X.shape[0]
+        cov = (cov + cov.T) / 2.0
+    if not np.all(np.isfinite(cov)):
+        raise NonFiniteError("the covariance overflows the float range; rescale the data")
+    return cov
 
 
 @dataclass(frozen=True)

@@ -93,15 +93,21 @@ def _violation_counts(d, bound, tol):
 
 def _summarize(m, sampled, d, counts):
     """ShrinkageSummary of the shrinkage column ``d`` and its summed
-    _violation_counts; the median reorders ``d`` in place."""
+    _violation_counts. The median partitions ``d`` in place once, at
+    h = size // 2: it is d[h] for an odd size and (max(d[:h]) + d[h]) / 2
+    for an even one, the bits of np.median, which partitions at three
+    places; like np.median it is NaN when ``d`` holds a NaN."""
     mean, top = float(np.mean(d)), float(np.max(d))
+    h = d.size // 2
+    d.partition(h)
+    median = top if np.isnan(top) else float(d[h] if d.size % 2 else (d[:h].max() + d[h]) / 2)
     negative, over, violating = (int(c) for c in counts)
     return ShrinkageSummary(
         m=m,
         pair_count=int(d.size),
         sampled=sampled,
         mean=mean,
-        median=float(np.median(d, overwrite_input=True)),
+        median=median,
         max=top,
         negative_count=negative,
         bound_violations=over,
@@ -112,9 +118,12 @@ def _summarize(m, sampled, d, counts):
 def collision_witness(model, x, m):
     """A point distinct from ``x`` with the same truncated image.
 
-    The witness moves ``x`` exactly one unit along the first discarded
-    eigenvector, which the truncated transform annihilates. At full rank
-    no such direction exists and FullRankInjectiveError is raised.
+    The witness moves ``x`` along the first discarded eigenvector, which
+    the truncated transform annihilates, by s = 2^max(0, e - 20) where e
+    is the exponent ``frexp`` gives max|x|: exactly one unit while
+    max|x| < 2^20, and beyond that a step that rounding against x cannot
+    absorb. At full rank no such direction exists and
+    FullRankInjectiveError is raised.
     """
     m = check_m(model, m)
     if m == model.n_features:
@@ -126,7 +135,12 @@ def collision_witness(model, x, m):
         raise DimMismatchError(
             "expected %d features, got %d" % (model.n_features, vec.shape[0])
         )
-    return vec + model.components[:, m]
+    return vec + np.ldexp(model.components[:, m], max(0, _max_exponent(vec) - 20))
+
+
+def _max_exponent(v):
+    """The binary exponent e of max|v|, which lies in [2^(e-1), 2^e)."""
+    return int(np.frexp(np.max(np.abs(v)))[1])
 
 
 def check_seed(seed):
@@ -254,11 +268,15 @@ def _pair_pass(model, data, ms, pair_sample, seed):
     return ms, pairs, Y, d_orig
 
 
-def _point_errors(Y, m):
-    """Each point's reconstruction error at level m: the norm of its
-    discarded coordinates (the basis is orthonormal)."""
+def _level_operands(Y, m):
+    """What a level's pairs read of the full transform ``Y``: the kernel
+    operand, the first m coordinates copied once to contiguous rows (the
+    kernel's differences land in the same fresh array with the same bits
+    as from the strided view, only faster), and each point's
+    reconstruction error at level m, the norm of its discarded
+    coordinates (the basis is orthonormal)."""
     tail = Y[:, m:]
-    return np.sqrt(np.einsum("ij,ij->i", tail, tail))
+    return np.ascontiguousarray(Y[:, :m]), np.sqrt(np.einsum("ij,ij->i", tail, tail))
 
 
 def shrinkage_tables(model, data, ms, *, pair_sample=None, seed=0):
@@ -281,12 +299,12 @@ def shrinkage_tables(model, data, ms, *, pair_sample=None, seed=0):
     j_idx.setflags(write=False)
 
     def level(m):
-        point_error = _point_errors(Y, m)
+        Z, point_error = _level_operands(Y, m)
         d_trunc = np.empty(pairs.count)
         recon = np.empty(pairs.count)
         for step in pairs.steps():
             lo, hi, ends = step
-            d_trunc[lo:hi] = _distances(Y[:, :m], step)
+            d_trunc[lo:hi] = _distances(Z, step)
             _pairwise(np.add, point_error, ends, recon[lo:hi])
         return PairTable(
             m=m,
@@ -316,12 +334,12 @@ def shrinkage_summaries(model, data, ms, *, pair_sample=None, seed=0):
     ms, pairs, Y, d_orig = _pair_pass(model, data, ms, pair_sample, seed)
 
     def level(m):
-        point_error = _point_errors(Y, m)
+        Z, point_error = _level_operands(Y, m)
         d = np.empty(pairs.count)
         counts = 0
         for step in pairs.steps():
             lo, hi, ends = step
-            block = np.subtract(d_orig[lo:hi], _distances(Y[:, :m], step), out=d[lo:hi])
+            block = np.subtract(d_orig[lo:hi], _distances(Z, step), out=d[lo:hi])
             bound = _pairwise(np.add, point_error, ends, np.empty(hi - lo))
             counts = counts + _violation_counts(block, bound, VIOLATION_TOL)
         return _summarize(m, pairs.sampled, d, counts)
@@ -342,10 +360,12 @@ def pearson(xs, ys):
 
     Raises ZeroVarianceError when either series is constant (including
     the single-observation case), DimMismatchError when the lengths differ.
-    The returned value is clipped to [-1, 1] to absorb roundoff.
+    Each series is first scaled by the exact power of two that brings its
+    largest magnitude into [0.5, 1), so the squares neither overflow nor
+    underflow at any data scale, and a series scaled by 2^k gives the
+    same bits. The returned value is clipped to [-1, 1] to absorb roundoff.
     """
-    x = as_vector(xs, "xs")
-    y = as_vector(ys, "ys")
+    x, y = (np.ldexp(v, -_max_exponent(v)) for v in (as_vector(xs, "xs"), as_vector(ys, "ys")))
     if x.shape[0] != y.shape[0]:
         raise DimMismatchError("length mismatch: %d vs %d" % (x.shape[0], y.shape[0]))
     dx = x - x.mean()

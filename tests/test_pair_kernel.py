@@ -44,11 +44,17 @@ def test_row_blocks_match_gathers_bit_for_bit(monkeypatch, chunk, n_samples, n_f
     i, j = rows.indices()
     gathers = shrinkage._Pairs(n_samples, (i, j))
     assert i.dtype == j.dtype == np.int64
-    # the first n columns of Y are a non-contiguous view for m < n
+    # the first n columns of Y are a non-contiguous view for m < n; a level
+    # hands the kernel a contiguous copy, which must give the view's bits
     for Z in [X] + [Y[:, :m] for m in range(1, n_features + 1)]:
         expected = _gathered(Z, i, j).tobytes()
         assert _column(Z, rows).tobytes() == expected
         assert _column(Z, gathers).tobytes() == expected
+        if Z is not X:
+            level_copy = shrinkage._level_operands(Y, Z.shape[1])[0]
+            assert level_copy.flags.c_contiguous
+            assert _column(level_copy, rows).tobytes() == expected
+            assert _column(level_copy, gathers).tobytes() == expected
 
 
 def _hex_fields(summary):
@@ -85,3 +91,34 @@ def test_summary_leaves_the_shrinkage_column_unchanged():
     table.summary()
     table.summary(violation_tol=-1)
     assert table.shrinkage.tobytes() == before
+
+
+def _median(values):
+    d = np.array(values, dtype=float)
+    return shrinkage._summarize(1, False, d, np.zeros(3, dtype=np.int64)).median
+
+
+_RNG = np.random.default_rng(11)
+MEDIAN_CASES = {
+    "size-1": [2.5],
+    "size-2": [0.3, 0.1],
+    "size-3": [0.7, -0.2, 0.3],
+    "size-4": [0.3, 0.7, 0.1, 0.2],
+    "large-odd": _RNG.standard_normal(100_001),
+    "large-even": _RNG.standard_normal(100_000),
+    "middle-duplicates": [5.0, 0.1, 0.1, 0.1, 0.1, 2.0, 0.1, -3.0],
+    "all-equal": np.full(12, 0.1),
+    "negative": -_RNG.exponential(size=1000),
+}
+
+
+@pytest.mark.parametrize("values", MEDIAN_CASES.values(), ids=MEDIAN_CASES.keys())
+def test_one_partition_median_matches_numpy(values):
+    assert _median(values).hex() == float(np.median(values)).hex()
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_median_of_a_column_with_nan_is_nan(size):
+    values = np.arange(size, dtype=float)
+    values[1] = np.nan
+    assert np.isnan(_median(values))

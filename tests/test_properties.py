@@ -82,13 +82,15 @@ def test_full_rank_is_an_injective_isometry(X):
 @PROPERTY
 @given(datasets())
 def test_truncation_collides_a_unit_step(X):
-    """Below full rank the witness lies one unit from the point and has
-    the same truncated image."""
+    """Below full rank the witness has the same truncated image and lies
+    2^max(0, e - 20) from the point, e the binary exponent of the
+    point's largest magnitude: one unit while that is below 2^20."""
     model = fit(X)
     slack = ROUNDOFF * (1.0 + float(np.linalg.norm(X[0])) + spread(X))
+    step = np.ldexp(1.0, max(0, int(np.frexp(np.max(np.abs(X[0])))[1]) - 20))
     for m in range(1, model.n_features):
         witness = collision_witness(model, X[0], m)
-        assert abs(np.linalg.norm(witness - X[0]) - 1.0) <= slack
+        assert abs(np.linalg.norm(witness - X[0]) - step) <= slack
         gap = np.linalg.norm(transform(model, witness, m) - transform(model, X[0], m))
         assert gap <= slack
 

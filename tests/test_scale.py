@@ -2,10 +2,28 @@
 one dataset at every data scale. A case that fails today is a strict xfail naming the ROADMAP item
 whose fix removes its mark."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from pcashrink import anisotropic_gaussian, covariance, fit, shrinkage_table, shrinkage_tables
+from conftest import write_dataset_csv
+from pcashrink import (
+    NonFiniteError,
+    anisotropic_gaussian,
+    collision_witness,
+    correlate,
+    covariance,
+    fit,
+    pearson,
+    run_sweep,
+    shrinkage_table,
+    shrinkage_tables,
+)
 
 BASE = anisotropic_gaussian(300, seed=0).features
 SCALES = (1e-9, 1e-7, 1e-6, 1.0, 1e6)
@@ -63,3 +81,59 @@ def test_full_rank_flags_no_pair(c):
     X = BASE * c
     model = fit(X)
     assert shrinkage_table(model, X, model.n_features).summary().violating_pairs == 0
+
+
+@pytest.mark.parametrize("k", [-600, 600])
+def test_pearson_keeps_its_bits_at_any_scale(k):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(20)
+    y = x + rng.standard_normal(20)
+    want = pearson(x, y).hex()
+    assert pearson(np.ldexp(x, k), y).hex() == want
+    assert pearson(x, np.ldexp(y, k)).hex() == want
+
+
+def test_sweep_correlations_keep_their_bits_at_any_scale():
+    """At 2^400 the eigsum column reaches ~2^800, whose square overflows."""
+    dataset = anisotropic_gaussian(50, seed=1)
+    scaled = dataclasses.replace(dataset, features=np.ldexp(dataset.features, 400))
+
+    def hexed(summary):
+        return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(summary)]
+
+    assert hexed(correlate(run_sweep(scaled))) == hexed(correlate(run_sweep(dataset)))
+
+
+@pytest.mark.parametrize("shift", [lambda X: X * 1e17, lambda X: X + 1e17], ids=["x1e17", "+1e17"])
+def test_witness_collides_at_large_magnitudes(shift):
+    """A one-unit move would be absorbed by rounding against |x| ~ 1e17."""
+    X = shift(BASE)
+    model = fit(X)
+    for m in range(1, model.n_features):
+        pair = shrinkage_table(model, np.stack([X[0], collision_witness(model, X[0], m)]), m)
+        assert pair.dist_original[0] > 0, m
+        assert pair.dist_truncated[0] <= 1e-9 * pair.dist_original[0], m
+
+
+def test_witness_moves_one_unit_at_unit_scale():
+    model = fit(BASE)
+    for m in range(1, model.n_features):
+        want = BASE[0] + model.components[:, m]
+        assert collision_witness(model, BASE[0], m).tobytes() == want.tobytes()
+
+
+def test_covariance_overflow_is_a_clean_non_finite_error(tmp_path):
+    with pytest.raises(NonFiniteError, match="overflow"):
+        fit(BASE * 1e160)
+    dataset = anisotropic_gaussian(300, seed=0)
+    path = write_dataset_csv(tmp_path / "big.csv",
+                             dataclasses.replace(dataset, features=dataset.features * 1e160))
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcashrink", "analyze", "--input", str(path), "--m", "2"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "[non-finite]" in proc.stderr and "overflow" in proc.stderr
