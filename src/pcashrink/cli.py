@@ -21,6 +21,7 @@ from .experiments import correlate, load_csv, run_sweep
 from .pca import fit, load_model, save_model, transform
 from .reports import (
     analyze_report,
+    coords_csv_blocks,
     format_correlation_lines,
     sweep_csv,
     sweep_report_json,
@@ -230,19 +231,19 @@ def cmd_transform(args):
     dataset = _load_dataset(args)
     coords = transform(model, dataset.features, args.m)
     if args.format == "json":
-        text = json_text({
+        chunks = [json_text({
             "report": "pca-shrink-transform",
             "version": VERSION,
             "m": coords.shape[1],
             "rows": coords,
-        })
+        })]
     else:
-        row = ",".join(["%.17g"] * coords.shape[1]) + "\n"
-        text = "".join([row % tuple(values) for values in coords.tolist()])
+        chunks = coords_csv_blocks(coords)
     if out is None:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
     else:
-        write_text(out, [text])
+        write_text(out, chunks)
         _log("wrote %s" % out)
     return 0
 

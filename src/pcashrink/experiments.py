@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,10 +69,13 @@ def load_csv(path, label_column=-1, header=False, delimiter=","):
     ``label_column`` selects which raw column holds the class label: an
     integer index (negatives count from the end), a column name (needs
     ``header=True``), or None for a purely numeric file with no labels.
-    All remaining cells must parse as finite floats. Rows are parsed as
-    they are read, so the first error in file order is the one reported,
-    with its 1-based line (and column for a bad cell). ``delimiter`` must
-    be exactly one character.
+    All remaining cells must parse as finite floats (``float()``'s
+    grammar). Rows are parsed as they are read, and each row's features
+    go straight into one float64 buffer (8 B a cell), so no Python float
+    outlives its row. Only a row that fails goes through the per-cell
+    checks, so the first error in file order is the one reported, with
+    its 1-based line (and column for a bad cell). ``delimiter`` must be
+    exactly one character.
     """
     if not isinstance(delimiter, str) or len(delimiter) != 1:
         raise ValueError("delimiter must be a single character, got %r" % (delimiter,))
@@ -85,7 +89,7 @@ def load_csv(path, label_column=-1, header=False, delimiter=","):
                 raise DatasetParseError("%s: empty file, expected a header row" % path)
             names = [cell.strip() for cell in first[1]]
         width = label_index = None
-        features = []
+        values = array("d")
         labels = []
         for line, row in rows:
             if not row:
@@ -97,34 +101,47 @@ def load_csv(path, label_column=-1, header=False, delimiter=","):
                 raise DatasetParseError(
                     "%s: line %d has %d columns, expected %d" % (path, line, len(row), width)
                 )
-            feats = []
-            for col, cell in enumerate(row):
-                if col == label_index:
-                    labels.append(cell.strip())
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError as exc:
-                    raise DatasetParseError(
-                        "%s: line %d column %d: %r is not a number"
-                        % (path, line, col + 1, cell)
-                    ) from exc
-                if not math.isfinite(value):
-                    raise DatasetParseError(
-                        "%s: line %d column %d: non-finite value %r" % (path, line, col + 1, cell)
-                    )
-                feats.append(value)
-            features.append(feats)
+            cells = row
+            if label_index is not None:
+                labels.append(row[label_index].strip())
+                cells = row[:label_index] + row[label_index + 1:]
+            try:
+                feats = list(map(float, cells))
+            except ValueError:
+                _check_cells(path, line, row, label_index)  # raises: a cell is no float
+            if not math.isfinite(sum(feats)):
+                _check_cells(path, line, row, label_index)
+            values.extend(feats)
 
     if width is None:
         raise DatasetParseError("%s: no data rows" % path)
-    if width - (0 if label_index is None else 1) == 0:
+    n_features = width - (0 if label_index is None else 1)
+    if n_features == 0:
         raise DatasetParseError("%s: no feature columns left" % path)
     return Dataset(
-        features=np.asarray(features, dtype=float),
+        features=np.frombuffer(values, dtype=float).reshape(-1, n_features),
         labels=tuple(labels) if label_index is not None else None,
         name=path.stem,
     )
+
+
+def _check_cells(path, line, row, label_index):
+    """Raise the error of the first feature cell of ``row`` that is not a
+    finite float, in column order; return when there is none (a row of
+    finite values whose sum overflows)."""
+    for col, cell in enumerate(row):
+        if col == label_index:
+            continue
+        try:
+            value = float(cell)
+        except ValueError as exc:
+            raise DatasetParseError(
+                "%s: line %d column %d: %r is not a number" % (path, line, col + 1, cell)
+            ) from exc
+        if not math.isfinite(value):
+            raise DatasetParseError(
+                "%s: line %d column %d: non-finite value %r" % (path, line, col + 1, cell)
+            )
 
 
 def _numbered_rows(reader, path):

@@ -17,6 +17,9 @@ PAIR_CSV_HEADER = "i,j,m,dist_original,dist_truncated,shrinkage,recon_error"
 PAIR_CSV_ROW = "%d,%d,%d" + ",%.17g" * 4 + "\n"
 # pair rows rendered per write; a block's Python values take a few MB
 _PAIR_CSV_BLOCK = 4096
+# values per write of a transform CSV, whose rows can be wide: a pair CSV
+# block's worth (4096 rows of 7 columns)
+_COORDS_CSV_BLOCK = 7 * _PAIR_CSV_BLOCK
 
 
 def sweep_csv(result):
@@ -82,6 +85,17 @@ def write_pair_csv(table, path):
 
     blocks = map(block, range(0, table.i.size, _PAIR_CSV_BLOCK))
     write_text(path, chain([PAIR_CSV_HEADER + "\n"], blocks))
+
+
+def coords_csv_blocks(coords):
+    """The headerless CSV text of the rows of ``coords``, each value as
+    ``%.17g``, one string per block of about _COORDS_CSV_BLOCK values (at
+    least one row); a block's rows become Python floats only when it is
+    rendered."""
+    row = ",".join(["%.17g"] * coords.shape[1]) + "\n"
+    step = max(1, _COORDS_CSV_BLOCK // coords.shape[1])
+    for lo in range(0, coords.shape[0], step):
+        yield "".join([row % tuple(values) for values in coords[lo:lo + step].tolist()])
 
 
 def analyze_report(stats, n_features, dataset_name, witness_note, isometry_violations=None):

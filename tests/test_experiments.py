@@ -129,9 +129,35 @@ class TestLoadCsv:
             load_csv(path)
         assert str(info.value) == "%s: line 2 column 2: 'oops' is not a number" % path
 
+    # Rows are converted whole; only a row that fails goes through the
+    # per-cell checks, which must still name its first bad cell.
+    @pytest.mark.parametrize("text, label_column, message", [
+        ("inf,x,a\n", -1, "line 1 column 1: non-finite value 'inf'"),
+        ("1,x,inf\n", -1, "line 1 column 2: 'x' is not a number"),
+        ("1,2,a\nnan,3,b\noops,4,c\n", -1, "line 2 column 1: non-finite value 'nan'"),
+        ("1,a,2\n3,b,x\n", 1, "line 2 column 3: 'x' is not a number"),
+        ("1,a,2\n3,b,-inf\n", 1, "line 2 column 3: non-finite value '-inf'"),
+    ])
+    def test_failing_row_reports_its_first_bad_cell(self, tmp_path, text, label_column,
+                                                     message):
+        path = write(tmp_path / "t.csv", text)
+        with pytest.raises(DatasetParseError) as info:
+            load_csv(path, label_column=label_column)
+        assert str(info.value) == "%s: %s" % (path, message)
+
+    def test_row_whose_sum_overflows_loads(self, tmp_path):
+        ds = load_csv(write(tmp_path / "t.csv", "1e308,1e308,a\n-1e308,1e308,b\n"))
+        assert ds.features.tolist() == [[1e308, 1e308], [-1e308, 1e308]]
+
+    def test_cells_keep_the_bits_of_float(self, tmp_path):
+        cells = [" 1.5 ", "1_000", "-0", "1e-320"]
+        ds = load_csv(write(tmp_path / "t.csv", ",".join(cells) + ",a\n"))
+        assert ds.features.tobytes() == np.array([float(c) for c in cells]).tobytes()
+
     def test_memory_holds_no_raw_rows(self, tmp_path):
         # 1000 rows x 40 columns: 4.9 MB while every cell string was kept,
-        # 1.9 MB when each row is parsed as it is read
+        # 1.9 MiB while every cell was a Python float until the end, 0.64 MiB
+        # when each row goes straight into one float64 buffer
         rng = np.random.default_rng(0)
         path = write_dataset_csv(tmp_path / "t.csv", Dataset(
             rng.standard_normal((1000, 39)), labels=("a", "b") * 500))
@@ -142,7 +168,7 @@ class TestLoadCsv:
         finally:
             tracemalloc.stop()
         assert ds.features.shape == (1000, 39)
-        assert peak < 3.5 * 2**20
+        assert peak < 1.0 * 2**20
 
 
 class TestDataset:
