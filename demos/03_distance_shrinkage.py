@@ -10,22 +10,19 @@ Run:  python3 demos/03_distance_shrinkage.py
 
 import numpy as np
 
-from pcashrink import fit, shrinkage_tables, transform
+from pcashrink import fit, shrinkage_summaries, shrinkage_table, transform
 
 rng = np.random.default_rng(42)
 X = rng.standard_normal((150, 5)) * [3.0, 2.0, 1.0, 0.4, 0.1]
 model = fit(X)
 
-# one pass over the same 11175 pairs, one table per m
-tables = shrinkage_tables(model, X, [5, 4, 3, 2, 1])
-
-# full rank: an isometry (largest distance change over all pairs)
-table = next(tables)
+# full rank: an isometry (largest distance change over all 11175 pairs)
+table = shrinkage_table(model, X, 5)
 print("m=5 (full): largest |distance change| = %.2e" % np.max(np.abs(table.shrinkage)))
 
-# truncation: distances shrink, never grow
-for table in tables:
-    stats = table.summary()
+# truncation: distances shrink, never grow; one pass over the same pairs,
+# one summary per m, without a pair table
+for stats in shrinkage_summaries(model, X, [4, 3, 2, 1]):
     print("m=%d: mean shrinkage %.4f, max %.4f, pairs that grew: %d"
           % (stats.m, stats.mean, stats.max, stats.negative_count))
 

@@ -22,13 +22,21 @@ from .pca import fit, load_model, save_model, transform
 from .reports import (
     analyze_report,
     coords_csv_blocks,
+    coords_json_blocks,
     format_correlation_lines,
+    pair_csv_blocks,
     sweep_csv,
     sweep_report_json,
-    write_pair_csv,
 )
 from .serialize import check_writable, f17, json_text, read_json, write_text
-from .shrinkage import VIOLATION_TOL, check_violation_tol, collision_witness, shrinkage_table
+from .shrinkage import (
+    VIOLATION_TOL,
+    check_violation_tol,
+    collision_witness,
+    shrinkage_blocks,
+    shrinkage_summaries,
+    shrinkage_table,
+)
 
 SEED_ENV_VAR = "PCA_SHRINK_SEED"
 
@@ -230,15 +238,7 @@ def cmd_transform(args):
     model = load_model(_require(args, "model"))
     dataset = _load_dataset(args)
     coords = transform(model, dataset.features, args.m)
-    if args.format == "json":
-        chunks = [json_text({
-            "report": "pca-shrink-transform",
-            "version": VERSION,
-            "m": coords.shape[1],
-            "rows": coords,
-        })]
-    else:
-        chunks = coords_csv_blocks(coords)
+    chunks = (coords_json_blocks if args.format == "json" else coords_csv_blocks)(coords)
     if out is None:
         for chunk in chunks:
             sys.stdout.write(chunk)
@@ -257,17 +257,15 @@ def cmd_analyze(args):
     check_violation_tol(tol)
     dataset = _load_dataset(args)
     model = fit(dataset.features)
-    table = shrinkage_table(
-        model,
-        dataset.features,
-        m,
-        pair_sample=args.pair_sample,
-        seed=_seed(args),
-    )
-    stats = table.summary(violation_tol=tol)
+    options = dict(pair_sample=args.pair_sample, seed=_seed(args), violation_tol=tol)
+    pair_csv = out is not None and args.format == "csv"
+    # either call checks every pair argument, so a refusal leaves the output file untouched
+    if pair_csv:
+        blocks, summary = shrinkage_blocks(model, dataset.features, m, **options)
+    else:
+        stats = next(shrinkage_summaries(model, dataset.features, [m], **options))
 
     full_rank = m == model.n_features
-    isometry = stats.violating_pairs if full_rank else None
     if full_rank:
         witness_note = {"exists": False,
                         "reason": "full-rank transform is injective"}
@@ -282,12 +280,14 @@ def cmd_analyze(args):
             "truncated_image_distance": float(pair.dist_truncated[0]),
         }
 
+    if pair_csv:
+        write_text(out, pair_csv_blocks(blocks))
+        stats = summary()
+    isometry = stats.violating_pairs if full_rank else None
     if out is not None:
-        if args.format == "json":
+        if not pair_csv:
             write_text(out, [json_text(analyze_report(
                 stats, model.n_features, dataset.name, witness_note, isometry))])
-        else:
-            write_pair_csv(table, out)
         _log("wrote %s" % out)
 
     print("dataset=%s n=%d m=%d" % (dataset.name, model.n_features, stats.m))

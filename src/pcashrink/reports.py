@@ -5,21 +5,19 @@ two runs with the same inputs produce byte-identical files."""
 from __future__ import annotations
 
 from dataclasses import asdict, astuple, fields
-from itertools import chain, repeat
+from itertools import repeat
 
 from ._version import VERSION
 from .experiments import STRONG_CORRELATION, SweepRow
-from .serialize import csv_line, f17, json_text, write_text
+from .serialize import csv_line, f17, json_text
 
 SWEEP_CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 PAIR_CSV_HEADER = "i,j,m,dist_original,dist_truncated,shrinkage,recon_error"
 # one pair row: "%d" gives str() of an int and "%.17g" the f17 text of a float
 PAIR_CSV_ROW = "%d,%d,%d" + ",%.17g" * 4 + "\n"
-# pair rows rendered per write; a block's Python values take a few MB
-_PAIR_CSV_BLOCK = 4096
-# values per write of a transform CSV, whose rows can be wide: a pair CSV
-# block's worth (4096 rows of 7 columns)
-_COORDS_CSV_BLOCK = 7 * _PAIR_CSV_BLOCK
+# values per write of a transform report, whose rows can be wide: a pair
+# CSV block's worth (one engine step of 4096 rows of 7 columns)
+_COORDS_BLOCK = 7 * 4096
 
 
 def sweep_csv(result):
@@ -72,30 +70,45 @@ def sweep_report_json(result, summary):
     return json_text(sweep_report(result, summary))
 
 
-def write_pair_csv(table, path):
-    """Stream the pair CSV of a PairTable (header first, then the rows in
-    engine order) to ``path``, one write per _PAIR_CSV_BLOCK rows; each
-    block's columns become Python scalars only when it is written."""
-    cols = (table.i, table.j, table.dist_original, table.dist_truncated,
-            table.shrinkage, table.recon_error)
+def pair_csv_blocks(blocks):
+    """The pair CSV text of an iterable of PairTable ``blocks``: the
+    header, then one string per block with its rows in order. A block's
+    columns become Python scalars only when it is rendered."""
+    yield PAIR_CSV_HEADER + "\n"
+    for b in blocks:
+        i, j, *floats = (c.tolist() for c in (b.i, b.j, b.dist_original, b.dist_truncated,
+                                              b.shrinkage, b.recon_error))
+        yield "".join([PAIR_CSV_ROW % row for row in zip(i, j, repeat(b.m), *floats)])
 
-    def block(lo):
-        i, j, *floats = (c[lo:lo + _PAIR_CSV_BLOCK].tolist() for c in cols)
-        return "".join([PAIR_CSV_ROW % row for row in zip(i, j, repeat(table.m), *floats)])
 
-    blocks = map(block, range(0, table.i.size, _PAIR_CSV_BLOCK))
-    write_text(path, chain([PAIR_CSV_HEADER + "\n"], blocks))
+def _row_blocks(coords, row, sep):
+    """The rows of ``coords`` rendered with the %-format ``row`` and
+    joined by ``sep``, one string per block of about _COORDS_BLOCK values
+    (at least one row); a block's rows become Python floats only when it
+    is rendered."""
+    step = max(1, _COORDS_BLOCK // coords.shape[1])
+    for lo in range(0, coords.shape[0], step):
+        yield sep.join([row % tuple(values) for values in coords[lo:lo + step].tolist()])
 
 
 def coords_csv_blocks(coords):
     """The headerless CSV text of the rows of ``coords``, each value as
-    ``%.17g``, one string per block of about _COORDS_CSV_BLOCK values (at
-    least one row); a block's rows become Python floats only when it is
-    rendered."""
-    row = ",".join(["%.17g"] * coords.shape[1]) + "\n"
-    step = max(1, _COORDS_CSV_BLOCK // coords.shape[1])
-    for lo in range(0, coords.shape[0], step):
-        yield "".join([row % tuple(values) for values in coords[lo:lo + step].tolist()])
+    ``%.17g``, a block of rows at a time."""
+    return _row_blocks(coords, ",".join(["%.17g"] * coords.shape[1]) + "\n", "")
+
+
+def coords_json_blocks(coords):
+    """The transform JSON report of ``coords`` a block of rows at a time:
+    the bytes of json_text on the report, its ``rows`` list streamed
+    between a fixed head and tail."""
+    text = json_text({"report": "pca-shrink-transform", "version": VERSION,
+                      "m": coords.shape[1], "rows": []})
+    cut = text.rindex("[]")  # the rows list, the report's last value
+    yield text[:cut] + "["
+    row = "[" + ", ".join(["%.17g"] * coords.shape[1]) + "]"
+    for k, block in enumerate(_row_blocks(coords, row, ", ")):
+        yield ", " + block if k else block
+    yield text[cut + 1:]
 
 
 def analyze_report(stats, n_features, dataset_name, witness_note, isometry_violations=None):

@@ -10,7 +10,7 @@ sample pair, or for a seeded subsample when the pair count explodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,7 +28,8 @@ from .pca import check_m, transform
 # most this many (N <= 2000 samples), else a seeded uniform subsample
 PAIR_SAMPLE_DEFAULT = 2_000_000
 
-# most pairs one table may hold: ~1 GB of per-pair arrays at 48 B a pair
+# most pairs one engine call may visit: a PairTable of that many would hold
+# ~1 GB at 48 B a pair (a summary keeps 8 B a pair, its shrinkage column)
 PAIR_BUDGET = 20_000_000
 
 VIOLATION_TOL = 1e-9
@@ -167,12 +168,6 @@ class _Pairs:
         self.sampled = ij is not None
         self.count = ij[0].size if self.sampled else n_samples * (n_samples - 1) // 2
 
-    def indices(self):
-        """The index columns (i, j) of a PairTable."""
-        if self.sampled:
-            return self.ij
-        return tuple(v.astype(np.int64, copy=False) for v in np.triu_indices(self.n_samples, k=1))
-
     def steps(self):
         """The pairs in steps of about _CHUNK, as (lo, hi, ends): pairs
         lo..hi-1 of the pair column join rows a and b of each (a, b) in
@@ -246,8 +241,8 @@ def _distances(Z, step):
 
 def _pair_pass(model, data, ms, pair_sample, seed):
     """Check every argument of an engine call and do the work its levels
-    share: returns the checked levels, the _Pairs, the full transform and
-    the read-only original distances."""
+    share: returns the data matrix, the checked levels, the _Pairs and
+    the full transform."""
     X = as_data_matrix(data)
     Y = transform(model, X)
     n_samples = X.shape[0]
@@ -260,12 +255,7 @@ def _pair_pass(model, data, ms, pair_sample, seed):
     elif pair_sample < 0:
         raise ValueError("pair sample must be 0 (all pairs) or positive, got %d" % pair_sample)
     check_seed(seed)
-    pairs = _choose_pairs(n_samples, pair_sample, seed)
-    d_orig = np.empty(pairs.count)
-    for step in pairs.steps():
-        d_orig[step[0]:step[1]] = _distances(X, step)
-    d_orig.setflags(write=False)
-    return ms, pairs, Y, d_orig
+    return X, ms, _choose_pairs(n_samples, pair_sample, seed), Y
 
 
 def _level_operands(Y, m):
@@ -279,80 +269,126 @@ def _level_operands(Y, m):
     return np.ascontiguousarray(Y[:, :m]), np.sqrt(np.einsum("ij,ij->i", tail, tail))
 
 
-def shrinkage_tables(model, data, ms, *, pair_sample=None, seed=0):
-    """An iterator of one PairTable per retained dimension in ``ms``.
-
-    The call checks every argument and computes the pair list, the
-    original distances and the full transform once. Each table is built
-    when the iterator reaches it and shares the read-only ``i``, ``j``
-    and ``dist_original``; a caller that drops it before taking the next
-    holds one level's arrays at a time. ``pair_sample`` caps how many
-    pairs are visited: None means PAIR_SAMPLE_DEFAULT, 0 forces all pairs,
-    and a positive value requests that many sampled pairs; a request of
-    at least the pair count visits all pairs unsampled. A negative count
-    or a negative ``seed`` raises ValueError, whether or not pairs are
-    sampled. The engine runs in the calling thread.
-    """
-    ms, pairs, Y, d_orig = _pair_pass(model, data, ms, pair_sample, seed)
-    i_idx, j_idx = pairs.indices()
-    i_idx.setflags(write=False)
-    j_idx.setflags(write=False)
-
-    def level(m):
-        Z, point_error = _level_operands(Y, m)
-        d_trunc = np.empty(pairs.count)
-        recon = np.empty(pairs.count)
-        for step in pairs.steps():
-            lo, hi, ends = step
-            d_trunc[lo:hi] = _distances(Z, step)
-            _pairwise(np.add, point_error, ends, recon[lo:hi])
-        return PairTable(
-            m=m,
-            sampled=pairs.sampled,
-            i=i_idx,
-            j=j_idx,
-            dist_original=d_orig,
-            dist_truncated=d_trunc,
-            shrinkage=d_orig - d_trunc,
-            recon_error=recon,
-        )
-
-    return map(level, ms)
+def _steps(pairs, X, Y, m, d_orig=None, indices=False):
+    """The step loop of level m, the one place that pair quantities are
+    computed: one PairTable block per engine step, in pair-column order.
+    A block's original distances come from ``X``, or are its slice of a
+    ``d_orig`` column that several levels share. Its index columns are
+    built only when ``indices`` is set, and are None otherwise."""
+    Z, point_error = _level_operands(Y, m)
+    ids = np.arange(pairs.n_samples, dtype=np.int64) if indices else None
+    for step in pairs.steps():
+        lo, hi, ends = step
+        d_o = _distances(X, step) if d_orig is None else d_orig[lo:hi]
+        d_t = _distances(Z, step)
+        i = j = None
+        if indices:
+            # every pair joins i < j, so i is the smaller of its two indices
+            i = _pairwise(np.minimum, ids, ends, np.empty(hi - lo, dtype=np.int64))
+            j = _pairwise(np.maximum, ids, ends, np.empty(hi - lo, dtype=np.int64))
+        yield PairTable(m=m, sampled=pairs.sampled, i=i, j=j, dist_original=d_o,
+                        dist_truncated=d_t, shrinkage=d_o - d_t,
+                        recon_error=_pairwise(np.add, point_error, ends, np.empty(hi - lo)))
 
 
-def shrinkage_summaries(model, data, ms, *, pair_sample=None, seed=0):
+class _Summary:
+    """Folds a level's blocks, in pair order, into its ShrinkageSummary at
+    violation tolerance ``tol``. It keeps one pair column, the shrinkages
+    the median needs, and sums the violation counts a block at a time;
+    the summary is taken when the last pair is folded in."""
+
+    def __init__(self, m, pairs, tol):
+        self.m, self.sampled, self.tol = m, pairs.sampled, tol
+        self.d = np.empty(pairs.count)
+        self.filled, self.counts, self.result = 0, 0, None
+
+    def add(self, block):
+        """Fold ``block`` in and return it."""
+        lo, self.filled = self.filled, self.filled + block.shrinkage.size
+        self.d[lo:self.filled] = block.shrinkage
+        self.counts = self.counts + _violation_counts(block.shrinkage, block.recon_error, self.tol)
+        if self.filled == self.d.size:
+            self.result = _summarize(self.m, self.sampled, self.d, self.counts)
+        return block
+
+    def summary(self):
+        if self.result is None:
+            raise RuntimeError("%d of %d pairs folded; exhaust the blocks first"
+                               % (self.filled, self.d.size))
+        return self.result
+
+
+def shrinkage_summaries(model, data, ms, *, pair_sample=None, seed=0,
+                        violation_tol=VIOLATION_TOL):
     """An iterator of one ShrinkageSummary per retained dimension in
-    ``ms``, equal to ``shrinkage_tables(...)`` tables' ``summary()`` at
-    VIOLATION_TOL, without building the tables.
+    ``ms``, equal to ``shrinkage_table(...).summary(violation_tol)`` at
+    each level, without building the tables.
 
-    Arguments are checked and shared work is done as in
-    shrinkage_tables. Each level then holds one pair column besides the
-    shared original distances: the truncated distances, turned into
-    shrinkages in place a step at a time while each step's pairs are
-    counted against their bounds.
+    The call checks every argument (see shrinkage_table and
+    check_violation_tol), and computes the pair list and the full
+    transform once. With more than one level it also computes the
+    original distances once, as a column the levels share. Each level is
+    summarized when the iterator reaches it and holds one pair column
+    besides, its shrinkages.
     """
-    ms, pairs, Y, d_orig = _pair_pass(model, data, ms, pair_sample, seed)
+    check_violation_tol(violation_tol)
+    X, ms, pairs, Y = _pair_pass(model, data, ms, pair_sample, seed)
+    d_orig = None
+    if len(ms) > 1:
+        d_orig = np.empty(pairs.count)
+        for step in pairs.steps():
+            d_orig[step[0]:step[1]] = _distances(X, step)
 
     def level(m):
-        Z, point_error = _level_operands(Y, m)
-        d = np.empty(pairs.count)
-        counts = 0
-        for step in pairs.steps():
-            lo, hi, ends = step
-            block = np.subtract(d_orig[lo:hi], _distances(Z, step), out=d[lo:hi])
-            bound = _pairwise(np.add, point_error, ends, np.empty(hi - lo))
-            counts = counts + _violation_counts(block, bound, VIOLATION_TOL)
-        return _summarize(m, pairs.sampled, d, counts)
+        fold = _Summary(m, pairs, violation_tol)
+        for block in _steps(pairs, X, Y, m, d_orig):
+            fold.add(block)
+        return fold.summary()
 
     return map(level, ms)
+
+
+def shrinkage_blocks(model, data, m=None, *, pair_sample=None, seed=0,
+                     violation_tol=VIOLATION_TOL):
+    """Level m's pairs a block at a time, for a caller that renders each
+    pair: returns ``(blocks, summary)``.
+
+    The call checks every argument first, as shrinkage_summaries does.
+    ``blocks`` iterates PairTable blocks with index columns, one per
+    engine step; together they hold the rows of shrinkage_table, in its
+    order. Once ``blocks`` is exhausted, ``summary()`` returns their
+    ShrinkageSummary at ``violation_tol``, with the bits of
+    shrinkage_summaries. No pair column but the shrinkages is kept.
+    """
+    check_violation_tol(violation_tol)
+    X, (m,), pairs, Y = _pair_pass(model, data, [m], pair_sample, seed)
+    fold = _Summary(m, pairs, violation_tol)
+    return map(fold.add, _steps(pairs, X, Y, m, indices=True)), fold.summary
 
 
 def shrinkage_table(model, data, m=None, *, pair_sample=None, seed=0, threads=1):
-    """Per-pair distances before and after truncation at level m; see
-    shrinkage_tables for the pair-sampling rule. ``threads`` has no
-    effect; it stays only because the benchmark's thread baseline
-    (perfbench/worker.py) passes threads=1 and threads=2."""
-    return next(shrinkage_tables(model, data, [m], pair_sample=pair_sample, seed=seed))
+    """Per-pair distances before and after truncation at level m, as one
+    PairTable filled from the engine's blocks.
+
+    ``pair_sample`` caps how many pairs are visited: None means
+    PAIR_SAMPLE_DEFAULT, 0 forces all pairs, and a positive value
+    requests that many sampled pairs; a request of at least the pair
+    count visits all pairs unsampled. A negative count or a negative
+    ``seed`` raises ValueError, whether or not pairs are sampled. The
+    engine runs in the calling thread. ``threads`` has no effect; it
+    stays only because the benchmark's thread baseline
+    (perfbench/worker.py) passes threads=1 and threads=2.
+    """
+    X, (m,), pairs, Y = _pair_pass(model, data, [m], pair_sample, seed)
+    columns = {f.name: np.empty(pairs.count, dtype=np.int64 if f.name in ("i", "j") else float)
+               for f in fields(PairTable)[2:]}
+    lo = 0
+    for block in _steps(pairs, X, Y, m, indices=True):
+        hi = lo + block.i.size
+        for name, column in columns.items():
+            column[lo:hi] = getattr(block, name)
+        lo = hi
+    return PairTable(m=m, sampled=pairs.sampled, **columns)
 
 
 def pearson(xs, ys):

@@ -18,7 +18,11 @@ from conftest import write_dataset_csv
 from pcashrink import cli, load_model, transform
 from pcashrink.cli import main
 from pcashrink.experiments import Dataset, anisotropic_gaussian
-from pcashrink.shrinkage import VIOLATION_TOL, PairTable
+from pcashrink._version import VERSION
+from pcashrink.reports import coords_json_blocks
+from pcashrink.serialize import json_text
+from pcashrink.shrinkage import VIOLATION_TOL
+from test_trace_sites import RETIRED, STALE
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,6 +35,14 @@ def data_csv(tmp_path):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def over_budget_csv(tmp_path):
+    """6,400 rows of one feature: 20,476,800 pairs, just over the pair budget."""
+    path = tmp_path / "wide.csv"
+    path.write_text("".join("%d,%s\n" % (k, "ab"[k % 2]) for k in range(6400)),
+                    encoding="utf-8")
+    return path
 
 
 class TestFit:
@@ -182,6 +194,38 @@ class TestTransform:
         assert len((tmp_path / "coords.csv").read_text().splitlines()) == 2000
         assert peak < 5 * 2**20
 
+    def test_json_output_is_streamed(self, tmp_path, capsys):
+        # the 2000 x 60 input of the CSV test: 10.6 MiB while the whole
+        # report was rendered at once, 4.6 MiB when written in blocks
+        rng = np.random.default_rng(0)
+        data = write_dataset_csv(tmp_path / "wide.csv", Dataset(
+            rng.standard_normal((2000, 60)), labels=("a", "b") * 1000))
+        model_path = tmp_path / "model.json"
+        args = ("--input", data)
+        assert run_cli("fit", *args, "--output", model_path) == 0
+        tracemalloc.start()
+        try:
+            rc = run_cli("transform", *args, "--model", model_path, "--format", "json",
+                         "--output", tmp_path / "coords.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert len(json.loads((tmp_path / "coords.json").read_text())["rows"]) == 2000
+        assert peak < 5 * 2**20, peak
+
+    # 3000 x 20 is 60,000 values, three blocks
+    @pytest.mark.parametrize("shape", [(1, 4), (30, 1), (3000, 20)],
+                             ids=["one-row", "one-column", "several-blocks"])
+    def test_json_blocks_give_the_bytes_of_json_text(self, shape):
+        coords = np.random.default_rng(5).standard_normal(shape) * 1e-3
+        coords.flat[:3] = [-0.0, 5e-324, 1e17][:coords.size]
+        want = json_text({"report": "pca-shrink-transform", "version": VERSION,
+                          "m": shape[1], "rows": coords})
+        blocks = list(coords_json_blocks(coords))
+        assert len(blocks) == 2 + (3 if shape[0] == 3000 else 1)
+        assert "".join(blocks) == want
+
 
 class TestAnalyze:
     def test_csv_report_and_summary(self, data_csv, tmp_path, capsys):
@@ -239,15 +283,49 @@ class TestAnalyze:
         assert out == ""
 
     def test_pair_budget_exits_3(self, tmp_path, capsys):
-        # 6,400 rows give 20,476,800 pairs, just over the pair budget
-        path = tmp_path / "wide.csv"
-        path.write_text("".join("%d,%s\n" % (k, "ab"[k % 2]) for k in range(6400)),
-                        encoding="utf-8")
-        rc = run_cli("analyze", "--input", path, "--m", 1, "--pair-sample", 0)
+        rc = run_cli("analyze", "--input", over_budget_csv(tmp_path), "--m", 1, "--pair-sample", 0)
         assert rc == 3
         out, err = capsys.readouterr()
         assert "[too-many-pairs]" in err and "20476800" in err
         assert out == ""
+
+    REFUSALS = {
+        "m-out-of-range": (("--m", 9), 3, "[dim-mismatch]"),
+        "negative-seed": (("--m", 1, "--seed", -1), 1, "seed must be a non-negative integer"),
+        "over-budget": (("--m", 1, "--pair-sample", 0), 3, "[too-many-pairs]"),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", REFUSALS)
+    def test_refusal_leaves_the_output_untouched(self, data_csv, tmp_path, capsys, case, fmt):
+        """m, the seed, the sample count and the pair budget are checked
+        after the input is read, but before the output file is opened."""
+        argv, status, message = self.REFUSALS[case]
+        data = over_budget_csv(tmp_path) if case == "over-budget" else data_csv
+        target = tmp_path / "existing.csv"
+        target.write_bytes(b"0,1,2,keep these bytes\n")
+        rc = run_cli("analyze", "--input", data, *argv, "--format", fmt, "--output", target)
+        assert rc == status
+        out, err = capsys.readouterr()
+        assert out == "" and message in err and err.count("\n") == 1
+        assert target.read_bytes() == b"0,1,2,keep these bytes\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_all_pairs_hold_one_pair_column(self, tmp_path, capsys, fmt):
+        """179,700 pairs (N=600, m=3): analyze keeps their shrinkages
+        (1.4 MB) and renders the CSV a block of rows at a time: 3.8 MiB (CSV)
+        and 2.0 MiB (JSON), against 10.4 and 10.0 MiB with a whole pair table."""
+        data = write_dataset_csv(tmp_path / "data.csv", anisotropic_gaussian(600, seed=4))
+        tracemalloc.start()
+        try:
+            rc = run_cli("analyze", "--input", data, "--m", 3, "--pair-sample", 0,
+                         "--format", fmt, "--output", tmp_path / ("out." + fmt))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert "pairs=179700 sampled=false" in capsys.readouterr().out
+        assert peak < 5 * 2**20, peak
 
 
 def test_pair_and_transform_csv_bytes_are_pinned(tmp_path, capsys):
@@ -466,7 +544,8 @@ def test_option_precedence(data_csv, tmp_path, capsys, monkeypatch, source,
     elif key in ("k", "folds"):
         seen = _spy(monkeypatch, cli, "run_sweep", key)
     elif key == "violation_tol":
-        seen = _spy(monkeypatch, PairTable, "summary", key)
+        # analyze writes its pair CSV here, so the pair pass that renders it gets the tolerance
+        seen = _spy(monkeypatch, cli, "shrinkage_blocks", key)
     argv = [command, "--input", data_csv, "--output", tmp_path / "out"]
     if command == "analyze":
         argv += ["--m", 1]
@@ -591,8 +670,10 @@ def test_traced_cli_names_stay_module_globals():
     spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    # a site that tests/test_trace_sites.py marks stale or retired is left to it
     names = [site.partition(":")[2] for site, _ in spans.SITES
-             if site.startswith("pcashrink.cli:")]
+             if site.startswith("pcashrink.cli:") and site not in STALE
+             and site not in RETIRED]
     assert names
     for name in names:
         assert callable(getattr(cli, name, None)), name

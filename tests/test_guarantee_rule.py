@@ -11,7 +11,7 @@ from conftest import write_dataset_csv
 from pcashrink import fit, shrinkage
 from pcashrink.cli import main
 from pcashrink.experiments import anisotropic_gaussian
-from pcashrink.shrinkage import shrinkage_table, shrinkage_tables
+from pcashrink.shrinkage import shrinkage_table
 
 
 def sixty_rows():
@@ -33,8 +33,9 @@ def test_recon_error_matches_lapack_tail_norm():
     centred = X - X.mean(axis=0)
     _, vectors = np.linalg.eigh(centred.T @ centred / X.shape[0])
     coords = centred @ vectors[:, ::-1]
-    tables = shrinkage_tables(fit(X), X, range(1, n))
-    for m, table in zip(range(1, n), tables):
+    model = fit(X)
+    for m in range(1, n):
+        table = shrinkage_table(model, X, m)
         tail = np.sqrt(np.sum(coords[:, m:] ** 2, axis=1))
         assert_allclose(table.recon_error, tail[table.i] + tail[table.j], rtol=1e-10, atol=0,
                         err_msg="m=%d" % m)

@@ -1,15 +1,16 @@
-"""The pair CSV writer: its one-format-per-row rendering gives the same
+"""The pair CSV renderer: its one-format-per-row rendering gives the same
 text as csv_line on edge values, its rows read back to the table's exact
 bits, and it streams block by block."""
 
 import csv
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from pcashrink.reports import PAIR_CSV_HEADER, PAIR_CSV_ROW, write_pair_csv
-from pcashrink.serialize import csv_line
+from pcashrink.reports import PAIR_CSV_HEADER, PAIR_CSV_ROW, pair_csv_blocks
+from pcashrink.serialize import csv_line, write_text
 from pcashrink.shrinkage import PairTable
 
 EDGE_FLOATS = [
@@ -55,11 +56,21 @@ def random_table(n_pairs, seed=0):
                      recon_error=rng.random(n_pairs) ** 7)
 
 
+def write_blocks(table, path, size=4096):
+    """Write ``table`` as the engine hands it to analyze: blocks of
+    ``size`` rows."""
+    names = ("i", "j", "dist_original", "dist_truncated", "shrinkage", "recon_error")
+    blocks = (dataclasses.replace(table, **{name: getattr(table, name)[lo:lo + size]
+                                            for name in names})
+              for lo in range(0, table.i.size, size))
+    write_text(path, pair_csv_blocks(blocks))
+
+
 def test_written_csv_reads_back_bit_for_bit(tmp_path):
     # more than two row blocks, the last one partial
     table = random_table(2 * 4096 + 123)
     path = tmp_path / "pairs.csv"
-    write_pair_csv(table, path)
+    write_blocks(table, path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         assert next(reader) == PAIR_CSV_HEADER.split(",")
@@ -76,13 +87,13 @@ def test_written_csv_reads_back_bit_for_bit(tmp_path):
 
 
 def test_writer_streams_by_block(tmp_path):
-    """The file text of 200,000 pairs is about 17 MB; the writer holds one
-    block's rows at a time."""
+    """The file text of 200,000 pairs is about 17 MB; the renderer holds
+    one block's rows at a time."""
     table = random_table(200_000)
     path = tmp_path / "pairs.csv"
     tracemalloc.start()
     try:
-        write_pair_csv(table, path)
+        write_blocks(table, path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

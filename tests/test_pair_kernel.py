@@ -1,15 +1,22 @@
-"""The pair kernel's two ways of visiting pairs, and the sweep's summary
-path. All pairs go in row blocks (row r's pairs as ``Z[r+1:] - Z[r]``),
-sampled pairs by index gathers; both must give the same bits. The
-summary path must give the bits of ``PairTable.summary`` without a
-table."""
+"""The pair kernel's two ways of visiting pairs, and the summary paths
+of the sweep and of analyze. All pairs go in row blocks (row r's pairs
+as ``Z[r+1:] - Z[r]``), sampled pairs by index gathers; both must give
+the same bits. Each summary path must give the bits of
+``PairTable.summary`` without a table."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from pcashrink import fit, shrinkage, shrinkage_summaries, shrinkage_table, transform
+from pcashrink import (
+    fit,
+    shrinkage,
+    shrinkage_blocks,
+    shrinkage_summaries,
+    shrinkage_table,
+    transform,
+)
 
 
 def _data(n_samples, n_features, seed=0):
@@ -39,11 +46,15 @@ def _gathered(Z, i, j):
 def test_row_blocks_match_gathers_bit_for_bit(monkeypatch, chunk, n_samples, n_features):
     monkeypatch.setattr(shrinkage, "_CHUNK", chunk)
     X = _data(n_samples, n_features)
-    Y = transform(fit(X), X)
+    model = fit(X)
+    Y = transform(model, X)
+    i, j = (v.astype(np.int64) for v in np.triu_indices(n_samples, k=1))
     rows = shrinkage._Pairs(n_samples, None)
-    i, j = rows.indices()
     gathers = shrinkage._Pairs(n_samples, (i, j))
-    assert i.dtype == j.dtype == np.int64
+    # the table builds its index columns a step at a time
+    table = shrinkage_table(model, X, 1)
+    assert table.i.dtype == table.j.dtype == np.int64
+    assert np.array_equal(table.i, i) and np.array_equal(table.j, j)
     # the first n columns of Y are a non-contiguous view for m < n; a level
     # hands the kernel a contiguous copy, which must give the view's bits
     for Z in [X] + [Y[:, :m] for m in range(1, n_features + 1)]:
@@ -68,17 +79,24 @@ def _hex_fields(summary):
 @pytest.mark.parametrize("tol", [shrinkage.VIOLATION_TOL, -1e-3], ids=["default-tol", "flagging"])
 def test_summaries_match_table_summaries_bit_for_bit(monkeypatch, options, tol):
     """The flagging tolerance makes the counts non-zero and spread across
-    steps, whose boundaries a small _CHUNK multiplies."""
+    steps, whose boundaries a small _CHUNK multiplies. A several-level
+    call shares one original-distance column; a one-level call, like
+    analyze's, takes each step's original distances from X."""
     monkeypatch.setattr(shrinkage, "_CHUNK", 64)
-    monkeypatch.setattr(shrinkage, "VIOLATION_TOL", tol)
     X = _data(60, 6, seed=2)
     model = fit(X)
     levels = range(1, 7)
-    summaries = list(shrinkage_summaries(model, X, levels, **options))
+    summaries = list(shrinkage_summaries(model, X, levels, violation_tol=tol, **options))
     assert [s.m for s in summaries] == list(levels)
     for m, got in zip(levels, summaries):
-        want = shrinkage_table(model, X, m, **options).summary(violation_tol=tol)
-        assert _hex_fields(got) == _hex_fields(want), "m=%d" % m
+        want = _hex_fields(shrinkage_table(model, X, m, **options).summary(violation_tol=tol))
+        assert _hex_fields(got) == want, "m=%d" % m
+        one = next(shrinkage_summaries(model, X, [m], violation_tol=tol, **options))
+        assert _hex_fields(one) == want, "m=%d" % m
+        blocks, summary = shrinkage_blocks(model, X, m, violation_tol=tol, **options)
+        for _ in blocks:
+            pass
+        assert _hex_fields(summary()) == want, "m=%d" % m
     if tol < 0:
         assert sum(s.violating_pairs for s in summaries) > 0
 

@@ -24,7 +24,6 @@ from pcashrink import (
     fit,
     reconstruct,
     shrinkage_table,
-    shrinkage_tables,
     transform,
 )
 
@@ -59,8 +58,8 @@ def spread(X):
 
 
 def all_levels(model, X):
-    levels = range(1, model.n_features + 1)
-    return zip(levels, shrinkage_tables(model, X, levels, pair_sample=0))
+    return ((m, shrinkage_table(model, X, m, pair_sample=0))
+            for m in range(1, model.n_features + 1))
 
 
 @PROPERTY

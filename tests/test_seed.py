@@ -6,7 +6,14 @@ import json
 import pytest
 
 from conftest import write_dataset_csv
-from pcashrink import anisotropic_gaussian, fit, knn_accuracy, shrinkage_table, shrinkage_tables
+from pcashrink import (
+    anisotropic_gaussian,
+    fit,
+    knn_accuracy,
+    shrinkage_blocks,
+    shrinkage_summaries,
+    shrinkage_table,
+)
 from pcashrink.cli import main
 
 MESSAGE = "seed must be a non-negative integer, got -1"
@@ -20,7 +27,9 @@ def test_pair_engine_refuses_negative_seed(pair_sample):
         shrinkage_table(model, DATA.features, 2, pair_sample=pair_sample, seed=-1)
     assert str(exc.value) == MESSAGE
     with pytest.raises(ValueError, match=MESSAGE):
-        list(shrinkage_tables(model, DATA.features, [1, 2], pair_sample=pair_sample, seed=-1))
+        shrinkage_summaries(model, DATA.features, [1, 2], pair_sample=pair_sample, seed=-1)
+    with pytest.raises(ValueError, match=MESSAGE):
+        shrinkage_blocks(model, DATA.features, 2, pair_sample=pair_sample, seed=-1)
 
 
 def test_knn_accuracy_refuses_negative_seed():

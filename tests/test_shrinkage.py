@@ -21,8 +21,10 @@ from pcashrink import (
     collision_witness,
     fit,
     pearson,
+    shrinkage,
+    shrinkage_blocks,
+    shrinkage_summaries,
     shrinkage_table,
-    shrinkage_tables,
     transform,
 )
 
@@ -162,7 +164,7 @@ class TestPairEngine:
         with pytest.raises(ValueError, match="got %d" % pair_sample):
             shrinkage_table(model, X, 2, pair_sample=pair_sample)
         with pytest.raises(ValueError, match="pair sample"):
-            list(shrinkage_tables(model, X, [1, 2], pair_sample=pair_sample))
+            shrinkage_summaries(model, X, [1, 2], pair_sample=pair_sample)
 
     def test_threads_do_not_change_bytes(self):
         rng = np.random.default_rng(17)
@@ -180,27 +182,37 @@ class TestPairEngine:
         with pytest.raises(DimMismatchError):
             shrinkage_table(three_point_model, np.ones((4, 3)), 1)
 
-    def test_tables_match_single_level_calls(self):
-        # every table is collected before any comparison, so a buffer
-        # shared between levels by mistake shows up as a mismatch
+    def test_tables_match_single_level_calls(self, monkeypatch):
+        # every level's blocks are collected before any comparison, so a
+        # buffer shared between steps or levels by mistake shows up as a
+        # mismatch; a chunk of 7 pairs gives steps of one or several rows
+        monkeypatch.setattr(shrinkage, "_CHUNK", 7)
         rng = np.random.default_rng(23)
         X = rng.standard_normal((150, 4)) * [3.0, 1.0, 0.5, 0.1]
         model = fit(X)
         levels = range(1, model.n_features + 1)
         columns = ("i", "j", "dist_original", "dist_truncated", "shrinkage", "recon_error")
         for options in ({}, {"pair_sample": 500, "seed": 3}):
-            tables = list(shrinkage_tables(model, X, levels, **options))
-            assert len(tables) == len(levels)
-            for m, table in zip(levels, tables):
+            passes = [shrinkage_blocks(model, X, m, **options) for m in levels]
+            blocks = [list(level_blocks) for level_blocks, _ in passes]
+            summaries = list(shrinkage_summaries(model, X, levels, **options))
+            for m, level_blocks, (_, summary), joint in zip(levels, blocks, passes, summaries):
                 single = shrinkage_table(model, X, m, **options)
-                assert (table.m, table.sampled) == (single.m, single.sampled) == (
-                    m, "pair_sample" in options)
+                assert (single.m, single.sampled) == (m, "pair_sample" in options)
+                for block in level_blocks:
+                    assert (block.m, block.sampled) == (single.m, single.sampled)
                 for name in columns:
-                    assert np.array_equal(getattr(table, name), getattr(single, name)), name
-            for name in ("i", "j", "dist_original"):
-                assert all(getattr(t, name) is getattr(tables[0], name) for t in tables)
-                with pytest.raises(ValueError):
-                    getattr(tables[-1], name)[0] = 0
+                    got = np.concatenate([getattr(b, name) for b in level_blocks])
+                    assert got.dtype == getattr(single, name).dtype, name
+                    assert np.array_equal(got, getattr(single, name)), name
+                assert summary() == joint == single.summary()
+
+    def test_block_summary_needs_every_block(self, three_point_model):
+        blocks, summary = shrinkage_blocks(three_point_model, THREE_POINTS, 1)
+        with pytest.raises(RuntimeError, match="0 of 3 pairs"):
+            summary()
+        assert sum(block.i.size for block in blocks) == 3
+        assert summary().pair_count == 3
 
     @pytest.mark.parametrize("data, ms, options, error", [
         (np.ones((1, 2)), [1], {}, InsufficientPairsError),
@@ -210,10 +222,12 @@ class TestPairEngine:
     ], ids=["one-row", "m-above-n", "negative-pair-sample", "negative-seed"])
     def test_tables_check_arguments_when_called(self, three_point_model, data, ms, options,
                                                 error):
-        # no table is taken: the checks run at the call, not at the first next()
+        # nothing is iterated: the checks run at the call, not at the first next()
         data = THREE_POINTS if data is None else data
         with pytest.raises(error):
-            shrinkage_tables(three_point_model, data, ms, **options)
+            shrinkage_summaries(three_point_model, data, ms, **options)
+        with pytest.raises(error):
+            shrinkage_blocks(three_point_model, data, ms[0], **options)
 
     def test_pair_budget_refuses_before_allocating(self):
         X = np.arange(100_000.0)[:, None]
