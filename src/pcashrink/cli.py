@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .shrinkage import (
     check_violation_tol,
     collision_witness,
     shrinkage_blocks,
-    shrinkage_summaries,
     shrinkage_table,
 )
 
@@ -171,9 +171,12 @@ def _parse_m_range(value):
     text = value.strip()
     lo, _, hi = text.partition("..")
     try:
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise ValueError("bad m range %r, expected A..B" % text) from None
+    if lo > hi:
+        raise ValueError("bad m range %r, expected A..B with A <= B" % text)
+    return lo, hi
 
 
 def _sweep_range(lo, hi):
@@ -259,11 +262,8 @@ def cmd_analyze(args):
     model = fit(dataset.features)
     options = dict(pair_sample=args.pair_sample, seed=_seed(args), violation_tol=tol)
     pair_csv = out is not None and args.format == "csv"
-    # either call checks every pair argument, so a refusal leaves the output file untouched
-    if pair_csv:
-        blocks, summary = shrinkage_blocks(model, dataset.features, m, **options)
-    else:
-        stats = next(shrinkage_summaries(model, dataset.features, [m], **options))
+    # the call checks every pair argument, so a refusal leaves the output file untouched
+    blocks, summary = shrinkage_blocks(model, dataset.features, m, **options)
 
     full_rank = m == model.n_features
     if full_rank:
@@ -282,7 +282,10 @@ def cmd_analyze(args):
 
     if pair_csv:
         write_text(out, pair_csv_blocks(blocks))
-        stats = summary()
+    else:
+        for _ in blocks:
+            pass
+    stats = summary()
     isometry = stats.violating_pairs if full_rank else None
     if out is not None:
         if not pair_csv:
@@ -363,19 +366,21 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        if args.config is not None:
-            # parsed again with config as defaults: flag > config > built-in default
-            command = commands[args.command]
-            command.set_defaults(**_load_config(args.config, command))
-            args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except ToolkitError as err:
-        print("pca-shrink: [%s] %s" % (err.code, err), file=sys.stderr)
-        return err.exit_status
-    except ValueError as err:
-        print("pca-shrink: error: %s" % err, file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # the filters stay; a shown warning is one log line
+        warnings.showwarning = lambda message, *where: _log("warning: %s" % message)
+        try:
+            if args.config is not None:
+                # parsed again with config as defaults: flag > config > built-in default
+                command = commands[args.command]
+                command.set_defaults(**_load_config(args.config, command))
+                args = parser.parse_args(argv)
+            return _COMMANDS[args.command](args)
+        except ToolkitError as err:
+            print("pca-shrink: [%s] %s" % (err.code, err), file=sys.stderr)
+            return err.exit_status
+        except ValueError as err:
+            print("pca-shrink: error: %s" % err, file=sys.stderr)
+            return 1
 
 
 def run():

@@ -73,47 +73,16 @@ class PairTable:
     recon_error: np.ndarray
 
     def summary(self, violation_tol=VIOLATION_TOL):
-        """Aggregate statistics; a pair violates the guarantees when its
-        shrinkage is below -violation_tol or above its bound plus
-        violation_tol, which at full rank (bound 0) is the isometry check.
-        See check_violation_tol for the tolerances refused. The table's
+        """Aggregate statistics, the table folded as one block: a pair
+        violates the guarantees when its shrinkage is below -violation_tol
+        or above its bound plus violation_tol, which at full rank (bound 0)
+        is the isometry check (see check_violation_tol for the tolerances
+        refused). The fold copies the shrinkage column; the table's
         columns are left as they are."""
         check_violation_tol(violation_tol)
-        counts = _violation_counts(self.shrinkage, self.recon_error, violation_tol)
-        return _summarize(self.m, self.sampled, self.shrinkage.copy(), counts)
-
-
-def _violation_counts(d, bound, tol):
-    """Negative, over-bound and violating (either, counted once) pairs
-    among shrinkages ``d`` with bounds ``bound``: the guarantee rule."""
-    negative = d < -tol
-    over = d > bound + tol
-    return np.array([np.count_nonzero(negative), np.count_nonzero(over),
-                     np.count_nonzero(negative | over)])
-
-
-def _summarize(m, sampled, d, counts):
-    """ShrinkageSummary of the shrinkage column ``d`` and its summed
-    _violation_counts. The median partitions ``d`` in place once, at
-    h = size // 2: it is d[h] for an odd size and (max(d[:h]) + d[h]) / 2
-    for an even one, the bits of np.median, which partitions at three
-    places; like np.median it is NaN when ``d`` holds a NaN."""
-    mean, top = float(np.mean(d)), float(np.max(d))
-    h = d.size // 2
-    d.partition(h)
-    median = top if np.isnan(top) else float(d[h] if d.size % 2 else (d[:h].max() + d[h]) / 2)
-    negative, over, violating = (int(c) for c in counts)
-    return ShrinkageSummary(
-        m=m,
-        pair_count=int(d.size),
-        sampled=sampled,
-        mean=mean,
-        median=median,
-        max=top,
-        negative_count=negative,
-        bound_violations=over,
-        violating_pairs=violating,
-    )
+        fold = _Summary(self.m, self.sampled, self.shrinkage.size, violation_tol)
+        fold.add(self)
+        return fold.summary()
 
 
 def collision_witness(model, x, m):
@@ -292,23 +261,41 @@ def _steps(pairs, X, Y, m, d_orig=None, indices=False):
 
 
 class _Summary:
-    """Folds a level's blocks, in pair order, into its ShrinkageSummary at
-    violation tolerance ``tol``. It keeps one pair column, the shrinkages
-    the median needs, and sums the violation counts a block at a time;
-    the summary is taken when the last pair is folded in."""
+    """Folds ``count`` pairs of level m, block by block in pair order,
+    into their ShrinkageSummary at violation tolerance ``tol``: the one
+    place that summaries are made. It keeps one pair column, a copy of
+    the shrinkages the median needs, and counts a block's negative,
+    over-bound and violating (either, counted once) pairs as it goes:
+    the guarantee rule. The summary is taken when the last pair is
+    folded in."""
 
-    def __init__(self, m, pairs, tol):
-        self.m, self.sampled, self.tol = m, pairs.sampled, tol
-        self.d = np.empty(pairs.count)
-        self.filled, self.counts, self.result = 0, 0, None
+    def __init__(self, m, sampled, count, tol):
+        self.m, self.sampled, self.tol = m, sampled, tol
+        self.d = np.empty(count)
+        self.filled, self.counts, self.result = 0, np.zeros(3, dtype=np.int64), None
 
     def add(self, block):
         """Fold ``block`` in and return it."""
-        lo, self.filled = self.filled, self.filled + block.shrinkage.size
-        self.d[lo:self.filled] = block.shrinkage
-        self.counts = self.counts + _violation_counts(block.shrinkage, block.recon_error, self.tol)
-        if self.filled == self.d.size:
-            self.result = _summarize(self.m, self.sampled, self.d, self.counts)
+        d = block.shrinkage
+        lo, self.filled = self.filled, self.filled + d.size
+        self.d[lo:self.filled] = d
+        negative = d < -self.tol
+        over = d > block.recon_error + self.tol
+        self.counts += [np.count_nonzero(negative), np.count_nonzero(over),
+                        np.count_nonzero(negative | over)]
+        if self.filled < self.d.size:
+            return block
+        # the median partitions the column in place, once, at h = size // 2:
+        # d[h] for an odd size and (max(d[:h]) + d[h]) / 2 for an even one, the
+        # bits of np.median, which partitions at three places; NaN like it too
+        d, h = self.d, self.d.size // 2
+        mean, top = float(np.mean(d)), float(np.max(d))
+        d.partition(h)
+        median = top if np.isnan(top) else float(d[h] if d.size % 2 else (d[:h].max() + d[h]) / 2)
+        negative, over, violating = (int(c) for c in self.counts)
+        self.result = ShrinkageSummary(
+            m=self.m, pair_count=int(d.size), sampled=self.sampled, mean=mean, median=median,
+            max=top, negative_count=negative, bound_violations=over, violating_pairs=violating)
         return block
 
     def summary(self):
@@ -321,8 +308,9 @@ class _Summary:
 def shrinkage_summaries(model, data, ms, *, pair_sample=None, seed=0,
                         violation_tol=VIOLATION_TOL):
     """An iterator of one ShrinkageSummary per retained dimension in
-    ``ms``, equal to ``shrinkage_table(...).summary(violation_tol)`` at
-    each level, without building the tables.
+    ``ms``, for the sweep: each level's blocks go through the fold that
+    ``shrinkage_table(...).summary(violation_tol)`` makes in one block,
+    so the bits are equal, and no table is built.
 
     The call checks every argument (see shrinkage_table and
     check_violation_tol), and computes the pair list and the full
@@ -340,7 +328,7 @@ def shrinkage_summaries(model, data, ms, *, pair_sample=None, seed=0,
             d_orig[step[0]:step[1]] = _distances(X, step)
 
     def level(m):
-        fold = _Summary(m, pairs, violation_tol)
+        fold = _Summary(m, pairs.sampled, pairs.count, violation_tol)
         for block in _steps(pairs, X, Y, m, d_orig):
             fold.add(block)
         return fold.summary()
@@ -350,19 +338,21 @@ def shrinkage_summaries(model, data, ms, *, pair_sample=None, seed=0,
 
 def shrinkage_blocks(model, data, m=None, *, pair_sample=None, seed=0,
                      violation_tol=VIOLATION_TOL):
-    """Level m's pairs a block at a time, for a caller that renders each
-    pair: returns ``(blocks, summary)``.
+    """Level m's pairs a block at a time: returns ``(blocks, summary)``.
+    analyze makes its one pass here for every output, rendering each
+    block to the pair CSV or only draining the blocks.
 
     The call checks every argument first, as shrinkage_summaries does.
     ``blocks`` iterates PairTable blocks with index columns, one per
     engine step; together they hold the rows of shrinkage_table, in its
-    order. Once ``blocks`` is exhausted, ``summary()`` returns their
-    ShrinkageSummary at ``violation_tol``, with the bits of
+    order, and each is folded as it goes by. Once ``blocks`` is
+    exhausted, ``summary()`` returns their ShrinkageSummary at
+    ``violation_tol``, the same result at every call, with the bits of
     shrinkage_summaries. No pair column but the shrinkages is kept.
     """
     check_violation_tol(violation_tol)
     X, (m,), pairs, Y = _pair_pass(model, data, [m], pair_sample, seed)
-    fold = _Summary(m, pairs, violation_tol)
+    fold = _Summary(m, pairs.sampled, pairs.count, violation_tol)
     return map(fold.add, _steps(pairs, X, Y, m, indices=True)), fold.summary
 
 

@@ -89,6 +89,24 @@ class TestFit:
         assert run_cli("fit", "--input", data_csv) == 1
         assert "--output" in capsys.readouterr().err
 
+    def test_warning_prints_as_one_log_line(self, tmp_path):
+        """Run with Python's default warning filters, which show a warning
+        once rather than raise it as this suite does."""
+        data = tmp_path / "one.csv"
+        data.write_text("1.0,2.0,a\n", encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pcashrink", "fit", "--input", str(data),
+             "--output", "one.json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "degenerate=true" in proc.stdout
+        assert proc.stderr == ("pca-shrink: warning: fitting from a single sample yields a "
+                               "degenerate zero-covariance model\n"
+                               "pca-shrink: wrote one.json\n")
+
 
 class TestUsage:
     def test_no_subcommand(self, capsys):
@@ -310,6 +328,36 @@ class TestAnalyze:
         assert out == "" and message in err and err.count("\n") == 1
         assert target.read_bytes() == b"0,1,2,keep these bytes\n"
 
+    PASS_OPTIONS = {
+        "all-pairs": (),
+        "sampled": ("--pair-sample", 40, "--seed", 3),
+        "flagging": ("--violation-tol", -1),
+    }
+
+    @pytest.mark.parametrize("m", [2, 3], ids=["truncated", "full-rank"])
+    @pytest.mark.parametrize("case", PASS_OPTIONS)
+    def test_every_output_makes_one_engine_pass(self, data_csv, tmp_path, capsys, monkeypatch,
+                                                case, m):
+        """A pair CSV, a JSON report and no output print the same stdout,
+        the same stderr besides the wrote line, and the same exit status,
+        each from one shrinkage_blocks call."""
+        assert not hasattr(cli, "shrinkage_summaries")
+        calls = _spy(monkeypatch, cli, "shrinkage_blocks", "violation_tol")
+        outputs = [(), ("--output", tmp_path / "x.csv"),
+                   ("--format", "json", "--output", tmp_path / "x.json")]
+        runs = []
+        for output in outputs:
+            calls.clear()
+            rc = run_cli("analyze", "--input", data_csv, "--m", m, *self.PASS_OPTIONS[case],
+                         *output)
+            assert len(calls) == 1
+            out, err = capsys.readouterr()
+            err = "".join(line for line in err.splitlines(True)
+                          if not line.startswith("pca-shrink: wrote "))
+            runs.append((rc, out, err))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert runs[0][0] == (4 if case == "flagging" else 0)
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_all_pairs_hold_one_pair_column(self, tmp_path, capsys, fmt):
         """179,700 pairs (N=600, m=3): analyze keeps their shrinkages
@@ -396,11 +444,15 @@ class TestSweep:
         out, _ = capsys.readouterr()
         assert json.loads(out)["m_range"] == [2, 3]
 
-    def test_bad_m_range_exits_1(self, data_csv, tmp_path, capsys):
-        rc = run_cli("sweep", "--input", data_csv, "--m-range", "huh",
-                     "--output", tmp_path / "s")
-        assert rc == 1
-        capsys.readouterr()
+    def test_bad_m_range_exits_1(self, tmp_path, capsys):
+        # the input does not exist: the range is refused before it is read
+        for m_range in ("huh", "3..1"):
+            rc = run_cli("sweep", "--input", tmp_path / "nope.csv", "--m-range", m_range,
+                         "--output", tmp_path / "s")
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("pca-shrink: error: bad m range %r, " % m_range)
+            assert err.count("\n") == 1
 
     def test_out_of_range_exits_3(self, data_csv, tmp_path, capsys):
         rc = run_cli("sweep", "--input", data_csv, "--m-range", "1..9",

@@ -112,8 +112,11 @@ def test_summary_leaves_the_shrinkage_column_unchanged():
 
 
 def _median(values):
+    # the fold's median, through the table summary that folds one block
     d = np.array(values, dtype=float)
-    return shrinkage._summarize(1, False, d, np.zeros(3, dtype=np.int64)).median
+    table = shrinkage.PairTable(m=1, sampled=False, i=None, j=None, dist_original=d,
+                                dist_truncated=d, shrinkage=d, recon_error=d)
+    return table.summary().median
 
 
 _RNG = np.random.default_rng(11)
