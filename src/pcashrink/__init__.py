@@ -37,26 +37,26 @@ from .pca import (
     transform,
 )
 from .shrinkage import (
-    CorrelationSummary,
     PairTable,
     ShrinkageSummary,
     collision_witness,
-    pearson,
     shrinkage_blocks,
     shrinkage_summaries,
     shrinkage_table,
 )
 from .experiments import (
+    CorrelationSummary,
     Dataset,
-    STRONG_CORRELATION,
     SweepResult,
     SweepRow,
     anisotropic_gaussian,
     correlate,
     knn_accuracy,
     load_csv,
+    pearson,
     run_sweep,
 )
+from .reports import STRONG_CORRELATION
 
 __all__ = [
     "__version__",

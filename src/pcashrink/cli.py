@@ -32,6 +32,7 @@ from .reports import (
 from .serialize import check_writable, f17, json_text, read_json, write_text
 from .shrinkage import (
     VIOLATION_TOL,
+    check_seed,
     check_violation_tol,
     collision_witness,
     shrinkage_blocks,
@@ -148,15 +149,17 @@ def _require(args, key):
 
 
 def _seed(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError("$%s=%r is not an integer" % (SEED_ENV_VAR, env)) from None
+    """The seed of --seed (or config), else $PCA_SHRINK_SEED, else 0; a
+    junk or negative seed raises ValueError."""
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ValueError("$%s=%r is not an integer" % (SEED_ENV_VAR, env)) from None
+    check_seed(seed)
+    return seed
 
 
 def _parse_label_column(value):
@@ -260,7 +263,7 @@ def cmd_analyze(args):
     check_violation_tol(tol)
     dataset = _load_dataset(args)
     model = fit(dataset.features)
-    options = dict(pair_sample=args.pair_sample, seed=_seed(args), violation_tol=tol)
+    options = dict(pair_sample=args.pair_sample, seed=args.seed, violation_tol=tol)
     pair_csv = out is not None and args.format == "csv"
     # the call checks every pair argument, so a refusal leaves the output file untouched
     blocks, summary = shrinkage_blocks(model, dataset.features, m, **options)
@@ -329,7 +332,7 @@ def cmd_sweep(args):
         m_range=m_range,
         k=args.k,
         folds=args.folds,
-        seed=_seed(args),
+        seed=args.seed,
         pair_sample=args.pair_sample,
     )
     summary = correlate(result)
@@ -374,6 +377,7 @@ def main(argv=None):
                 command = commands[args.command]
                 command.set_defaults(**_load_config(args.config, command))
                 args = parser.parse_args(argv)
+            args.seed = _seed(args)  # every command refuses a bad seed before reading input
             return _COMMANDS[args.command](args)
         except ToolkitError as err:
             print("pca-shrink: [%s] %s" % (err.code, err), file=sys.stderr)

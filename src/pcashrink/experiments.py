@@ -1,6 +1,6 @@
 """Retained-dimension sweeps tying eigenvalue sums, pairwise shrinkage
-and nearest-neighbour accuracy together, plus the CSV ingestion and
-synthetic data they run on."""
+and nearest-neighbour accuracy together, the Pearson correlations across
+a sweep's rows, and the CSV ingestion and synthetic data they run on."""
 
 from __future__ import annotations
 
@@ -22,12 +22,11 @@ from .errors import (
     ToolkitError,
     ZeroVarianceError,
 )
-from .matrix import as_data_matrix
+from .matrix import as_data_matrix, as_vector, max_exponent
 from .pca import discarded_eigenvalue_sum, fit, transform
 from .serialize import open_text
-from .shrinkage import CorrelationSummary, check_seed, pearson, shrinkage_summaries
+from .shrinkage import check_seed, shrinkage_summaries
 
-STRONG_CORRELATION = 0.7
 # Bytes of the k-NN temporaries per chunk of test rows. A byte budget, not a
 # row count: the temporaries grow with the training rows, 0.6 MB per test row
 # against a 20,000-row training set.
@@ -359,6 +358,40 @@ def run_sweep(dataset, m_range=None, k=5, folds=5, seed=0, pair_sample=None):
         negative_shrinkage_pairs=sum(s.negative_count for s in stats),
         bound_violation_pairs=sum(s.bound_violations for s in stats),
     )
+
+
+def pearson(xs, ys):
+    """Pearson correlation coefficient of two equal-length series.
+
+    Raises ZeroVarianceError when either series is constant (including
+    the single-observation case), DimMismatchError when the lengths differ.
+    Each series is first scaled by the exact power of two that brings its
+    largest magnitude into [0.5, 1), so the squares neither overflow nor
+    underflow at any data scale, and a series scaled by 2^k gives the
+    same bits. The returned value is clipped to [-1, 1] to absorb roundoff.
+    """
+    x, y = (np.ldexp(v, -max_exponent(v)) for v in (as_vector(xs, "xs"), as_vector(ys, "ys")))
+    if x.shape[0] != y.shape[0]:
+        raise DimMismatchError("length mismatch: %d vs %d" % (x.shape[0], y.shape[0]))
+    dx = x - x.mean()
+    dy = y - y.mean()
+    sx = float(np.sqrt(np.dot(dx, dx)))
+    sy = float(np.sqrt(np.dot(dy, dy)))
+    if sx == 0.0 or sy == 0.0:
+        raise ZeroVarianceError("correlation is undefined for a constant series")
+    r = float(np.dot(dx, dy)) / (sx * sy)
+    return min(1.0, max(-1.0, r))
+
+
+@dataclass(frozen=True)
+class CorrelationSummary:
+    """Pearson coefficients among sweep series; None marks a coefficient
+    that is undefined because one of its series is constant."""
+
+    r_eigsum_shrinkage: float | None
+    r_eigsum_accuracy: float | None
+    r_shrinkage_accuracy: float | None
+    sample_count: int
 
 
 def correlate(result):

@@ -1,5 +1,6 @@
-"""Covariance computation and a cyclic Jacobi eigensolver for symmetric
-matrices.
+"""Covariance computation, a cyclic Jacobi eigensolver for symmetric
+matrices, and max_exponent, the one power-of-two rule that keeps the
+solver, pearson and the collision witness free of the data's scale.
 
 The eigensolver is written out explicitly (rather than calling LAPACK)
 because everything downstream depends on its exact behaviour. It visits
@@ -57,6 +58,11 @@ def as_data_matrix(data, name="data"):
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError("%s contains NaN or infinite entries" % name)
     return arr
+
+
+def max_exponent(v):
+    """The e with max|v| in [2^(e-1), 2^e), and 0 when every entry is 0."""
+    return int(np.frexp(np.max(np.abs(v)))[1])
 
 
 def covariance(data):
@@ -148,7 +154,7 @@ def jacobi_eigendecomposition(S, max_sweeps=JACOBI_MAX_SWEEPS):
         raise NotSymmetricError("matrix is not symmetric: max |S - S^T| = %g" % asym)
 
     n = A.shape[0]
-    exponent = int(np.frexp(scale)[1])
+    exponent = max_exponent(scale)
     # A beside V^T, so one row update rotates both
     M = np.hstack([np.ldexp(A, -exponent), np.eye(n)])
     A, Vt = M[:, :n], M[:, n:]

@@ -8,13 +8,14 @@ from dataclasses import asdict, astuple, fields
 from itertools import repeat
 
 from ._version import VERSION
-from .experiments import STRONG_CORRELATION, SweepRow
-from .serialize import csv_line, f17, json_text
+from .experiments import SweepRow
+from .serialize import F17, csv_line, f17, json_text
 
+STRONG_CORRELATION = 0.7
 SWEEP_CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 PAIR_CSV_HEADER = "i,j,m,dist_original,dist_truncated,shrinkage,recon_error"
-# one pair row: "%d" gives str() of an int and "%.17g" the f17 text of a float
-PAIR_CSV_ROW = "%d,%d,%d" + ",%.17g" * 4 + "\n"
+# one pair row: "%d" gives str() of an int and F17 the f17 text of a float
+PAIR_CSV_ROW = "%d,%d,%d" + ("," + F17) * 4 + "\n"
 # values per write of a transform report, whose rows can be wide: a pair
 # CSV block's worth (one engine step of 4096 rows of 7 columns)
 _COORDS_BLOCK = 7 * 4096
@@ -93,8 +94,8 @@ def _row_blocks(coords, row, sep):
 
 def coords_csv_blocks(coords):
     """The headerless CSV text of the rows of ``coords``, each value as
-    ``%.17g``, a block of rows at a time."""
-    return _row_blocks(coords, ",".join(["%.17g"] * coords.shape[1]) + "\n", "")
+    f17 text, a block of rows at a time."""
+    return _row_blocks(coords, ",".join([F17] * coords.shape[1]) + "\n", "")
 
 
 def coords_json_blocks(coords):
@@ -105,7 +106,7 @@ def coords_json_blocks(coords):
                       "m": coords.shape[1], "rows": []})
     cut = text.rindex("[]")  # the rows list, the report's last value
     yield text[:cut] + "["
-    row = "[" + ", ".join(["%.17g"] * coords.shape[1]) + "]"
+    row = "[" + ", ".join([F17] * coords.shape[1]) + "]"
     for k, block in enumerate(_row_blocks(coords, row, ", ")):
         yield ", " + block if k else block
     yield text[cut + 1:]
@@ -136,15 +137,8 @@ def analyze_report(stats, n_features, dataset_name, witness_note, isometry_viola
 def format_correlation_lines(summary):
     """Plain key=value lines for printing a CorrelationSummary."""
     lines = []
-    for key, r in (
-        ("r_eigsum_shrinkage", summary.r_eigsum_shrinkage),
-        ("r_eigsum_accuracy", summary.r_eigsum_accuracy),
-        ("r_shrinkage_accuracy", summary.r_shrinkage_accuracy),
-    ):
-        strength = _strength(r)
-        if strength is None:
-            lines.append("%s=undefined" % key)
-        else:
-            lines.append("%s=%s (%s)" % (key, f17(r), strength))
-    lines.append("sample_count=%d" % summary.sample_count)
-    return lines
+    for key in ("r_eigsum_shrinkage", "r_eigsum_accuracy", "r_shrinkage_accuracy"):
+        r = getattr(summary, key)
+        lines.append("%s=undefined" % key if r is None
+                     else "%s=%s (%s)" % (key, f17(r), _strength(r)))
+    return lines + ["sample_count=%d" % summary.sample_count]

@@ -1,9 +1,10 @@
 """Deterministic text rendering for reports and persisted models, and
 the one reader and one writer every input and output file goes through.
 
-Floats are always written with 17 significant digits so the printed
-value round-trips to the exact same IEEE-754 double, which is what makes
-repeated runs byte-identical.
+Floats are always written in the one format F17, 17 significant digits,
+so the printed value round-trips to the exact same IEEE-754 double,
+which is what makes repeated runs byte-identical. Every reader skips a
+UTF-8 byte-order mark.
 """
 
 import errno
@@ -17,9 +18,12 @@ import numpy as np
 from .errors import DatasetIOError, DatasetParseError
 
 
+F17 = "%.17g"  # the one float format; every row format is built from it
+
+
 def f17(x):
     """Format a float with 17 significant digits."""
-    return format(float(x), ".17g")
+    return F17 % float(x)
 
 
 def csv_line(values):
@@ -54,7 +58,7 @@ def open_text(path, what="", newline=None):
     DatasetIOError and a decoding error, also one raised while the block
     reads, DatasetParseError; messages name ``what`` and ``path`` as given."""
     try:
-        with Path(path).open(encoding="utf-8", newline=newline) as fh:
+        with Path(path).open(encoding="utf-8-sig", newline=newline) as fh:
             yield fh
     except OSError as exc:
         raise DatasetIOError("cannot read %s%s: %s" % (what, path, exc)) from exc

@@ -5,7 +5,8 @@ collapses distinct points (collision_witness constructs an explicit
 pair), it never stretches a pairwise distance, and the amount a pair
 shrinks never exceeds the summed reconstruction errors of its two
 endpoints. The pair engine below evaluates these quantities for every
-sample pair, or for a seeded subsample when the pair count explodes.
+sample pair, or for a seeded subsample when the pair count explodes;
+the seed and tolerance checks it shares with its callers sit beside it.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from .errors import (
     FullRankInjectiveError,
     InsufficientPairsError,
     TooManyPairsError,
-    ZeroVarianceError,
 )
-from .matrix import as_data_matrix, as_vector
+from .matrix import as_data_matrix, as_vector, max_exponent
 from .pca import check_m, transform
 
 # pairs visited when no count is requested: all pairs while there are at
@@ -90,7 +90,7 @@ def collision_witness(model, x, m):
 
     The witness moves ``x`` along the first discarded eigenvector, which
     the truncated transform annihilates, by s = 2^max(0, e - 20) where e
-    is the exponent ``frexp`` gives max|x|: exactly one unit while
+    is ``max_exponent(x)``: exactly one unit while
     max|x| < 2^20, and beyond that a step that rounding against x cannot
     absorb. At full rank no such direction exists and
     FullRankInjectiveError is raised.
@@ -105,12 +105,7 @@ def collision_witness(model, x, m):
         raise DimMismatchError(
             "expected %d features, got %d" % (model.n_features, vec.shape[0])
         )
-    return vec + np.ldexp(model.components[:, m], max(0, _max_exponent(vec) - 20))
-
-
-def _max_exponent(v):
-    """The binary exponent e of max|v|, which lies in [2^(e-1), 2^e)."""
-    return int(np.frexp(np.max(np.abs(v)))[1])
+    return vec + np.ldexp(model.components[:, m], max(0, max_exponent(vec) - 20))
 
 
 def check_seed(seed):
@@ -379,37 +374,3 @@ def shrinkage_table(model, data, m=None, *, pair_sample=None, seed=0, threads=1)
             column[lo:hi] = getattr(block, name)
         lo = hi
     return PairTable(m=m, sampled=pairs.sampled, **columns)
-
-
-def pearson(xs, ys):
-    """Pearson correlation coefficient of two equal-length series.
-
-    Raises ZeroVarianceError when either series is constant (including
-    the single-observation case), DimMismatchError when the lengths differ.
-    Each series is first scaled by the exact power of two that brings its
-    largest magnitude into [0.5, 1), so the squares neither overflow nor
-    underflow at any data scale, and a series scaled by 2^k gives the
-    same bits. The returned value is clipped to [-1, 1] to absorb roundoff.
-    """
-    x, y = (np.ldexp(v, -_max_exponent(v)) for v in (as_vector(xs, "xs"), as_vector(ys, "ys")))
-    if x.shape[0] != y.shape[0]:
-        raise DimMismatchError("length mismatch: %d vs %d" % (x.shape[0], y.shape[0]))
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx = float(np.sqrt(np.dot(dx, dx)))
-    sy = float(np.sqrt(np.dot(dy, dy)))
-    if sx == 0.0 or sy == 0.0:
-        raise ZeroVarianceError("correlation is undefined for a constant series")
-    r = float(np.dot(dx, dy)) / (sx * sy)
-    return min(1.0, max(-1.0, r))
-
-
-@dataclass(frozen=True)
-class CorrelationSummary:
-    """Pearson coefficients among sweep series; None marks a coefficient
-    that is undefined because one of its series is constant."""
-
-    r_eigsum_shrinkage: float | None
-    r_eigsum_accuracy: float | None
-    r_shrinkage_accuracy: float | None
-    sample_count: int

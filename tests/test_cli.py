@@ -316,8 +316,9 @@ class TestAnalyze:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("case", REFUSALS)
     def test_refusal_leaves_the_output_untouched(self, data_csv, tmp_path, capsys, case, fmt):
-        """m, the seed, the sample count and the pair budget are checked
-        after the input is read, but before the output file is opened."""
+        """The seed is checked before the input is read, and m, the sample
+        count and the pair budget after it, but all before the output
+        file is opened."""
         argv, status, message = self.REFUSALS[case]
         data = over_budget_csv(tmp_path) if case == "over-budget" else data_csv
         target = tmp_path / "existing.csv"

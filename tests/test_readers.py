@@ -1,7 +1,9 @@
 """The one input reader: golden error lines for every file the CLI reads
-(--input, --model, --config), CRLF input, over-long CSV fields, line
-numbers after a multi-line quoted field, and the `none` label spelling."""
+(--input, --model, --config), CRLF input, a UTF-8 byte-order mark,
+over-long CSV fields, line numbers after a multi-line quoted field, and
+the `none` label spelling."""
 
+import codecs
 import json
 
 import numpy as np
@@ -82,6 +84,43 @@ def test_crlf_csv_loads_like_lf(tmp_path):
         assert np.array_equal(a.features, b.features)
         assert a.labels == b.labels == ("a", "b", "a")
         assert a.name == b.name
+
+
+BOM_FILES = {
+    "rows.csv": "1.5,2,x\n3,-4.25,y\n7e-3,8,x\n",
+    "named.csv": "c,a,b\nx,1.5,2\ny,3,-4.25\nx,7e-3,8\n",
+    "config.json": '{"header": true, "label-column": "c"}\n',
+}
+# per marked file, a run that reads it; model.json is fitted from rows.csv
+BOM_RUNS = {
+    "rows.csv": ["fit", "--input", "rows.csv", "--output", "out.json"],
+    "named.csv": ["fit", "--input", "named.csv", "--header", "--label-column", "c",
+                  "--output", "out.json"],
+    "config.json": ["fit", "--input", "named.csv", "--config", "config.json",
+                    "--output", "out.json"],
+    "model.json": ["transform", "--input", "rows.csv", "--model", "model.json"],
+}
+
+
+@pytest.mark.parametrize("marked", sorted(BOM_RUNS))
+def test_byte_order_mark_is_skipped(tmp_path, monkeypatch, capsys, marked):
+    """A file that starts with a UTF-8 byte-order mark, as Excel's "CSV
+    UTF-8" saves it, reads exactly like an unmarked copy."""
+    runs = []
+    for home in (tmp_path / "plain", tmp_path / "marked"):
+        home.mkdir()
+        monkeypatch.chdir(home)
+        for name, text in BOM_FILES.items():
+            (home / name).write_text(text, encoding="utf-8")
+        assert main(["fit", "--input", "rows.csv", "--output", "model.json"]) == 0
+        if home.name == "marked":
+            (home / marked).write_bytes(codecs.BOM_UTF8 + (home / marked).read_bytes())
+        capsys.readouterr()
+        rc = main(BOM_RUNS[marked])
+        out = home / "out.json"
+        runs.append((rc, *capsys.readouterr(), out.read_bytes() if out.exists() else None))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
 
 
 def test_over_long_csv_field_is_a_parse_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """A negative seed is refused by name, by the library and by the CLI,
-whether or not pairs are sampled."""
+whether or not pairs are sampled; every command refuses a bad seed
+before it reads any input."""
 
 import json
 
@@ -14,6 +15,7 @@ from pcashrink import (
     shrinkage_summaries,
     shrinkage_table,
 )
+from pcashrink import cli
 from pcashrink.cli import main
 
 MESSAGE = "seed must be a non-negative integer, got -1"
@@ -43,13 +45,28 @@ def data_csv(tmp_path):
     return write_dataset_csv(tmp_path / "data.csv", DATA)
 
 
-@pytest.mark.parametrize("source", ["flag", "config", "env"])
-@pytest.mark.parametrize("argv", [
+@pytest.fixture()
+def no_input_read(monkeypatch):
+    """Make reading --input or --model fail the test."""
+    def read(path, *args, **kwargs):
+        raise AssertionError("%s read before the seed was checked" % path)
+    monkeypatch.setattr(cli, "load_csv", read)
+    monkeypatch.setattr(cli, "load_model", read)
+
+
+COMMANDS = pytest.mark.parametrize("argv", [
+    ("fit",),
+    ("transform", "--model", "model.json"),
     ("analyze", "--m", "1"),
     ("analyze", "--m", "1", "--pair-sample", "10"),
     ("sweep", "--m-range", "1..2", "--folds", "3"),
-], ids=["analyze", "analyze-sampled", "sweep"])
-def test_cli_refuses_negative_seed(data_csv, tmp_path, capsys, monkeypatch, source, argv):
+], ids=["fit", "transform", "analyze", "analyze-sampled", "sweep"])
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+@COMMANDS
+def test_cli_refuses_negative_seed(data_csv, tmp_path, capsys, monkeypatch, no_input_read,
+                                   source, argv):
     argv = list(argv) + ["--input", str(data_csv), "--output", str(tmp_path / "out")]
     if source == "flag":
         argv += ["--seed", "-1"]
@@ -62,4 +79,13 @@ def test_cli_refuses_negative_seed(data_csv, tmp_path, capsys, monkeypatch, sour
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert err == "pca-shrink: error: %s\n" % MESSAGE
+    assert out == "" and list(tmp_path.glob("out*")) == []
+
+
+@COMMANDS
+def test_cli_refuses_junk_env_seed(data_csv, tmp_path, capsys, monkeypatch, no_input_read, argv):
+    monkeypatch.setenv("PCA_SHRINK_SEED", "junk")
+    assert main(list(argv) + ["--input", str(data_csv), "--output", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert err == "pca-shrink: error: $PCA_SHRINK_SEED='junk' is not an integer\n"
     assert out == "" and list(tmp_path.glob("out*")) == []
