@@ -18,7 +18,7 @@ import numpy as np
 
 from ._version import VERSION
 from .errors import DatasetIOError, DatasetParseError, InsufficientRowsError, ToolkitError
-from .experiments import correlate, load_csv, run_sweep
+from .experiments import check_delimiter, correlate, load_csv, run_sweep
 from .pca import fit, load_model, save_model, transform
 from .reports import (
     analyze_report,
@@ -32,6 +32,7 @@ from .reports import (
 from .serialize import check_writable, f17, json_text, read_json, write_text
 from .shrinkage import (
     VIOLATION_TOL,
+    check_pair_sample,
     check_seed,
     check_violation_tol,
     collision_witness,
@@ -261,6 +262,7 @@ def cmd_analyze(args):
     m = _require(args, "m")
     tol = args.violation_tol
     check_violation_tol(tol)
+    check_pair_sample(args.pair_sample)
     dataset = _load_dataset(args)
     model = fit(dataset.features)
     options = dict(pair_sample=args.pair_sample, seed=args.seed, violation_tol=tol)
@@ -324,6 +326,7 @@ def cmd_sweep(args):
     json_path = base + ".json"
     _check_outputs(args, csv_path, json_path)
     m_range = None if args.m_range is None else _sweep_range(*_parse_m_range(args.m_range))
+    check_pair_sample(args.pair_sample)
     dataset = _load_dataset(args)
     if m_range is None:
         _sweep_range(1, dataset.n_features)
@@ -378,6 +381,7 @@ def main(argv=None):
                 command.set_defaults(**_load_config(args.config, command))
                 args = parser.parse_args(argv)
             args.seed = _seed(args)  # every command refuses a bad seed before reading input
+            check_delimiter(args.delimiter)  # and a bad delimiter
             return _COMMANDS[args.command](args)
         except ToolkitError as err:
             print("pca-shrink: [%s] %s" % (err.code, err), file=sys.stderr)

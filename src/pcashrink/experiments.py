@@ -73,11 +73,10 @@ def load_csv(path, label_column=-1, header=False, delimiter=","):
     go straight into one float64 buffer (8 B a cell), so no Python float
     outlives its row. Only a row that fails goes through the per-cell
     checks, so the first error in file order is the one reported, with
-    its 1-based line (and column for a bad cell). ``delimiter`` must be
-    exactly one character.
+    its 1-based line (and column for a bad cell), and a header must be as
+    wide as the rows. ``delimiter`` must be exactly one character.
     """
-    if not isinstance(delimiter, str) or len(delimiter) != 1:
-        raise ValueError("delimiter must be a single character, got %r" % (delimiter,))
+    check_delimiter(delimiter)
     path = Path(path)
     with open_text(path, newline="") as fh:
         rows = _numbered_rows(csv.reader(fh, delimiter=delimiter), path)
@@ -94,7 +93,7 @@ def load_csv(path, label_column=-1, header=False, delimiter=","):
             if not row:
                 continue
             if width is None:
-                width = len(row)
+                width = len(row if names is None else names)
                 label_index = _resolve_label_column(path, label_column, names, width)
             if len(row) != width:
                 raise DatasetParseError(
@@ -122,6 +121,12 @@ def load_csv(path, label_column=-1, header=False, delimiter=","):
         labels=tuple(labels) if label_index is not None else None,
         name=path.stem,
     )
+
+
+def check_delimiter(delimiter):
+    """Refuse a field delimiter that is not exactly one character."""
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ValueError("delimiter must be a single character, got %r" % (delimiter,))
 
 
 def _check_cells(path, line, row, label_index):
@@ -425,7 +430,7 @@ def correlate(result):
 
 
 def anisotropic_gaussian(n_samples=200, variances=(8.0, 4.0, 2.0, 1.0, 0.5, 0.25, 0.1, 0.05),
-                         seed=0, name="anisotropic-gaussian"):
+                         seed=0):
     """Two-class Gaussian sample with a fixed per-axis variance profile.
 
     Latent axes carry the requested variances and are then mixed by a
@@ -444,4 +449,4 @@ def anisotropic_gaussian(n_samples=200, variances=(8.0, 4.0, 2.0, 1.0, 0.5, 0.25
     basis, upper = np.linalg.qr(rng.standard_normal((n, n)))
     basis = basis * np.where(np.diag(upper) >= 0, 1.0, -1.0)
     labels = tuple("pos" if z > 0 else "neg" for z in latent[:, 0])
-    return Dataset(features=latent @ basis.T, labels=labels, name=name)
+    return Dataset(features=latent @ basis.T, labels=labels, name="anisotropic-gaussian")

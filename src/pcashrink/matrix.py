@@ -118,7 +118,7 @@ def round_robin(n):
     return P[keep].reshape(m - 1, n // 2), Q[keep].reshape(m - 1, n // 2)
 
 
-def jacobi_eigendecomposition(S, max_sweeps=JACOBI_MAX_SWEEPS):
+def jacobi_eigendecomposition(S):
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     S is first scaled by the power of two that brings max |S| into
@@ -131,15 +131,14 @@ def jacobi_eigendecomposition(S, max_sweeps=JACOBI_MAX_SWEEPS):
     update of A and one update of the eigenvector matrix. Iteration stops
     once ||offdiag(A)||_F <= JACOBI_TOL * ||A||_F. A matrix with
     max |S - S^T| above SYMMETRY_TOL * max(1, max |S|) raises
-    NotSymmetricError. Both tolerances are fixed; ``max_sweeps`` is the
-    one knob.
+    NotSymmetricError. The tolerances and the sweep limit are fixed.
 
     Returns an EigenPairs with eigenvalues sorted non-increasing (stable
     sort, so exact ties keep diagonal order), each eigenvector scaled so
     its largest-magnitude entry is non-negative (first such entry on
     ties), and the number of sweeps taken. Raises NoConvergenceError,
     carrying the remaining off-diagonal norm in the units of S, if
-    ``max_sweeps`` full sweeps are not enough.
+    JACOBI_MAX_SWEEPS full sweeps are not enough.
     """
     A = np.asarray(S, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -168,11 +167,11 @@ def jacobi_eigendecomposition(S, max_sweeps=JACOBI_MAX_SWEEPS):
     sweeps = 0
     residual = _offdiag_norm(A)
     while residual > stop:
-        if sweeps >= max_sweeps:
+        if sweeps >= JACOBI_MAX_SWEEPS:
             residual, stop = np.ldexp([residual, stop], exponent)
             raise NoConvergenceError(
                 "off-diagonal norm %g still above %g after %d sweeps"
-                % (residual, stop, max_sweeps),
+                % (residual, stop, sweeps),
                 residual=float(residual),
             )
         for p, q, pq in zip(P, Q, rows):

@@ -6,7 +6,7 @@ pair), it never stretches a pairwise distance, and the amount a pair
 shrinks never exceeds the summed reconstruction errors of its two
 endpoints. The pair engine below evaluates these quantities for every
 sample pair, or for a seeded subsample when the pair count explodes;
-the seed and tolerance checks it shares with its callers sit beside it.
+the seed, pair-count and tolerance checks its callers share sit beside it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .pca import check_m, transform
 PAIR_SAMPLE_DEFAULT = 2_000_000
 
 # most pairs one engine call may visit: a PairTable of that many would hold
-# ~1 GB at 48 B a pair (a summary keeps 8 B a pair, its shrinkage column)
+# ~1 GB at 48 B a pair (analyze keeps 8 B a pair, and a sweep 16 B)
 PAIR_BUDGET = 20_000_000
 
 VIOLATION_TOL = 1e-9
@@ -72,15 +72,10 @@ class PairTable:
     shrinkage: np.ndarray
     recon_error: np.ndarray
 
-    def summary(self, violation_tol=VIOLATION_TOL):
-        """Aggregate statistics, the table folded as one block: a pair
-        violates the guarantees when its shrinkage is below -violation_tol
-        or above its bound plus violation_tol, which at full rank (bound 0)
-        is the isometry check (see check_violation_tol for the tolerances
-        refused). The fold copies the shrinkage column; the table's
-        columns are left as they are."""
-        check_violation_tol(violation_tol)
-        fold = _Summary(self.m, self.sampled, self.shrinkage.size, violation_tol)
+    def summary(self):
+        """Aggregate statistics, the table folded as one block at
+        VIOLATION_TOL; the fold copies the shrinkage column."""
+        fold = _Summary(self.m, self.sampled, self.shrinkage.size, VIOLATION_TOL)
         fold.add(self)
         return fold.summary()
 
@@ -112,6 +107,12 @@ def check_seed(seed):
     """Refuse a negative seed by name; numpy's own refusal names no option."""
     if seed < 0:
         raise ValueError("seed must be a non-negative integer, got %d" % seed)
+
+
+def check_pair_sample(pair_sample):
+    """Refuse a negative pair count; None (the default) and 0 pass."""
+    if pair_sample is not None and pair_sample < 0:
+        raise ValueError("pair sample must be 0 (all pairs) or positive, got %d" % pair_sample)
 
 
 def check_violation_tol(tol):
@@ -214,11 +215,9 @@ def _pair_pass(model, data, ms, pair_sample, seed):
         raise InsufficientPairsError("need at least two samples to form a pair")
     ms = [check_m(model, m) for m in ms]
 
-    if pair_sample is None:
-        pair_sample = PAIR_SAMPLE_DEFAULT
-    elif pair_sample < 0:
-        raise ValueError("pair sample must be 0 (all pairs) or positive, got %d" % pair_sample)
+    check_pair_sample(pair_sample)
     check_seed(seed)
+    pair_sample = PAIR_SAMPLE_DEFAULT if pair_sample is None else pair_sample
     return X, ms, _choose_pairs(n_samples, pair_sample, seed), Y
 
 
@@ -300,30 +299,22 @@ class _Summary:
         return self.result
 
 
-def shrinkage_summaries(model, data, ms, *, pair_sample=None, seed=0,
-                        violation_tol=VIOLATION_TOL):
+def shrinkage_summaries(model, data, ms, *, pair_sample=None, seed=0):
     """An iterator of one ShrinkageSummary per retained dimension in
-    ``ms``, for the sweep: each level's blocks go through the fold that
-    ``shrinkage_table(...).summary(violation_tol)`` makes in one block,
-    so the bits are equal, and no table is built.
-
-    The call checks every argument (see shrinkage_table and
-    check_violation_tol), and computes the pair list and the full
-    transform once. With more than one level it also computes the
-    original distances once, as a column the levels share. Each level is
-    summarized when the iterator reaches it and holds one pair column
-    besides, its shrinkages.
+    ``ms``, for the sweep, with the bits of ``shrinkage_table(...).summary()``
+    and no table: the call checks every argument (see shrinkage_table),
+    and computes the pair list, the full transform and the original
+    distances, a column the levels share, once. Each level is summarized
+    when the iterator reaches it and holds one pair column besides, its
+    shrinkages; shrinkage_blocks is the leaner one-level path.
     """
-    check_violation_tol(violation_tol)
     X, ms, pairs, Y = _pair_pass(model, data, ms, pair_sample, seed)
-    d_orig = None
-    if len(ms) > 1:
-        d_orig = np.empty(pairs.count)
-        for step in pairs.steps():
-            d_orig[step[0]:step[1]] = _distances(X, step)
+    d_orig = np.empty(pairs.count)
+    for step in pairs.steps():
+        d_orig[step[0]:step[1]] = _distances(X, step)
 
     def level(m):
-        fold = _Summary(m, pairs.sampled, pairs.count, violation_tol)
+        fold = _Summary(m, pairs.sampled, pairs.count, VIOLATION_TOL)
         for block in _steps(pairs, X, Y, m, d_orig):
             fold.add(block)
         return fold.summary()
@@ -337,13 +328,15 @@ def shrinkage_blocks(model, data, m=None, *, pair_sample=None, seed=0,
     analyze makes its one pass here for every output, rendering each
     block to the pair CSV or only draining the blocks.
 
-    The call checks every argument first, as shrinkage_summaries does.
-    ``blocks`` iterates PairTable blocks with index columns, one per
-    engine step; together they hold the rows of shrinkage_table, in its
-    order, and each is folded as it goes by. Once ``blocks`` is
-    exhausted, ``summary()`` returns their ShrinkageSummary at
-    ``violation_tol``, the same result at every call, with the bits of
-    shrinkage_summaries. No pair column but the shrinkages is kept.
+    The call checks every argument first (see shrinkage_table and
+    check_violation_tol). ``blocks`` iterates PairTable blocks with index
+    columns, one per engine step; together they hold the rows of
+    shrinkage_table, in its order, and each is folded as it goes by. Once
+    ``blocks`` is exhausted, ``summary()`` returns their ShrinkageSummary,
+    the same result at every call: a pair violates the guarantees when
+    its shrinkage is below -violation_tol or above its bound plus
+    violation_tol, which at full rank (bound 0) is the isometry check. No
+    pair column but the shrinkages is kept.
     """
     check_violation_tol(violation_tol)
     X, (m,), pairs, Y = _pair_pass(model, data, [m], pair_sample, seed)

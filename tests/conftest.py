@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcashrink import fit
+from pcashrink import cli, fit
 from pcashrink.serialize import csv_line
 
 
@@ -33,3 +33,12 @@ def small_corpus():
         X = random_dataset(rng)
         corpus.append((X, fit(X)))
     return corpus
+
+
+@pytest.fixture()
+def no_input_read(monkeypatch):
+    """Make reading --input or --model fail the test."""
+    def read(path, *args, **kwargs):
+        raise AssertionError("%s read before the options were checked" % path)
+    monkeypatch.setattr(cli, "load_csv", read)
+    monkeypatch.setattr(cli, "load_model", read)

@@ -627,7 +627,8 @@ def test_config_seed_beats_env_seed(data_csv, tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("source", ["flag", "config"])
 class TestBadOptionValues:
-    """Values no command can use exit 1 with one error line, from a flag or from config."""
+    """Values no command can use exit 1 with one error line, from a flag or from config;
+    those that need no input are refused before any is read."""
 
     def run(self, tmp_path, source, option, value, *argv):
         if source == "flag":
@@ -637,7 +638,8 @@ class TestBadOptionValues:
         return run_cli(*argv)
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
-    def test_non_finite_violation_tol_exits_1(self, data_csv, tmp_path, capsys, source, tol):
+    def test_non_finite_violation_tol_exits_1(self, data_csv, tmp_path, capsys, no_input_read,
+                                              source, tol):
         rc = self.run(tmp_path, source, "violation-tol", tol,
                       "analyze", "--input", data_csv, "--m", 1)
         assert rc == 1
@@ -646,8 +648,8 @@ class TestBadOptionValues:
         assert out == ""
 
     @pytest.mark.parametrize("delimiter", ["", "ab"])
-    def test_delimiter_not_one_character_exits_1(self, data_csv, tmp_path, capsys, source,
-                                                 delimiter):
+    def test_delimiter_not_one_character_exits_1(self, data_csv, tmp_path, capsys,
+                                                 no_input_read, source, delimiter):
         model_path = tmp_path / "m.json"
         rc = self.run(tmp_path, source, "delimiter", delimiter,
                       "fit", "--input", data_csv, "--output", model_path)
@@ -658,7 +660,8 @@ class TestBadOptionValues:
         assert out == "" and not model_path.exists()
 
     @pytest.mark.parametrize("command", ["analyze", "sweep"])
-    def test_negative_pair_sample_exits_1(self, data_csv, tmp_path, capsys, source, command):
+    def test_negative_pair_sample_exits_1(self, data_csv, tmp_path, capsys, no_input_read,
+                                          source, command):
         base = tmp_path / "out"
         argv = (command, "--input", data_csv, "--output", base)
         rc = self.run(tmp_path, source, "pair-sample", -1,
@@ -667,6 +670,18 @@ class TestBadOptionValues:
         out, err = capsys.readouterr()
         assert err == ("pca-shrink: error: pair sample must be 0 (all pairs) or positive, "
                        "got -1\n")
+        assert out == "" and list(tmp_path.glob("out*")) == []
+
+    @pytest.mark.parametrize("argv", [("transform", "--model", "model.json"),
+                                      ("analyze", "--m", 1), ("sweep",)],
+                             ids=["transform", "analyze", "sweep"])
+    def test_delimiter_refused_by_every_command(self, data_csv, tmp_path, capsys,
+                                                no_input_read, source, argv):
+        rc = self.run(tmp_path, source, "delimiter", ";;", *argv,
+                      "--input", data_csv, "--output", tmp_path / "out")
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert err == "pca-shrink: error: delimiter must be a single character, got ';;'\n"
         assert out == "" and list(tmp_path.glob("out*")) == []
 
 

@@ -11,7 +11,7 @@ from conftest import write_dataset_csv
 from pcashrink import fit, shrinkage
 from pcashrink.cli import main
 from pcashrink.experiments import anisotropic_gaussian
-from pcashrink.shrinkage import shrinkage_table
+from pcashrink.shrinkage import shrinkage_blocks, shrinkage_table
 
 
 def sixty_rows():
@@ -45,18 +45,25 @@ def _distinct_violations(shrink, bound, tol):
     return int(np.count_nonzero((shrink < -tol) | (shrink > bound + tol)))
 
 
+def _summary_at(model, X, m, tol):
+    blocks, summary = shrinkage_blocks(model, X, m, violation_tol=tol)
+    for _ in blocks:
+        pass
+    return summary()
+
+
 def test_violating_pairs_counts_each_pair_once():
     X = sixty_rows().features
     model = fit(X)
     for m in (1, 2, 3, 4):
         table = shrinkage_table(model, X, m)
         for tol in (-1.0, -1e-3, 0.0, 1e-9):
-            stats = table.summary(violation_tol=tol)
+            stats = _summary_at(model, X, m, tol)
             assert stats.violating_pairs == _distinct_violations(
                 table.shrinkage, table.recon_error, tol)
             assert stats.violating_pairs <= stats.negative_count + stats.bound_violations
     # at full rank the bound is 0: every pair is below 1 or above -1
-    assert table.summary(violation_tol=-1).violating_pairs == table.i.size == 1770
+    assert _summary_at(model, X, 4, -1).violating_pairs == table.i.size == 1770
 
 
 @pytest.mark.parametrize("m", [2, 4])

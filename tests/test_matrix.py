@@ -19,6 +19,7 @@ from pcashrink import (
     covariance,
     jacobi_eigendecomposition,
 )
+from pcashrink import matrix
 from pcashrink.matrix import round_robin
 
 THREE_POINTS = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
@@ -140,10 +141,11 @@ class TestJacobi:
         with pytest.raises(NonFiniteError):
             jacobi_eigendecomposition([[np.nan, 0.0], [0.0, 1.0]])
 
-    def test_no_convergence_carries_residual(self):
+    def test_no_convergence_carries_residual(self, monkeypatch):
+        monkeypatch.setattr(matrix, "JACOBI_MAX_SWEEPS", 0)
         S = np.array([[2.0, 1.0], [1.0, 2.0]])
         with pytest.raises(NoConvergenceError) as info:
-            jacobi_eigendecomposition(S, max_sweeps=0)
+            jacobi_eigendecomposition(S)
         assert info.value.residual is not None
         assert info.value.residual > 0.0
         assert info.value.code == "no-convergence"
@@ -224,11 +226,12 @@ class TestJacobi:
         assert jacobi_eigendecomposition(covariance(X)).sweeps == sweeps
 
     @pytest.mark.parametrize("c", [1e-30, 1.0, 1e30])
-    def test_no_convergence_after_one_sweep(self, c):
+    def test_no_convergence_after_one_sweep(self, monkeypatch, c):
+        monkeypatch.setattr(matrix, "JACOBI_MAX_SWEEPS", 1)
         A = np.random.default_rng(43).standard_normal((6, 6))
         S = (A + A.T) / 2.0 * c
         with pytest.raises(NoConvergenceError) as info:
-            jacobi_eigendecomposition(S, max_sweeps=1)
+            jacobi_eigendecomposition(S)
         # the off-diagonal norm left, in the units of S
         residual = info.value.residual
         assert np.isfinite(residual)

@@ -74,31 +74,47 @@ def _hex_fields(summary):
             for field in dataclasses.fields(summary)}
 
 
+def _flagged(table, tol):
+    """The guarantee rule's counts at ``tol``, from the table's own columns."""
+    negative = table.shrinkage < -tol
+    over = table.shrinkage > table.recon_error + tol
+    return {"negative_count": int(np.count_nonzero(negative)),
+            "bound_violations": int(np.count_nonzero(over)),
+            "violating_pairs": int(np.count_nonzero(negative | over))}
+
+
 @pytest.mark.parametrize("options", [{"pair_sample": 0}, {"pair_sample": 300, "seed": 5}],
                          ids=["all-pairs", "sampled"])
 @pytest.mark.parametrize("tol", [shrinkage.VIOLATION_TOL, -1e-3], ids=["default-tol", "flagging"])
 def test_summaries_match_table_summaries_bit_for_bit(monkeypatch, options, tol):
-    """The flagging tolerance makes the counts non-zero and spread across
-    steps, whose boundaries a small _CHUNK multiplies. A several-level
-    call shares one original-distance column; a one-level call, like
-    analyze's, takes each step's original distances from X."""
+    """The sweep's summaries, several levels or one, and analyze's blocks
+    at ``tol`` against the table's summary. The flagging tolerance, which
+    only analyze's blocks take, makes the counts non-zero and spread
+    across steps, whose boundaries a small _CHUNK multiplies; its counts
+    are checked against the table's own columns."""
     monkeypatch.setattr(shrinkage, "_CHUNK", 64)
     X = _data(60, 6, seed=2)
     model = fit(X)
     levels = range(1, 7)
-    summaries = list(shrinkage_summaries(model, X, levels, violation_tol=tol, **options))
+    summaries = list(shrinkage_summaries(model, X, levels, **options))
     assert [s.m for s in summaries] == list(levels)
+    flagged = 0
     for m, got in zip(levels, summaries):
-        want = _hex_fields(shrinkage_table(model, X, m, **options).summary(violation_tol=tol))
+        table = shrinkage_table(model, X, m, **options)
+        want = _hex_fields(table.summary())
+        counts = _flagged(table, shrinkage.VIOLATION_TOL)
+        assert {name: want[name] for name in counts} == counts, "m=%d" % m
         assert _hex_fields(got) == want, "m=%d" % m
-        one = next(shrinkage_summaries(model, X, [m], violation_tol=tol, **options))
+        one = next(shrinkage_summaries(model, X, [m], **options))
         assert _hex_fields(one) == want, "m=%d" % m
         blocks, summary = shrinkage_blocks(model, X, m, violation_tol=tol, **options)
         for _ in blocks:
             pass
+        want.update(_flagged(table, tol))
         assert _hex_fields(summary()) == want, "m=%d" % m
+        flagged += want["violating_pairs"]
     if tol < 0:
-        assert sum(s.violating_pairs for s in summaries) > 0
+        assert flagged > 0
 
 
 def test_summary_leaves_the_shrinkage_column_unchanged():
@@ -106,8 +122,8 @@ def test_summary_leaves_the_shrinkage_column_unchanged():
     X = _data(80, 4, seed=1)
     table = shrinkage_table(fit(X), X, 2)
     before = table.shrinkage.tobytes()
-    table.summary()
-    table.summary(violation_tol=-1)
+    first = table.summary()
+    assert table.summary() == first
     assert table.shrinkage.tobytes() == before
 
 

@@ -71,6 +71,23 @@ def test_reader_failures_have_golden_lines(workdir, capsys, reader, path):
     assert not (workdir / "m.json").exists()
 
 
+@pytest.mark.parametrize("text, width, header_width", [
+    ("a,b,c,d\n1,2,x\n3,4,y\n", 3, 4),
+    ("a,b,d\n1,2,0,4\n3,4,1,5\n", 4, 3),  # d would name the third column
+], ids=["header-wider", "header-narrower"])
+def test_header_width_differs_from_rows(tmp_path, capsys, text, width, header_width):
+    data = tmp_path / "data.csv"
+    data.write_text(text, encoding="utf-8")
+    model = tmp_path / "model.json"
+    rc = main(["fit", "--input", str(data), "--header", "--label-column", "d",
+               "--output", str(model)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert err == "pca-shrink: [parse] %s: line 2 has %d columns, expected %d\n" % (
+        data, width, header_width)
+    assert out == "" and not model.exists()
+
+
 def test_crlf_csv_loads_like_lf(tmp_path):
     text = "x,y,label\n1.5,2,a\n3,-4.25,b\n\n7e-3,8,a\n"
     (tmp_path / "lf").mkdir()

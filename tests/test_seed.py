@@ -15,7 +15,6 @@ from pcashrink import (
     shrinkage_summaries,
     shrinkage_table,
 )
-from pcashrink import cli
 from pcashrink.cli import main
 
 MESSAGE = "seed must be a non-negative integer, got -1"
@@ -43,15 +42,6 @@ def test_knn_accuracy_refuses_negative_seed():
 @pytest.fixture()
 def data_csv(tmp_path):
     return write_dataset_csv(tmp_path / "data.csv", DATA)
-
-
-@pytest.fixture()
-def no_input_read(monkeypatch):
-    """Make reading --input or --model fail the test."""
-    def read(path, *args, **kwargs):
-        raise AssertionError("%s read before the seed was checked" % path)
-    monkeypatch.setattr(cli, "load_csv", read)
-    monkeypatch.setattr(cli, "load_model", read)
 
 
 COMMANDS = pytest.mark.parametrize("argv", [

@@ -126,15 +126,17 @@ class TestPairEngine:
     def test_negative_tolerance_flags_everything(self, three_point_model):
         # the violation gate is driven by this knob; with an impossible
         # tolerance every pair must be flagged
-        stats = shrinkage_table(three_point_model, THREE_POINTS, 1).summary(violation_tol=-1.0)
-        assert stats.negative_count + stats.bound_violations > 0
+        blocks, summary = shrinkage_blocks(three_point_model, THREE_POINTS, 1,
+                                           violation_tol=-1.0)
+        for _ in blocks:
+            pass
+        assert summary().violating_pairs == 3
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_tolerance_refused(self, three_point_model, tol):
         # NaN compares false against every pair, so it turned the gate off
-        table = shrinkage_table(three_point_model, THREE_POINTS, 1)
         with pytest.raises(ValueError, match="finite"):
-            table.summary(violation_tol=tol)
+            shrinkage_blocks(three_point_model, THREE_POINTS, 1, violation_tol=tol)
 
     def test_sampling_is_seeded_and_valid(self):
         rng = np.random.default_rng(44)
