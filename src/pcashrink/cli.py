@@ -88,7 +88,8 @@ def build_parser():
     p.add_argument("--pair-sample", type=int, default=None,
                    help="sampled pair count; 0 forces all pairs")
     p.add_argument("--violation-tol", type=float, default=VIOLATION_TOL,
-                   help="slack before a pair counts as violating (default %(default)g)")
+                   help="slack before a pair counts as violating, as a fraction of the "
+                        "pair's original distance (default %(default)g)")
     p.add_argument("--output", default=None, help="per-pair CSV or JSON report path")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 

@@ -329,8 +329,10 @@ def run_sweep(dataset, m_range=None, k=5, folds=5, seed=0, pair_sample=None):
     arguments and budget, are checked before any pass (a ToolkitError
     names the first m); then one k-NN pass covers every level, and
     shrinkage_summaries summarizes the pairs one level at a time without
-    building a pair table: besides the shared original distances, a
-    level holds one pair column. Deterministic for fixed inputs and seed.
+    building a pair table. Both add one column a level to running squared
+    distances, by the one distance rule; the pair summaries hold two pair
+    columns, the original distances and the running squared distances.
+    Deterministic for fixed inputs and seed.
     """
     X = dataset.features
     n = X.shape[1]

@@ -11,6 +11,7 @@ the seed, pair-count and tolerance checks its callers share sit beside it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -29,15 +30,30 @@ from .pca import check_m, transform
 PAIR_SAMPLE_DEFAULT = 2_000_000
 
 # most pairs one engine call may visit: a PairTable of that many would hold
-# ~1 GB at 48 B a pair (analyze keeps 8 B a pair, and a sweep 16 B)
+# ~1 GB at 48 B a pair (analyze keeps 8 B a pair, its shrinkages, and a sweep
+# 16 B, the original distances and the running squared truncated distances)
 PAIR_BUDGET = 20_000_000
 
+# a pair's violation slack, as a fraction of its original distance
 VIOLATION_TOL = 1e-9
 
 # pairs per engine step (all-pairs steps take whole rows, so a longer row is
-# a step of its own); small steps keep the temporaries to a few MB at no
-# cost in speed
+# a step of its own); small steps keep analyze's rendered blocks to a few MB
 _CHUNK = 4096
+
+# a sweep renders nothing, so its steps are this many times longer: a
+# quarter of the per-step calls, for temporaries of a few MB
+_SWEEP_STEPS = 4
+
+# the median's bracket: every _STRIDE-th shrinkage by pair index is sampled,
+# and the bracket's ends lie _MARGIN·√s places either side of the median of
+# the s sampled values
+_STRIDE = 64
+_MARGIN = 4.0
+
+# pairs per piece of the median's pass; the shrinkages a sweep re-derives
+# for a piece are its only temporaries, so it stays small
+_PASS_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -74,8 +90,10 @@ class PairTable:
 
     def summary(self):
         """Aggregate statistics, the table folded as one block at
-        VIOLATION_TOL; the fold copies the shrinkage column."""
-        fold = _Summary(self.m, self.sampled, self.shrinkage.size, VIOLATION_TOL)
+        VIOLATION_TOL; the median reads the shrinkage column and leaves
+        it as it is."""
+        fold = _Summary(self.m, self.sampled, self.shrinkage.size, VIOLATION_TOL,
+                        _slicer(self.shrinkage))
         fold.add(self)
         return fold.summary()
 
@@ -133,26 +151,28 @@ class _Pairs:
         self.sampled = ij is not None
         self.count = ij[0].size if self.sampled else n_samples * (n_samples - 1) // 2
 
-    def steps(self):
-        """The pairs in steps of about _CHUNK, as (lo, hi, ends): pairs
-        lo..hi-1 of the pair column join rows a and b of each (a, b) in
-        ``ends``, in order. All pairs go in whole rows, row r's pairs
-        (r, r+1..N-1) being (r, slice(r + 1, None)), with no index array;
-        sampled pairs are gathered by their index slices."""
+    def steps(self, scale=1):
+        """The pairs in steps of about scale * _CHUNK, as (lo, hi, ends):
+        pairs lo..hi-1 of the pair column join points a and b of each
+        (a, b) in ``ends``, in order. All pairs go in whole rows, row r's
+        pairs (r, r+1..N-1) being (slice(r, r + 1), slice(r + 1, None)),
+        with no index array; sampled pairs are gathered by their index
+        slices."""
+        chunk = scale * _CHUNK
         if self.sampled:
             i_idx, j_idx = self.ij
-            for lo in range(0, i_idx.size, _CHUNK):
-                hi = min(lo + _CHUNK, i_idx.size)
+            for lo in range(0, i_idx.size, chunk):
+                hi = min(lo + chunk, i_idx.size)
                 yield lo, hi, [(i_idx[lo:hi], j_idx[lo:hi])]
             return
         n = self.n_samples
         lo = hi = 0
         ends = []
         for r in range(n - 1):
-            if ends and hi - lo + n - 1 - r > _CHUNK:
+            if ends and hi - lo + n - 1 - r > chunk:
                 yield lo, hi, ends
                 lo, ends = hi, []
-            ends.append((r, slice(r + 1, None)))
+            ends.append((slice(r, r + 1), slice(r + 1, None)))
             hi += n - 1 - r
         yield lo, hi, ends
 
@@ -187,27 +207,41 @@ def _choose_pairs(n_samples, pair_sample, seed):
 
 
 def _pairwise(ufunc, v, ends, out):
-    """``ufunc(v[b], v[a])`` for the pairs of one step, written to ``out``."""
+    """``ufunc(v[..., b], v[..., a])`` for the pairs of one step, along the
+    last axis of ``v``, written to ``out``."""
     k = 0
     for a, b in ends:
-        vb = v[b]
-        ufunc(vb, v[a], out=out[k:k + len(vb)])
-        k += len(vb)
+        vb = v[..., b]
+        n = vb.shape[-1]
+        ufunc(vb, v[..., a], out=out[..., k:k + n])
+        k += n
     return out
 
 
-def _distances(Z, step):
-    """Distances between the rows of ``Z`` that one step's pairs join: the
-    pair kernel of every engine path."""
+def _extend(acc, Zt, step):
+    """Add to ``acc``, squared distances of one step's pairs, the squared
+    differences of each row of ``Zt`` in row order, in place: the pair
+    kernel of every engine path. ``Zt`` is feature-major, one row a
+    coordinate and one column a point, so a step's differences are laid
+    out (coordinates, pairs) and each row is added whole. A distance is
+    the square root of its squared coordinate differences added one
+    coordinate at a time in column order, from zero: the sum the k-NN's
+    running d² makes (experiments._knn_predict), with the same bits. The
+    rows are added one by one because np.add.reduce may sum a short axis
+    pairwise."""
     lo, hi, ends = step
-    diff = _pairwise(np.subtract, Z, ends, np.empty((hi - lo, Z.shape[1])))
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    diff = _pairwise(np.subtract, Zt, ends, np.empty((Zt.shape[0], hi - lo)))
+    np.multiply(diff, diff, out=diff)
+    for square in diff:
+        acc += square
+    return acc
 
 
 def _pair_pass(model, data, ms, pair_sample, seed):
     """Check every argument of an engine call and do the work its levels
-    share: returns the data matrix, the checked levels, the _Pairs and
-    the full transform."""
+    share: returns the data and the transform's first max(ms) columns,
+    both feature-major, the checked levels, the _Pairs and each point's
+    reconstruction error at each level, by m."""
     X = as_data_matrix(data)
     Y = transform(model, X)
     n_samples = X.shape[0]
@@ -218,32 +252,36 @@ def _pair_pass(model, data, ms, pair_sample, seed):
     check_pair_sample(pair_sample)
     check_seed(seed)
     pair_sample = PAIR_SAMPLE_DEFAULT if pair_sample is None else pair_sample
-    return X, ms, _choose_pairs(n_samples, pair_sample, seed), Y
+    pairs = _choose_pairs(n_samples, pair_sample, seed)
+    # the norm of each point's discarded coordinates (the basis is orthonormal)
+    errors = {m: np.sqrt(np.einsum("ij,ij->i", Y[:, m:], Y[:, m:])) for m in ms}
+
+    def feature_major(Z):
+        # all pairs read a coordinate's values in runs, fastest from a contiguous
+        # copy; sampled pairs gather points, fastest from the rows as they are
+        return Z.T if pairs.sampled else np.ascontiguousarray(Z.T)
+
+    return feature_major(X), feature_major(Y[:, :max(ms)]), ms, pairs, errors
 
 
-def _level_operands(Y, m):
-    """What a level's pairs read of the full transform ``Y``: the kernel
-    operand, the first m coordinates copied once to contiguous rows (the
-    kernel's differences land in the same fresh array with the same bits
-    as from the strided view, only faster), and each point's
-    reconstruction error at level m, the norm of its discarded
-    coordinates (the basis is orthonormal)."""
-    tail = Y[:, m:]
-    return np.ascontiguousarray(Y[:, :m]), np.sqrt(np.einsum("ij,ij->i", tail, tail))
-
-
-def _steps(pairs, X, Y, m, d_orig=None, indices=False):
+def _steps(pairs, Xt, Yt, m, error, *, d_orig=None, run=None, start=0, indices=False,
+           scale=1):
     """The step loop of level m, the one place that pair quantities are
     computed: one PairTable block per engine step, in pair-column order.
-    A block's original distances come from ``X``, or are its slice of a
-    ``d_orig`` column that several levels share. Its index columns are
-    built only when ``indices`` is set, and are None otherwise."""
-    Z, point_error = _level_operands(Y, m)
+    A block's original distances come from ``Xt``, or are its slice of a
+    ``d_orig`` column that several levels share. Its squared truncated
+    distances are the first m rows of ``Yt`` summed from zero, or, with a
+    running column ``run`` that holds the sums of the first ``start``
+    rows, that column extended in place by rows start..m-1; its bound
+    adds the two points' ``error``. Its index columns are built only when
+    ``indices`` is set, and are None otherwise. The steps are about
+    ``scale`` * _CHUNK pairs long."""
     ids = np.arange(pairs.n_samples, dtype=np.int64) if indices else None
-    for step in pairs.steps():
+    for step in pairs.steps(scale):
         lo, hi, ends = step
-        d_o = _distances(X, step) if d_orig is None else d_orig[lo:hi]
-        d_t = _distances(Z, step)
+        d_o = np.sqrt(_extend(np.zeros(hi - lo), Xt, step)) if d_orig is None else d_orig[lo:hi]
+        acc = np.zeros(hi - lo) if run is None else run[lo:hi]
+        d_t = np.sqrt(_extend(acc, Yt[start:m], step))
         i = j = None
         if indices:
             # every pair joins i < j, so i is the smaller of its two indices
@@ -251,52 +289,110 @@ def _steps(pairs, X, Y, m, d_orig=None, indices=False):
             j = _pairwise(np.maximum, ids, ends, np.empty(hi - lo, dtype=np.int64))
         yield PairTable(m=m, sampled=pairs.sampled, i=i, j=j, dist_original=d_o,
                         dist_truncated=d_t, shrinkage=d_o - d_t,
-                        recon_error=_pairwise(np.add, point_error, ends, np.empty(hi - lo)))
+                        recon_error=_pairwise(np.add, error, ends, np.empty(hi - lo)))
 
 
 class _Summary:
     """Folds ``count`` pairs of level m, block by block in pair order,
     into their ShrinkageSummary at violation tolerance ``tol``: the one
-    place that summaries are made. It keeps one pair column, a copy of
-    the shrinkages the median needs, and counts a block's negative,
-    over-bound and violating (either, counted once) pairs as it goes:
-    the guarantee rule. The summary is taken when the last pair is
-    folded in."""
+    place that summaries are made. It keeps no pair column. As it goes it
+    counts a block's negative, over-bound and violating (either, counted
+    once) pairs, the guarantee rule, with a slack of ``tol`` times each
+    pair's original distance; it keeps the running max and every
+    _STRIDE-th shrinkage by pair index, a sample. When the last pair is
+    folded in, one pass over ``source(lo, hi)``, the shrinkages of pairs
+    lo..hi-1, takes the mean and the exact median (see _centre)."""
 
-    def __init__(self, m, sampled, count, tol):
-        self.m, self.sampled, self.tol = m, sampled, tol
-        self.d = np.empty(count)
-        self.filled, self.counts, self.result = 0, np.zeros(3, dtype=np.int64), None
+    def __init__(self, m, sampled, count, tol, source):
+        self.m, self.sampled, self.count, self.tol, self.source = m, sampled, count, tol, source
+        self.sample = np.empty(-(-count // _STRIDE))
+        self.filled, self.counts, self.top, self.result = 0, np.zeros(3, np.int64), -np.inf, None
 
     def add(self, block):
         """Fold ``block`` in and return it."""
         d = block.shrinkage
         lo, self.filled = self.filled, self.filled + d.size
-        self.d[lo:self.filled] = d
-        negative = d < -self.tol
-        over = d > block.recon_error + self.tol
-        self.counts += [np.count_nonzero(negative), np.count_nonzero(over),
-                        np.count_nonzero(negative | over)]
-        if self.filled < self.d.size:
+        # the sample holds the shrinkages of pairs 0, _STRIDE, 2 * _STRIDE, ...
+        first = -lo % _STRIDE
+        self.sample[(lo + first) // _STRIDE:-(-self.filled // _STRIDE)] = d[first::_STRIDE]
+        self.top = np.maximum(self.top, d.max())
+        slack = self.tol * block.dist_original
+        negative = d < -slack
+        over = d > block.recon_error + slack
+        violating = np.count_nonzero(negative | over)
+        if violating:
+            self.counts += [np.count_nonzero(negative), np.count_nonzero(over), violating]
+        if self.filled < self.count:
             return block
-        # the median partitions the column in place, once, at h = size // 2:
-        # d[h] for an odd size and (max(d[:h]) + d[h]) / 2 for an even one, the
-        # bits of np.median, which partitions at three places; NaN like it too
-        d, h = self.d, self.d.size // 2
-        mean, top = float(np.mean(d)), float(np.max(d))
-        d.partition(h)
-        median = top if np.isnan(top) else float(d[h] if d.size % 2 else (d[:h].max() + d[h]) / 2)
+        top = float(self.top)
+        # NaN like np.mean and np.median
+        mean, median = (top, top) if np.isnan(top) else _centre(self.source, self.count,
+                                                                self.sample)
         negative, over, violating = (int(c) for c in self.counts)
         self.result = ShrinkageSummary(
-            m=self.m, pair_count=int(d.size), sampled=self.sampled, mean=mean, median=median,
+            m=self.m, pair_count=self.count, sampled=self.sampled, mean=mean, median=median,
             max=top, negative_count=negative, bound_violations=over, violating_pairs=violating)
         return block
 
     def summary(self):
         if self.result is None:
             raise RuntimeError("%d of %d pairs folded; exhaust the blocks first"
-                               % (self.filled, self.d.size))
+                               % (self.filled, self.count))
         return self.result
+
+
+def _centre(source, count, sample):
+    """The mean and the exact median of the ``count`` shrinkages that
+    ``source(lo, hi)`` gives, without holding them: returns (mean, median).
+
+    The sample's order statistics _MARGIN·√s places either side of its
+    own median (s sampled values) bracket the median. One pass over the
+    shrinkages, in pieces of _PASS_CHUNK pairs aligned to the pair index,
+    sums each piece and gathers the values inside the bracket; the mean
+    is the math.fsum of the piece sums over ``count``, whose bits do not
+    depend on how the pairs were blocked. When the values below the
+    bracket and those inside it reach past the median's ranks, the
+    gathered values hold the median: one single-kth partition at h = count // 2 gives the element at h for an
+    odd count and (the largest one below h + it) / 2 for an even one, the
+    bits of np.median. Otherwise the pass is redone with the side that
+    missed unbounded; only one side can miss, since the bracket's ends
+    are values of the column."""
+    h = count // 2
+    last = sample.size - 1
+    width = int(_MARGIN * math.sqrt(sample.size))
+    upper = min(last, last // 2 + width)
+    lower = max(0, last // 2 - width)
+    sample.partition(upper)
+    high = sample[upper]
+    sample[:upper + 1].partition(lower)
+    low = sample[lower]
+    below, inside, sums = _gather(source, count, low, high)
+    if below > h - 1 + count % 2:
+        below, inside, _ = _gather(source, count, -np.inf, high)
+    elif below + inside.size <= h:
+        below, inside, _ = _gather(source, count, low, np.inf)
+    k = h - below
+    inside.partition(k)
+    median = inside[k] if count % 2 else (inside[:k].max() + inside[k]) / 2
+    return math.fsum(sums) / count, float(median)
+
+
+def _slicer(column):
+    """The source of a column's pairs lo..hi-1 for _Summary."""
+    return lambda lo, hi: column[lo:hi]
+
+
+def _gather(source, count, low, high):
+    """One pass over the shrinkages: the number below ``low``, the values
+    in [low, high] and each piece's sum."""
+    below, inside, sums = 0, [], []
+    for lo in range(0, count, _PASS_CHUNK):
+        d = source(lo, min(lo + _PASS_CHUNK, count))
+        sums.append(np.add.reduce(d))
+        under = d < low
+        below += np.count_nonzero(under)
+        inside.append(d[~under & (d <= high)])
+    return below, np.concatenate(inside), sums
 
 
 def shrinkage_summaries(model, data, ms, *, pair_sample=None, seed=0):
@@ -304,20 +400,39 @@ def shrinkage_summaries(model, data, ms, *, pair_sample=None, seed=0):
     ``ms``, for the sweep, with the bits of ``shrinkage_table(...).summary()``
     and no table: the call checks every argument (see shrinkage_table),
     and computes the pair list, the full transform and the original
-    distances, a column the levels share, once. Each level is summarized
-    when the iterator reaches it and holds one pair column besides, its
-    shrinkages; shrinkage_blocks is the leaner one-level path.
-    """
-    X, ms, pairs, Y = _pair_pass(model, data, ms, pair_sample, seed)
+    distances, a column the levels share, once.
+
+    The levels are computed in ascending order, each once, over one
+    running column of squared truncated distances that each level extends
+    by its new columns of the transform, so that levels 1..M difference M
+    columns of the transform a pair, not M(M+1)/2. The first value drawn
+    computes every level up to its own; ``ms`` may come in any order and
+    repeat, and each value gets the summary of its level. The pair memory
+    is two columns, the original distances and the running one (the
+    median re-derives each shrinkage from both)."""
+    Xt, Yt, ms, pairs, errors = _pair_pass(model, data, ms, pair_sample, seed)
     d_orig = np.empty(pairs.count)
-    for step in pairs.steps():
-        d_orig[step[0]:step[1]] = _distances(X, step)
+    for step in pairs.steps(_SWEEP_STEPS):
+        d_orig[step[0]:step[1]] = np.sqrt(_extend(np.zeros(step[1] - step[0]), Xt, step))
+    levels = sorted(set(ms))
+    done = {}
+    run = None
+
+    def source(lo, hi):
+        return d_orig[lo:hi] - np.sqrt(run[lo:hi])
 
     def level(m):
-        fold = _Summary(m, pairs.sampled, pairs.count, VIOLATION_TOL)
-        for block in _steps(pairs, X, Y, m, d_orig):
-            fold.add(block)
-        return fold.summary()
+        nonlocal run
+        if run is None:  # taken at the first draw, not beside the caller's work before it
+            run = np.zeros(pairs.count)
+        while m not in done:
+            k = len(done)
+            fold = _Summary(levels[k], pairs.sampled, pairs.count, VIOLATION_TOL, source)
+            for block in _steps(pairs, Xt, Yt, levels[k], errors[levels[k]], d_orig=d_orig,
+                                run=run, start=levels[k - 1] if k else 0, scale=_SWEEP_STEPS):
+                fold.add(block)
+            done[levels[k]] = fold.summary()
+        return done[m]
 
     return map(level, ms)
 
@@ -334,14 +449,21 @@ def shrinkage_blocks(model, data, m=None, *, pair_sample=None, seed=0,
     shrinkage_table, in its order, and each is folded as it goes by. Once
     ``blocks`` is exhausted, ``summary()`` returns their ShrinkageSummary,
     the same result at every call: a pair violates the guarantees when
-    its shrinkage is below -violation_tol or above its bound plus
-    violation_tol, which at full rank (bound 0) is the isometry check. No
-    pair column but the shrinkages is kept.
+    its shrinkage is below -slack or above its bound plus slack, the
+    slack being violation_tol times its original distance; at full rank
+    (bound 0) this is the isometry check. No pair column but the
+    shrinkages, the median's source, is kept.
     """
     check_violation_tol(violation_tol)
-    X, (m,), pairs, Y = _pair_pass(model, data, [m], pair_sample, seed)
-    fold = _Summary(m, pairs.sampled, pairs.count, violation_tol)
-    return map(fold.add, _steps(pairs, X, Y, m, indices=True)), fold.summary
+    Xt, Yt, (m,), pairs, errors = _pair_pass(model, data, [m], pair_sample, seed)
+    shrinkages = np.empty(pairs.count)
+    fold = _Summary(m, pairs.sampled, pairs.count, violation_tol, _slicer(shrinkages))
+
+    def add(block):
+        shrinkages[fold.filled:fold.filled + block.shrinkage.size] = block.shrinkage
+        return fold.add(block)
+
+    return map(add, _steps(pairs, Xt, Yt, m, errors[m], indices=True)), fold.summary
 
 
 def shrinkage_table(model, data, m=None, *, pair_sample=None, seed=0, threads=1):
@@ -357,11 +479,11 @@ def shrinkage_table(model, data, m=None, *, pair_sample=None, seed=0, threads=1)
     stays only because the benchmark's thread baseline
     (perfbench/worker.py) passes threads=1 and threads=2.
     """
-    X, (m,), pairs, Y = _pair_pass(model, data, [m], pair_sample, seed)
+    Xt, Yt, (m,), pairs, errors = _pair_pass(model, data, [m], pair_sample, seed)
     columns = {f.name: np.empty(pairs.count, dtype=np.int64 if f.name in ("i", "j") else float)
                for f in fields(PairTable)[2:]}
     lo = 0
-    for block in _steps(pairs, X, Y, m, indices=True):
+    for block in _steps(pairs, Xt, Yt, m, errors[m], indices=True):
         hi = lo + block.i.size
         for name, column in columns.items():
             column[lo:hi] = getattr(block, name)

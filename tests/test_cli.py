@@ -386,7 +386,12 @@ def test_pair_and_transform_csv_bytes_are_pinned(tmp_path, capsys):
     fit's last bits: against the previous files, i, j and m were
     identical, every distance within 1.2e-15 and recon_error within
     4.6e-15 of its pair's dist_original, and shrinkage within 2.0e-15 of
-    the column's largest value."""
+    the column's largest value. The pair CSVs were re-pinned when every
+    pair distance became its squared coordinate differences summed in
+    column order: against the previous files, i, j, m and recon_error
+    were identical, and dist_original, dist_truncated and shrinkage
+    within 4.7e-16 of their pair's dist_original; the other three digests
+    did not move."""
     ds = anisotropic_gaussian(400, seed=5)
     data = write_dataset_csv(tmp_path / "data.csv", ds)
     runs = {
@@ -410,8 +415,8 @@ def test_pair_and_transform_csv_bytes_are_pinned(tmp_path, capsys):
         raw = (tmp_path / name).read_bytes()
         got[name] = (len(raw), hashlib.sha256(raw).hexdigest())
     assert got == {
-        "all.csv": (6_869_227, "de6fdc7b64e949b7cd2a50ec76d315cbd0756209d8edd750e1749767540b6b80"),
-        "sampled.csv": (430_455, "4d591738f1d10a2d2c10dccfd6f66b10c66a4139731a9334125cc13b87aa82a4"),
+        "all.csv": (6_869_057, "254e03a294deee8d5ee7735262ea964faf035f41a5fc153e566e7420e9886a00"),
+        "sampled.csv": (430_409, "2d6770ff4aa39a2394c764fdafaf15dd4a63a27804312534d25f9eff11fc8e31"),
         "coords.csv": (31_860, "b56f63a8995e0b32f2081a8b052e2616359b49d36d58df0d19d4a48f91632081"),
         "all.stdout": (316, "bfc39866ad30a3949a9036bec33019157368a52e2743e7c3bc1a11da41d702c6"),
         "report.json": (518, "5658e082d08501397495e3ced476a272b241562ebaa451a09ba1cdf6028ebe84"),

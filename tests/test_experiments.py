@@ -380,6 +380,25 @@ class TestRunSweep:
         assert len(result.rows) == 6
         assert peak < 16 * 2**20
 
+    def test_each_level_differences_one_column_of_the_transform(self, monkeypatch):
+        """The work the pair kernel does, counted without a clock: the n
+        columns of X once for the original distances, then one column of
+        the transform per level, not the m columns of every level m."""
+        ds = anisotropic_gaussian(50, seed=2)
+        differenced = []
+        pairwise = shrinkage._pairwise
+
+        def counting(ufunc, v, ends, out):
+            if ufunc is np.subtract:
+                differenced.append(out.size)
+            return pairwise(ufunc, v, ends, out)
+
+        monkeypatch.setattr(shrinkage, "_pairwise", counting)
+        levels = 6
+        run_sweep(ds, m_range=(1, levels), folds=3)
+        pairs = 50 * 49 // 2
+        assert sum(differenced) == (ds.n_features + levels) * pairs
+
 
 class TestCorrelate:
     @staticmethod

@@ -41,8 +41,10 @@ def test_recon_error_matches_lapack_tail_norm():
                         err_msg="m=%d" % m)
 
 
-def _distinct_violations(shrink, bound, tol):
-    return int(np.count_nonzero((shrink < -tol) | (shrink > bound + tol)))
+def _distinct_violations(d_orig, shrink, bound, tol):
+    """The rule's count with its slack relative to each pair's d_orig."""
+    slack = tol * d_orig
+    return int(np.count_nonzero((shrink < -slack) | (shrink > bound + slack)))
 
 
 def _summary_at(model, X, m, tol):
@@ -60,9 +62,10 @@ def test_violating_pairs_counts_each_pair_once():
         for tol in (-1.0, -1e-3, 0.0, 1e-9):
             stats = _summary_at(model, X, m, tol)
             assert stats.violating_pairs == _distinct_violations(
-                table.shrinkage, table.recon_error, tol)
+                table.dist_original, table.shrinkage, table.recon_error, tol)
             assert stats.violating_pairs <= stats.negative_count + stats.bound_violations
-    # at full rank the bound is 0: every pair is below 1 or above -1
+    # at full rank the bound is 0 and a tolerance of -1 makes the slack -d_orig,
+    # so every pair of distinct points is above its bound
     assert _summary_at(model, X, 4, -1).violating_pairs == table.i.size == 1770
 
 
@@ -77,7 +80,7 @@ def test_analyze_logs_distinct_violating_pairs(tmp_path, capsys, m):
     out, err = capsys.readouterr()
     table = np.loadtxt(pairs, delimiter=",", skiprows=1)
     assert table.shape[0] == 1770
-    count = _distinct_violations(table[:, 5], table[:, 6], -1.0)
+    count = _distinct_violations(table[:, 3], table[:, 5], table[:, 6], -1.0)
     if m == 4:
         assert count == 1770
         assert "isometry_violation_pairs=1770\n" in out

@@ -147,7 +147,11 @@ def test_small_sweep_bytes_are_pinned(tmp_path, capsys):
     re-pinned when the Jacobi solver moved to batched round-robin rotations
     and changed the fit's last bits: against the previous reports, m and
     every accuracy were identical, and eigsum and each shrinkage column
-    within 1.3e-15 of the column's largest value."""
+    within 1.3e-15 of the column's largest value. Re-pinned again when
+    every pair distance became its squared coordinate differences summed
+    in column order and the mean a sum of fixed pieces: m, eigsum and
+    every accuracy were identical, and each shrinkage column within
+    5.1e-16 of its largest value."""
     ds = anisotropic_gaussian(400, seed=5)
     data = write_dataset_csv(tmp_path / "data.csv", ds)
     rc = main(["sweep", "--input", str(data), "--k", "5", "--folds", "4", "--seed", "3",
@@ -157,6 +161,6 @@ def test_small_sweep_bytes_are_pinned(tmp_path, capsys):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("s.csv", "s.json")}
     assert digests == {
-        "s.csv": "f17c91b0351ed05ec87d62ae267a122010202b8c04f5aff749cf1df1d3f5321c",
-        "s.json": "1d0edd2e80e77ad93adaa2f028f4da400322b8166fe91df18f92d6c06fc3afd6",
+        "s.csv": "61faeeefbca5bb0eb285ec0133453e49e85f1633b43cb97b84e7cd59713993a1",
+        "s.json": "eb43cb642af562b2fe0004700adf38ef52178c08a0ba1976ddc7e394829b5f6f",
     }

@@ -1,15 +1,18 @@
 """The pair kernel's two ways of visiting pairs, and the summary paths
 of the sweep and of analyze. All pairs go in row blocks (row r's pairs
 as ``Z[r+1:] - Z[r]``), sampled pairs by index gathers; both must give
-the same bits. Each summary path must give the bits of
+the bits of the one distance rule, squared coordinate differences added
+in column order. Each summary path must give the bits of
 ``PairTable.summary`` without a table."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from pcashrink import (
+    experiments,
     fit,
     shrinkage,
     shrinkage_blocks,
@@ -28,16 +31,25 @@ def _data(n_samples, n_features, seed=0):
     return X
 
 
-def _column(Z, pairs):
+def _column(Zt, pairs):
+    """The kernel's distances between the points of the feature-major
+    ``Zt``, one row a coordinate."""
     out = np.empty(pairs.count)
     for step in pairs.steps():
-        out[step[0]:step[1]] = shrinkage._distances(Z, step)
+        lo, hi, _ = step
+        out[lo:hi] = np.sqrt(shrinkage._extend(np.zeros(hi - lo), Zt, step))
     return out
 
 
 def _gathered(Z, i, j):
-    diff = Z[i] - Z[j]
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    """The one distance rule from index gathers, one column at a time: the
+    squared differences added in column order from zero, as the k-NN adds
+    them."""
+    d2 = np.zeros(i.size)
+    for c in range(Z.shape[1]):
+        diff = Z[j, c] - Z[i, c]
+        d2 += diff * diff
+    return np.sqrt(d2)
 
 
 # a chunk of 5 pairs puts long rows in steps of their own and groups the short ones
@@ -55,17 +67,18 @@ def test_row_blocks_match_gathers_bit_for_bit(monkeypatch, chunk, n_samples, n_f
     table = shrinkage_table(model, X, 1)
     assert table.i.dtype == table.j.dtype == np.int64
     assert np.array_equal(table.i, i) and np.array_equal(table.j, j)
-    # the first n columns of Y are a non-contiguous view for m < n; a level
-    # hands the kernel a contiguous copy, which must give the view's bits
+    # the engine reads a contiguous copy for all pairs and a transposed view for
+    # sampled pairs; each layout must give the bits of both ways
     for Z in [X] + [Y[:, :m] for m in range(1, n_features + 1)]:
         expected = _gathered(Z, i, j).tobytes()
-        assert _column(Z, rows).tobytes() == expected
-        assert _column(Z, gathers).tobytes() == expected
-        if Z is not X:
-            level_copy = shrinkage._level_operands(Y, Z.shape[1])[0]
-            assert level_copy.flags.c_contiguous
-            assert _column(level_copy, rows).tobytes() == expected
-            assert _column(level_copy, gathers).tobytes() == expected
+        for Zt in (np.ascontiguousarray(Z.T), Z.T):
+            assert _column(Zt, rows).tobytes() == expected
+            assert _column(Zt, gathers).tobytes() == expected
+    # the table's level m reads the first m rows of the feature-major transform
+    for m in range(1, n_features + 1):
+        table = shrinkage_table(model, X, m)
+        assert table.dist_original.tobytes() == _gathered(X, i, j).tobytes()
+        assert table.dist_truncated.tobytes() == _gathered(Y[:, :m], i, j).tobytes()
 
 
 def _hex_fields(summary):
@@ -75,9 +88,11 @@ def _hex_fields(summary):
 
 
 def _flagged(table, tol):
-    """The guarantee rule's counts at ``tol``, from the table's own columns."""
-    negative = table.shrinkage < -tol
-    over = table.shrinkage > table.recon_error + tol
+    """The guarantee rule's counts at ``tol``, from the table's own columns:
+    a slack of ``tol`` times each pair's original distance."""
+    slack = tol * table.dist_original
+    negative = table.shrinkage < -slack
+    over = table.shrinkage > table.recon_error + slack
     return {"negative_count": int(np.count_nonzero(negative)),
             "bound_violations": int(np.count_nonzero(over)),
             "violating_pairs": int(np.count_nonzero(negative | over))}
@@ -118,7 +133,7 @@ def test_summaries_match_table_summaries_bit_for_bit(monkeypatch, options, tol):
 
 
 def test_summary_leaves_the_shrinkage_column_unchanged():
-    # the median partitions a copy; the analyze CSV writes this column afterwards
+    # the median gathers copies; the analyze CSV writes this column afterwards
     X = _data(80, 4, seed=1)
     table = shrinkage_table(fit(X), X, 2)
     before = table.shrinkage.tobytes()
@@ -159,3 +174,134 @@ def test_median_of_a_column_with_nan_is_nan(size):
     values = np.arange(size, dtype=float)
     values[1] = np.nan
     assert np.isnan(_median(values))
+
+
+def test_levels_in_any_order_get_the_bits_of_an_ascending_call():
+    """The sweep computes its levels in ascending order over one running
+    column; a descending call, or one that repeats levels, must still give
+    each value the summary of its own level."""
+    X = _data(50, 6, seed=3)
+    model = fit(X)
+    ascending = {s.m: _hex_fields(s) for s in shrinkage_summaries(model, X, range(1, 7))}
+    for ms in ([4, 3, 2, 1], [2, 5, 2, 1, 5, 6], [6], [3, 3]):
+        got = [_hex_fields(s) for s in shrinkage_summaries(model, X, ms)]
+        assert got == [ascending[m] for m in ms], ms
+
+
+def test_truncated_distances_are_the_knn_distances(monkeypatch):
+    """One distance rule: at every level the engine's squared truncated
+    distance, and so its dist_truncated, has the bits of the k-NN's
+    running d² for the same pair."""
+    n_samples = 40
+    X = _data(n_samples, 5, seed=4)
+    model = fit(X)
+    Y = transform(model, X)
+    test = np.arange(n_samples) % 3 == 0
+    seen = []
+    nearest = experiments._nearest
+
+    def spy(dist, k):
+        seen.append(dist.copy())
+        return nearest(dist, k)
+
+    monkeypatch.setattr(experiments, "_nearest", spy)
+    levels = range(1, 6)
+    labels = np.array(["a", "b"] * (n_samples // 2))
+    experiments._knn_predict(Y[~test], labels[~test], Y[test], 3, levels)
+    assert len(seen) == len(levels)
+    a, b = np.meshgrid(np.flatnonzero(test), np.flatnonzero(~test), indexing="ij")
+    i, j = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
+    position = i * n_samples - i * (i + 1) // 2 + j - i - 1  # the pair's place in triu order
+    Yt = np.ascontiguousarray(Y.T)
+    for m, d2 in zip(levels, seen):
+        squared = shrinkage._extend(np.zeros(i.size), Yt[:m], (0, i.size, [(i, j)]))
+        assert squared.tobytes() == d2.ravel().tobytes(), m
+        table = shrinkage_table(model, X, m)
+        assert table.dist_truncated[position].tobytes() == np.sqrt(d2).ravel().tobytes(), m
+
+
+def _reference(X, Y, m):
+    """Level m's shrinkage column, built independently with numpy: the
+    distances pair by pair on triu_indices, one column at a time."""
+    i, j = np.triu_indices(X.shape[0], k=1)
+    return _gathered(X, i, j) - _gathered(Y[:, :m], i, j)
+
+
+def _assert_matches_reference(summary, reference):
+    assert summary.median.hex() == float(np.median(reference)).hex(), summary.m
+    assert summary.max.hex() == float(np.max(reference)).hex(), summary.m
+    exact = math.fsum(reference) / reference.size
+    assert abs(summary.mean - exact) <= 1e-15 * abs(exact), summary.m
+
+
+def _all_paths(model, X, levels):
+    """Each level's summary from the sweep, from analyze's blocks and
+    from the table."""
+    for m, swept in zip(levels, shrinkage_summaries(model, X, levels)):
+        blocks, summary = shrinkage_blocks(model, X, m)
+        for _ in blocks:
+            pass
+        yield m, (swept, summary(), shrinkage_table(model, X, m).summary())
+
+
+@pytest.mark.parametrize("n_samples", [300, 301])
+def test_median_max_and_mean_match_an_independent_column(n_samples):
+    """An even and an odd pair count (44,850 and 45,150), every level."""
+    X = _data(n_samples, 6, seed=5)
+    model = fit(X)
+    Y = transform(model, X)
+    levels = range(1, 7)
+    for m, summaries in _all_paths(model, X, levels):
+        reference = _reference(X, Y, m)
+        for summary in summaries:
+            _assert_matches_reference(summary, reference)
+
+
+def _passes(monkeypatch):
+    """The bounds of every pass the median makes, as (low, high)."""
+    seen = []
+    gather = shrinkage._gather
+
+    def spy(source, count, low, high):
+        seen.append((low, high))
+        return gather(source, count, low, high)
+
+    monkeypatch.setattr(shrinkage, "_gather", spy)
+    return seen
+
+
+def test_a_bracket_that_misses_is_widened(monkeypatch):
+    """With no margin the bracket is the sample's median alone, which
+    almost never is the column's: the pass is redone with one side
+    unbounded, and every path still gives the reference bits."""
+    monkeypatch.setattr(shrinkage, "_MARGIN", 0.0)
+    passes = _passes(monkeypatch)
+    X = _data(200, 5, seed=6)
+    model = fit(X)
+    Y = transform(model, X)
+    levels = range(1, 6)
+    for m, summaries in _all_paths(model, X, levels):
+        for summary in summaries:
+            _assert_matches_reference(summary, _reference(X, Y, m))
+    assert len(passes) > 3 * len(levels)
+    assert any(np.isinf(bound) for bound in np.ravel(passes))
+
+
+@pytest.mark.parametrize("side", ["low", "high"])
+@pytest.mark.parametrize("count", [9_999, 10_000])
+def test_a_sample_that_misses_one_side_unbounds_that_side(monkeypatch, side, count):
+    """Every _STRIDE-th shrinkage, the sample, is among the column's
+    largest (or smallest) values, so the bracket lies above (below) the
+    median and the second pass leaves its lower (upper) side open."""
+    monkeypatch.setattr(shrinkage, "_STRIDE", 16)
+    passes = _passes(monkeypatch)
+    rng = np.random.default_rng(7)
+    d = rng.standard_normal(count)
+    sampled = np.arange(count) % 16 == 0
+    d[sampled] = (10.0 if side == "low" else -10.0) + rng.standard_normal(sampled.sum())
+    table = shrinkage.PairTable(m=1, sampled=False, i=None, j=None, dist_original=np.abs(d),
+                                dist_truncated=np.zeros(count), shrinkage=d,
+                                recon_error=np.zeros(count))
+    _assert_matches_reference(table.summary(), d)
+    assert len(passes) == 2
+    assert passes[1] == ((-np.inf, passes[0][1]) if side == "low" else (passes[0][0], np.inf))

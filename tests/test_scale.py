@@ -1,6 +1,5 @@
 """The fit, the pair-energy identity and the full-rank isometry check on
-one dataset at every data scale. A case that fails today is a strict xfail naming the ROADMAP item
-whose fix removes its mark."""
+one dataset at every data scale."""
 
 import dataclasses
 import os
@@ -27,15 +26,10 @@ from pcashrink import (
 BASE = anisotropic_gaussian(300, seed=0).features
 SCALES = (1e-9, 1e-7, 1e-6, 1.0, 1e6)
 
-ABSOLUTE_TOL = ("ROADMAP item 4: d_orig - d_trunc against an absolute tolerance "
-                "flags 25,483 of 44,850 correct pairs at x1e6 "
-                "(25,388 negative, 95 over the bound)")
 
-
-def scales(failing=(), reason=None, values=SCALES):
-    """One case per scale; those in ``failing`` are strict xfails."""
-    xfail = pytest.mark.xfail(strict=True, reason=reason)
-    return [pytest.param(c, id="x%g" % c, marks=xfail if c in failing else ()) for c in values]
+def scales(values=SCALES):
+    """One case per scale."""
+    return [pytest.param(c, id="x%g" % c) for c in values]
 
 
 @pytest.mark.parametrize("c", scales(values=SCALES + (1e-150, 1e150)))
@@ -75,8 +69,10 @@ def test_pair_energy_identity(c):
         assert abs(energy - want) <= 1e-12 * total, (m, energy, want)
 
 
-@pytest.mark.parametrize("c", scales({1e6}, ABSOLUTE_TOL))
+@pytest.mark.parametrize("c", scales())
 def test_full_rank_flags_no_pair(c):
+    """The violation slack is relative to each pair's original distance,
+    so full-rank roundoff, about 1e-15 of it, flags no pair at any scale."""
     X = BASE * c
     model = fit(X)
     assert shrinkage_table(model, X, model.n_features).summary().violating_pairs == 0
