@@ -18,7 +18,7 @@ import numpy as np
 
 from ._version import VERSION
 from .errors import DatasetIOError, DatasetParseError, InsufficientRowsError, ToolkitError
-from .experiments import check_delimiter, correlate, load_csv, run_sweep
+from .experiments import check_delimiter, check_k, correlate, load_csv, run_sweep
 from .pca import fit, load_model, save_model, transform
 from .reports import (
     analyze_report,
@@ -327,6 +327,7 @@ def cmd_sweep(args):
     json_path = base + ".json"
     _check_outputs(args, csv_path, json_path)
     m_range = None if args.m_range is None else _sweep_range(*_parse_m_range(args.m_range))
+    check_k(args.k)
     check_pair_sample(args.pair_sample)
     dataset = _load_dataset(args)
     if m_range is None:

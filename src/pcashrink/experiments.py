@@ -204,11 +204,16 @@ def knn_accuracy(dataset, k=5, folds=5, seed=0):
     return _knn_pass(dataset.features, labels, tests, [dataset.n_features], k)[0]
 
 
+def check_k(k):
+    """Refuse a neighbour count below one."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+
+
 def _knn_folds(labels, k, folds, seed):
     """Check the k-NN arguments against the row ``labels`` and deal the
     folds: the labels as an array and each fold's test-row mask."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    check_k(k)
     check_seed(seed)
     if labels is None:
         raise DegenerateLabelsError("dataset has no labels")
@@ -327,12 +332,12 @@ def run_sweep(dataset, m_range=None, k=5, folds=5, seed=0, pair_sample=None):
     m-dimensional transformed features. One model is fitted on the full
     data and reused for every m. The k-NN arguments, then the pair
     arguments and budget, are checked before any pass (a ToolkitError
-    names the first m); then one k-NN pass covers every level, and
-    shrinkage_summaries summarizes the pairs one level at a time without
-    building a pair table. Both add one column a level to running squared
-    distances, by the one distance rule; the pair summaries hold two pair
-    columns, the original distances and the running squared distances.
-    Deterministic for fixed inputs and seed.
+    names the first m). shrinkage_summaries first summarizes the pairs of
+    every level without building a pair table, holding two pair columns,
+    the original distances and the running squared distances, which it
+    frees when it returns; then one k-NN pass covers every level. Both add
+    one column a level to running squared distances, by the one distance
+    rule. Deterministic for fixed inputs and seed.
     """
     X = dataset.features
     n = X.shape[1]
@@ -346,11 +351,10 @@ def run_sweep(dataset, m_range=None, k=5, folds=5, seed=0, pair_sample=None):
     model = fit(X)
     try:
         labels, tests = _knn_folds(dataset.labels, k, folds, seed)
-        summaries = shrinkage_summaries(model, X, levels, pair_sample=pair_sample, seed=seed)
+        stats = list(shrinkage_summaries(model, X, levels, pair_sample=pair_sample, seed=seed))
     except ToolkitError as exc:
         raise exc.__class__("m=%d: %s" % (lo, exc)) from exc
     accuracies = _knn_pass(transform(model, X), labels, tests, levels, k)
-    stats = list(summaries)
     rows = tuple(
         SweepRow(m, discarded_eigenvalue_sum(model, m), s.mean, s.median, s.max, accuracy)
         for m, s, accuracy in zip(levels, stats, accuracies)

@@ -51,7 +51,7 @@ _SWEEP_STEPS = 4
 _STRIDE = 64
 _MARGIN = 4.0
 
-# pairs per piece of the median's pass; the shrinkages a sweep re-derives
+# pairs per piece of a summary's pass; the shrinkages a sweep re-derives
 # for a piece are its only temporaries, so it stays small
 _PASS_CHUNK = 1 << 15
 
@@ -93,7 +93,7 @@ class PairTable:
         VIOLATION_TOL; the median reads the shrinkage column and leaves
         it as it is."""
         fold = _Summary(self.m, self.sampled, self.shrinkage.size, VIOLATION_TOL,
-                        _slicer(self.shrinkage))
+                        self.shrinkage.__getitem__)
         fold.add(self)
         return fold.summary()
 
@@ -240,8 +240,8 @@ def _extend(acc, Zt, step):
 def _pair_pass(model, data, ms, pair_sample, seed):
     """Check every argument of an engine call and do the work its levels
     share: returns the data and the transform's first max(ms) columns,
-    both feature-major, the checked levels, the _Pairs and each point's
-    reconstruction error at each level, by m."""
+    both as contiguous feature-major copies, the checked levels, the
+    _Pairs and each point's reconstruction error at each level, by m."""
     X = as_data_matrix(data)
     Y = transform(model, X)
     n_samples = X.shape[0]
@@ -255,13 +255,8 @@ def _pair_pass(model, data, ms, pair_sample, seed):
     pairs = _choose_pairs(n_samples, pair_sample, seed)
     # the norm of each point's discarded coordinates (the basis is orthonormal)
     errors = {m: np.sqrt(np.einsum("ij,ij->i", Y[:, m:], Y[:, m:])) for m in ms}
-
-    def feature_major(Z):
-        # all pairs read a coordinate's values in runs, fastest from a contiguous
-        # copy; sampled pairs gather points, fastest from the rows as they are
-        return Z.T if pairs.sampled else np.ascontiguousarray(Z.T)
-
-    return feature_major(X), feature_major(Y[:, :max(ms)]), ms, pairs, errors
+    Xt, Yt = (np.ascontiguousarray(Z.T) for Z in (X, Y[:, :max(ms, default=0)]))
+    return Xt, Yt, ms, pairs, errors
 
 
 def _steps(pairs, Xt, Yt, m, error, *, d_orig=None, run=None, start=0, indices=False,
@@ -295,27 +290,22 @@ def _steps(pairs, Xt, Yt, m, error, *, d_orig=None, run=None, start=0, indices=F
 class _Summary:
     """Folds ``count`` pairs of level m, block by block in pair order,
     into their ShrinkageSummary at violation tolerance ``tol``: the one
-    place that summaries are made. It keeps no pair column. As it goes it
-    counts a block's negative, over-bound and violating (either, counted
-    once) pairs, the guarantee rule, with a slack of ``tol`` times each
-    pair's original distance; it keeps the running max and every
-    _STRIDE-th shrinkage by pair index, a sample. When the last pair is
-    folded in, one pass over ``source(lo, hi)``, the shrinkages of pairs
-    lo..hi-1, takes the mean and the exact median (see _centre)."""
+    place that summaries are made. It keeps no pair column, only how many
+    pairs it has folded and three counts: a block's negative, over-bound
+    and violating (either, counted once) pairs, the guarantee rule, with a
+    slack of ``tol`` times each pair's original distance. When the last
+    pair is folded in, _centre's pass over ``source``, which maps a slice
+    of the pair column to its shrinkages, takes the mean, the exact
+    median and the max."""
 
     def __init__(self, m, sampled, count, tol, source):
         self.m, self.sampled, self.count, self.tol, self.source = m, sampled, count, tol, source
-        self.sample = np.empty(-(-count // _STRIDE))
-        self.filled, self.counts, self.top, self.result = 0, np.zeros(3, np.int64), -np.inf, None
+        self.filled, self.counts, self.result = 0, np.zeros(3, np.int64), None
 
     def add(self, block):
         """Fold ``block`` in and return it."""
         d = block.shrinkage
-        lo, self.filled = self.filled, self.filled + d.size
-        # the sample holds the shrinkages of pairs 0, _STRIDE, 2 * _STRIDE, ...
-        first = -lo % _STRIDE
-        self.sample[(lo + first) // _STRIDE:-(-self.filled // _STRIDE)] = d[first::_STRIDE]
-        self.top = np.maximum(self.top, d.max())
+        self.filled += d.size
         slack = self.tol * block.dist_original
         negative = d < -slack
         over = d > block.recon_error + slack
@@ -324,10 +314,7 @@ class _Summary:
             self.counts += [np.count_nonzero(negative), np.count_nonzero(over), violating]
         if self.filled < self.count:
             return block
-        top = float(self.top)
-        # NaN like np.mean and np.median
-        mean, median = (top, top) if np.isnan(top) else _centre(self.source, self.count,
-                                                                self.sample)
+        mean, median, top = _centre(self.source, self.count)
         negative, over, violating = (int(c) for c in self.counts)
         self.result = ShrinkageSummary(
             m=self.m, pair_count=self.count, sampled=self.sampled, mean=mean, median=median,
@@ -341,23 +328,27 @@ class _Summary:
         return self.result
 
 
-def _centre(source, count, sample):
-    """The mean and the exact median of the ``count`` shrinkages that
-    ``source(lo, hi)`` gives, without holding them: returns (mean, median).
+def _centre(source, count):
+    """The mean, the exact median and the max of the ``count`` shrinkages
+    that ``source(slice)`` gives, without holding them: returns (mean,
+    median, max), all three NaN when a shrinkage is NaN, like np.mean,
+    np.median and np.max.
 
-    The sample's order statistics _MARGIN·√s places either side of its
-    own median (s sampled values) bracket the median. One pass over the
-    shrinkages, in pieces of _PASS_CHUNK pairs aligned to the pair index,
-    sums each piece and gathers the values inside the bracket; the mean
-    is the math.fsum of the piece sums over ``count``, whose bits do not
-    depend on how the pairs were blocked. When the values below the
+    Every _STRIDE-th shrinkage by pair index, a sample, is drawn first;
+    its order statistics _MARGIN·√s places either side of its own median
+    (s sampled values) bracket the median. One pass over the shrinkages,
+    in pieces of _PASS_CHUNK pairs aligned to the pair index, takes each
+    piece's sum and max and gathers the values inside the bracket; the
+    mean is the math.fsum of the piece sums over ``count``, whose bits do
+    not depend on how the pairs were blocked. When the values below the
     bracket and those inside it reach past the median's ranks, the
-    gathered values hold the median: one single-kth partition at h = count // 2 gives the element at h for an
-    odd count and (the largest one below h + it) / 2 for an even one, the
-    bits of np.median. Otherwise the pass is redone with the side that
-    missed unbounded; only one side can miss, since the bracket's ends
-    are values of the column."""
-    h = count // 2
+    gathered values hold the median: one single-kth partition at h =
+    count // 2 gives the element at h for an odd count and (the largest
+    one below h + it) / 2 for an even one, the bits of np.median.
+    Otherwise the pass is redone with the side that missed unbounded;
+    only one side can miss, since the bracket's ends are values of the
+    column."""
+    sample = source(slice(None, None, _STRIDE)).copy()
     last = sample.size - 1
     width = int(_MARGIN * math.sqrt(sample.size))
     upper = min(last, last // 2 + width)
@@ -366,75 +357,72 @@ def _centre(source, count, sample):
     high = sample[upper]
     sample[:upper + 1].partition(lower)
     low = sample[lower]
-    below, inside, sums = _gather(source, count, low, high)
+    below, inside, sums, tops = _gather(source, count, low, high)
+    top = float(np.max(tops))
+    if np.isnan(top):
+        return top, top, top
+    h = count // 2
     if below > h - 1 + count % 2:
-        below, inside, _ = _gather(source, count, -np.inf, high)
+        below, inside, _, _ = _gather(source, count, -np.inf, high)
     elif below + inside.size <= h:
-        below, inside, _ = _gather(source, count, low, np.inf)
+        below, inside, _, _ = _gather(source, count, low, np.inf)
     k = h - below
     inside.partition(k)
     median = inside[k] if count % 2 else (inside[:k].max() + inside[k]) / 2
-    return math.fsum(sums) / count, float(median)
-
-
-def _slicer(column):
-    """The source of a column's pairs lo..hi-1 for _Summary."""
-    return lambda lo, hi: column[lo:hi]
+    return math.fsum(sums) / count, float(median), top
 
 
 def _gather(source, count, low, high):
     """One pass over the shrinkages: the number below ``low``, the values
-    in [low, high] and each piece's sum."""
-    below, inside, sums = 0, [], []
+    in [low, high], and each piece's sum and max."""
+    below, inside, sums, tops = 0, [], [], []
     for lo in range(0, count, _PASS_CHUNK):
-        d = source(lo, min(lo + _PASS_CHUNK, count))
+        d = source(slice(lo, lo + _PASS_CHUNK))
         sums.append(np.add.reduce(d))
+        tops.append(d.max())
         under = d < low
         below += np.count_nonzero(under)
         inside.append(d[~under & (d <= high)])
-    return below, np.concatenate(inside), sums
+    return below, np.concatenate(inside), sums, tops
 
 
 def shrinkage_summaries(model, data, ms, *, pair_sample=None, seed=0):
     """An iterator of one ShrinkageSummary per retained dimension in
     ``ms``, for the sweep, with the bits of ``shrinkage_table(...).summary()``
-    and no table: the call checks every argument (see shrinkage_table),
-    and computes the pair list, the full transform and the original
-    distances, a column the levels share, once.
+    and no table. The call checks every argument (see shrinkage_table)
+    and does all the work: it computes the pair list, the full transform
+    and the original distances, a column the levels share, once, then
+    every level.
 
     The levels are computed in ascending order, each once, over one
     running column of squared truncated distances that each level extends
     by its new columns of the transform, so that levels 1..M difference M
-    columns of the transform a pair, not M(M+1)/2. The first value drawn
-    computes every level up to its own; ``ms`` may come in any order and
-    repeat, and each value gets the summary of its level. The pair memory
-    is two columns, the original distances and the running one (the
-    median re-derives each shrinkage from both)."""
+    columns of the transform a pair, not M(M+1)/2. ``ms`` may come in any
+    order and repeat, and each value gets the summary of its level; an
+    empty ``ms`` computes no distance. The pair memory is two columns,
+    the original distances and the running one (the summary re-derives
+    each shrinkage from both), and it is freed before the call returns."""
     Xt, Yt, ms, pairs, errors = _pair_pass(model, data, ms, pair_sample, seed)
+    if not ms:
+        return iter([])
     d_orig = np.empty(pairs.count)
     for step in pairs.steps(_SWEEP_STEPS):
         d_orig[step[0]:step[1]] = np.sqrt(_extend(np.zeros(step[1] - step[0]), Xt, step))
-    levels = sorted(set(ms))
+    run = np.zeros(pairs.count)
+
+    def source(sl):
+        return d_orig[sl] - np.sqrt(run[sl])
+
     done = {}
-    run = None
-
-    def source(lo, hi):
-        return d_orig[lo:hi] - np.sqrt(run[lo:hi])
-
-    def level(m):
-        nonlocal run
-        if run is None:  # taken at the first draw, not beside the caller's work before it
-            run = np.zeros(pairs.count)
-        while m not in done:
-            k = len(done)
-            fold = _Summary(levels[k], pairs.sampled, pairs.count, VIOLATION_TOL, source)
-            for block in _steps(pairs, Xt, Yt, levels[k], errors[levels[k]], d_orig=d_orig,
-                                run=run, start=levels[k - 1] if k else 0, scale=_SWEEP_STEPS):
-                fold.add(block)
-            done[levels[k]] = fold.summary()
-        return done[m]
-
-    return map(level, ms)
+    start = 0
+    for m in sorted(set(ms)):
+        fold = _Summary(m, pairs.sampled, pairs.count, VIOLATION_TOL, source)
+        for block in _steps(pairs, Xt, Yt, m, errors[m], d_orig=d_orig, run=run, start=start,
+                            scale=_SWEEP_STEPS):
+            fold.add(block)
+        done[m] = fold.summary()
+        start = m
+    return iter([done[m] for m in ms])
 
 
 def shrinkage_blocks(model, data, m=None, *, pair_sample=None, seed=0,
@@ -452,12 +440,12 @@ def shrinkage_blocks(model, data, m=None, *, pair_sample=None, seed=0,
     its shrinkage is below -slack or above its bound plus slack, the
     slack being violation_tol times its original distance; at full rank
     (bound 0) this is the isometry check. No pair column but the
-    shrinkages, the median's source, is kept.
+    shrinkages, the summary's source, is kept.
     """
     check_violation_tol(violation_tol)
     Xt, Yt, (m,), pairs, errors = _pair_pass(model, data, [m], pair_sample, seed)
     shrinkages = np.empty(pairs.count)
-    fold = _Summary(m, pairs.sampled, pairs.count, violation_tol, _slicer(shrinkages))
+    fold = _Summary(m, pairs.sampled, pairs.count, violation_tol, shrinkages.__getitem__)
 
     def add(block):
         shrinkages[fold.filled:fold.filled + block.shrinkage.size] = block.shrinkage

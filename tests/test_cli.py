@@ -677,6 +677,14 @@ class TestBadOptionValues:
                        "got -1\n")
         assert out == "" and list(tmp_path.glob("out*")) == []
 
+    def test_k_below_one_exits_1(self, data_csv, tmp_path, capsys, no_input_read, source):
+        rc = self.run(tmp_path, source, "k", 0,
+                      "sweep", "--input", data_csv, "--output", tmp_path / "out")
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert err == "pca-shrink: error: k must be at least 1\n"
+        assert out == "" and list(tmp_path.glob("out*")) == []
+
     @pytest.mark.parametrize("argv", [("transform", "--model", "model.json"),
                                       ("analyze", "--m", 1), ("sweep",)],
                              ids=["transform", "analyze", "sweep"])

@@ -367,8 +367,8 @@ class TestRunSweep:
         assert str(info.value) == message
 
     def test_memory_holds_one_level_table(self):
-        # 719,400 pairs: 12.5 MiB with the shared original distances and one
-        # level's shrinkage column alive (5.5 MiB each); a six-column pair
+        # 719,400 pairs: 12.5 MiB with the original distances and the running
+        # squared truncated distances alive (5.5 MiB each); a six-column pair
         # table per level peaked at 41.0 MiB
         ds = anisotropic_gaussian(1200, tuple(2.0 ** -k for k in range(8)), seed=3)
         tracemalloc.start()
@@ -379,6 +379,26 @@ class TestRunSweep:
             tracemalloc.stop()
         assert len(result.rows) == 6
         assert peak < 16 * 2**20
+
+    def test_knn_runs_with_no_pair_column_alive(self, monkeypatch):
+        # the same 719,400 pairs: the pair summaries are done, and their two
+        # 5.5 MiB columns freed, before the k-NN's first fold starts
+        ds = anisotropic_gaussian(1200, tuple(2.0 ** -k for k in range(8)), seed=3)
+        predict = experiments._knn_predict
+        alive = []
+
+        def spy(*args):
+            alive.append(tracemalloc.get_traced_memory()[0])
+            return predict(*args)
+
+        monkeypatch.setattr(experiments, "_knn_predict", spy)
+        tracemalloc.start()
+        try:
+            run_sweep(ds, m_range=(1, 6), folds=3)
+        finally:
+            tracemalloc.stop()
+        assert len(alive) == 3
+        assert max(alive) < 2**20
 
     def test_each_level_differences_one_column_of_the_transform(self, monkeypatch):
         """The work the pair kernel does, counted without a clock: the n

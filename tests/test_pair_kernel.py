@@ -142,12 +142,12 @@ def test_summary_leaves_the_shrinkage_column_unchanged():
     assert table.shrinkage.tobytes() == before
 
 
-def _median(values):
-    # the fold's median, through the table summary that folds one block
+def _column_summary(values):
+    # the fold's summary, through the table summary that folds one block
     d = np.array(values, dtype=float)
     table = shrinkage.PairTable(m=1, sampled=False, i=None, j=None, dist_original=d,
                                 dist_truncated=d, shrinkage=d, recon_error=d)
-    return table.summary().median
+    return table.summary()
 
 
 _RNG = np.random.default_rng(11)
@@ -166,14 +166,17 @@ MEDIAN_CASES = {
 
 @pytest.mark.parametrize("values", MEDIAN_CASES.values(), ids=MEDIAN_CASES.keys())
 def test_one_partition_median_matches_numpy(values):
-    assert _median(values).hex() == float(np.median(values)).hex()
+    assert _column_summary(values).median.hex() == float(np.median(values)).hex()
 
 
 @pytest.mark.parametrize("size", [3, 4])
 def test_median_of_a_column_with_nan_is_nan(size):
-    values = np.arange(size, dtype=float)
-    values[1] = np.nan
-    assert np.isnan(_median(values))
+    # pair 0 is in the median's sample, pair 1 is not
+    for at in (0, 1):
+        values = np.arange(size, dtype=float)
+        values[at] = np.nan
+        summary = _column_summary(values)
+        assert np.isnan([summary.mean, summary.median, summary.max]).all(), at
 
 
 def test_levels_in_any_order_get_the_bits_of_an_ascending_call():

@@ -234,6 +234,17 @@ class TestPairEngine:
         with pytest.raises(error):
             shrinkage_blocks(three_point_model, data, ms[0], **options)
 
+    def test_no_levels_compute_no_distance(self, three_point_model, monkeypatch):
+        def no_distance(*args):
+            raise AssertionError("a distance was computed")
+
+        monkeypatch.setattr(shrinkage, "_extend", no_distance)
+        assert list(shrinkage_summaries(three_point_model, THREE_POINTS, [])) == []
+        with pytest.raises(ValueError, match="seed"):
+            shrinkage_summaries(three_point_model, THREE_POINTS, [], seed=-1)
+        with pytest.raises(InsufficientPairsError):
+            shrinkage_summaries(three_point_model, np.ones((1, 2)), [])
+
     def test_pair_budget_refuses_before_allocating(self):
         X = np.arange(100_000.0)[:, None]
         model = PcaModel(mean=[0.0], eigenvalues=[1.0], components=[[1.0]])
