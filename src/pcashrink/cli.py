@@ -17,7 +17,14 @@ import warnings
 import numpy as np
 
 from ._version import VERSION
-from .errors import DatasetIOError, DatasetParseError, InsufficientRowsError, ToolkitError
+from .errors import (
+    BadFoldsError,
+    DatasetIOError,
+    DatasetParseError,
+    DimMismatchError,
+    InsufficientRowsError,
+    ToolkitError,
+)
 from .experiments import check_delimiter, check_k, correlate, load_csv, run_sweep
 from .pca import fit, load_model, save_model, transform
 from .reports import (
@@ -185,11 +192,22 @@ def _parse_m_range(value):
 
 
 def _sweep_range(lo, hi):
-    """(lo, hi), refused when it is one level: correlate needs two sweep
-    rows, so this runs before the fit and every pass."""
+    """(lo, hi), refused when it is one level (correlate needs two sweep
+    rows) or starts below 1, so this runs before the fit and every pass;
+    the upper bound, n, needs the data."""
     if lo == hi:
         raise InsufficientRowsError("need at least two sweep rows, got 1")
+    if lo < 1:
+        raise DimMismatchError("m range [%d, %d] must start at 1 or above" % (lo, hi))
     return lo, hi
+
+
+def _check_m(m):
+    """Refuse an m below 1 before input is read; the upper bound, n, needs
+    the data. None (all dimensions) passes."""
+    if m is not None and m < 1:
+        raise DimMismatchError("m must be at least 1, got %d" % m)
+    return m
 
 
 def _load_dataset(args):
@@ -243,6 +261,7 @@ def cmd_transform(args):
     out = args.output
     if out is not None:
         _check_outputs(args, out)
+    _check_m(args.m)
     model = load_model(_require(args, "model"))
     dataset = _load_dataset(args)
     coords = transform(model, dataset.features, args.m)
@@ -260,7 +279,7 @@ def cmd_analyze(args):
     out = args.output
     if out is not None:
         _check_outputs(args, out)
-    m = _require(args, "m")
+    m = _check_m(_require(args, "m"))
     tol = args.violation_tol
     check_violation_tol(tol)
     check_pair_sample(args.pair_sample)
@@ -328,6 +347,8 @@ def cmd_sweep(args):
     _check_outputs(args, csv_path, json_path)
     m_range = None if args.m_range is None else _sweep_range(*_parse_m_range(args.m_range))
     check_k(args.k)
+    if args.folds < 2:
+        raise BadFoldsError("folds must be at least 2, got %d" % args.folds)
     check_pair_sample(args.pair_sample)
     dataset = _load_dataset(args)
     if m_range is None:

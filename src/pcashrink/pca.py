@@ -175,20 +175,25 @@ def load_model(path):
     """Read back a model written by save_model.
 
     Raises DatasetIOError if the file is unreadable and DatasetParseError
-    if it is not a valid model (wrong marker, bad shapes, non-finite
-    values, a components matrix that is not orthonormal, or eigenvalues
-    out of order).
+    if it is not a valid model (wrong marker, an ``n`` that is not a JSON
+    integer or a ``degenerate`` that is not a JSON boolean, bad shapes,
+    non-finite values, a components matrix that is not orthonormal, or
+    eigenvalues out of order).
     """
     raw = read_json(path, "model file ")
     if not isinstance(raw, dict) or raw.get("format") != MODEL_FORMAT:
         raise DatasetParseError("model file %s lacks the %r marker" % (path, MODEL_FORMAT))
     try:
-        n = int(raw["n"])
+        n, degenerate = raw["n"], raw.get("degenerate", False)
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise TypeError("n must be an integer, got %r" % (n,))
+        if not isinstance(degenerate, bool):
+            raise TypeError("degenerate must be true or false, got %r" % (degenerate,))
         model = PcaModel(
             mean=np.asarray(raw["mean"], dtype=float),
             eigenvalues=np.asarray(raw["eigenvalues"], dtype=float),
             components=np.asarray(raw["components"], dtype=float),
-            degenerate=bool(raw.get("degenerate", False)),
+            degenerate=degenerate,
         )
     except (KeyError, TypeError, ValueError, DimMismatchError, NonFiniteError) as exc:
         raise DatasetParseError("model file %s is malformed: %s" % (path, exc)) from exc

@@ -94,7 +94,7 @@ class PairTable:
         it as it is."""
         fold = _Summary(self.m, self.sampled, self.shrinkage.size, VIOLATION_TOL,
                         self.shrinkage.__getitem__)
-        fold.add(self)
+        fold.add(self.shrinkage, self.dist_original, self.recon_error)
         return fold.summary()
 
 
@@ -259,72 +259,62 @@ def _pair_pass(model, data, ms, pair_sample, seed):
     return Xt, Yt, ms, pairs, errors
 
 
-def _steps(pairs, Xt, Yt, m, error, *, d_orig=None, run=None, start=0, indices=False,
-           scale=1):
-    """The step loop of level m, the one place that pair quantities are
-    computed: one PairTable block per engine step, in pair-column order.
-    A block's original distances come from ``Xt``, or are its slice of a
-    ``d_orig`` column that several levels share. Its squared truncated
-    distances are the first m rows of ``Yt`` summed from zero, or, with a
-    running column ``run`` that holds the sums of the first ``start``
-    rows, that column extended in place by rows start..m-1; its bound
-    adds the two points' ``error``. Its index columns are built only when
-    ``indices`` is set, and are None otherwise. The steps are about
-    ``scale`` * _CHUNK pairs long."""
-    ids = np.arange(pairs.n_samples, dtype=np.int64) if indices else None
-    for step in pairs.steps(scale):
+def _steps(pairs, Xt, Yt, m, error):
+    """The step loop of analyze and the table at level m: one PairTable
+    block per engine step of the default length, in pair-column order,
+    with its index columns. Both distances are summed from zero, the
+    original from ``Xt`` and the truncated from the first m rows of
+    ``Yt``; the bound adds the two points' ``error``."""
+    ids = np.arange(pairs.n_samples, dtype=np.int64)
+    for step in pairs.steps():
         lo, hi, ends = step
-        d_o = np.sqrt(_extend(np.zeros(hi - lo), Xt, step)) if d_orig is None else d_orig[lo:hi]
-        acc = np.zeros(hi - lo) if run is None else run[lo:hi]
-        d_t = np.sqrt(_extend(acc, Yt[start:m], step))
-        i = j = None
-        if indices:
-            # every pair joins i < j, so i is the smaller of its two indices
-            i = _pairwise(np.minimum, ids, ends, np.empty(hi - lo, dtype=np.int64))
-            j = _pairwise(np.maximum, ids, ends, np.empty(hi - lo, dtype=np.int64))
+        d_o = np.sqrt(_extend(np.zeros(hi - lo), Xt, step))
+        d_t = np.sqrt(_extend(np.zeros(hi - lo), Yt[:m], step))
+        # every pair joins i < j, so i is the smaller of its two indices
+        i = _pairwise(np.minimum, ids, ends, np.empty(hi - lo, dtype=np.int64))
+        j = _pairwise(np.maximum, ids, ends, np.empty(hi - lo, dtype=np.int64))
         yield PairTable(m=m, sampled=pairs.sampled, i=i, j=j, dist_original=d_o,
                         dist_truncated=d_t, shrinkage=d_o - d_t,
                         recon_error=_pairwise(np.add, error, ends, np.empty(hi - lo)))
 
 
 class _Summary:
-    """Folds ``count`` pairs of level m, block by block in pair order,
-    into their ShrinkageSummary at violation tolerance ``tol``: the one
-    place that summaries are made. It keeps no pair column, only how many
-    pairs it has folded and three counts: a block's negative, over-bound
-    and violating (either, counted once) pairs, the guarantee rule, with a
-    slack of ``tol`` times each pair's original distance. When the last
-    pair is folded in, _centre's pass over ``source``, which maps a slice
-    of the pair column to its shrinkages, takes the mean, the exact
-    median and the max."""
+    """Folds ``count`` pairs of level m, in pair order, into their
+    ShrinkageSummary at violation tolerance ``tol``: the one place that
+    summaries are made. It keeps no pair column, only how many pairs it
+    has folded and three counts: the negative, over-bound and violating
+    (either, counted once) pairs, the guarantee rule, with a slack of
+    ``tol`` times each pair's original distance. The first ``summary()``
+    after the last pair is folded runs _centre's pass over ``source``,
+    which maps a slice of the pair column to its shrinkages, for the
+    mean, the exact median and the max."""
 
     def __init__(self, m, sampled, count, tol, source):
         self.m, self.sampled, self.count, self.tol, self.source = m, sampled, count, tol, source
         self.filled, self.counts, self.result = 0, np.zeros(3, np.int64), None
 
-    def add(self, block):
-        """Fold ``block`` in and return it."""
-        d = block.shrinkage
+    def add(self, d, d_orig, bound):
+        """Count the next pairs: shrinkages ``d``, their original
+        distances ``d_orig`` and their bounds ``bound``."""
         self.filled += d.size
-        slack = self.tol * block.dist_original
+        slack = self.tol * d_orig
         negative = d < -slack
-        over = d > block.recon_error + slack
+        over = d > bound + slack
         violating = np.count_nonzero(negative | over)
         if violating:
             self.counts += [np.count_nonzero(negative), np.count_nonzero(over), violating]
-        if self.filled < self.count:
-            return block
-        mean, median, top = _centre(self.source, self.count)
-        negative, over, violating = (int(c) for c in self.counts)
-        self.result = ShrinkageSummary(
-            m=self.m, pair_count=self.count, sampled=self.sampled, mean=mean, median=median,
-            max=top, negative_count=negative, bound_violations=over, violating_pairs=violating)
-        return block
 
     def summary(self):
-        if self.result is None:
+        if self.filled < self.count:
             raise RuntimeError("%d of %d pairs folded; exhaust the blocks first"
                                % (self.filled, self.count))
+        if self.result is None:
+            mean, median, top = _centre(self.source, self.count)
+            negative, over, violating = (int(c) for c in self.counts)
+            self.result = ShrinkageSummary(
+                m=self.m, pair_count=self.count, sampled=self.sampled, mean=mean,
+                median=median, max=top, negative_count=negative, bound_violations=over,
+                violating_pairs=violating)
         return self.result
 
 
@@ -394,14 +384,16 @@ def shrinkage_summaries(model, data, ms, *, pair_sample=None, seed=0):
     and the original distances, a column the levels share, once, then
     every level.
 
-    The levels are computed in ascending order, each once, over one
-    running column of squared truncated distances that each level extends
-    by its new columns of the transform, so that levels 1..M difference M
-    columns of the transform a pair, not M(M+1)/2. ``ms`` may come in any
-    order and repeat, and each value gets the summary of its level; an
-    empty ``ms`` computes no distance. The pair memory is two columns,
-    the original distances and the running one (the summary re-derives
-    each shrinkage from both), and it is freed before the call returns."""
+    The levels are computed in ascending order, each once, in the sweep's
+    own step loop: a step extends its slice of one running column of
+    squared truncated distances by the level's new rows of the transform,
+    so that levels 1..M difference M columns of the transform a pair, not
+    M(M+1)/2, and folds the step's arrays, with no PairTable. ``ms`` may
+    come in any order and repeat, and each value gets the summary of its
+    level; an empty ``ms`` computes no distance. The pair memory is two
+    columns, the original distances and the running one (the summary
+    re-derives each shrinkage from both), and it is freed before the call
+    returns."""
     Xt, Yt, ms, pairs, errors = _pair_pass(model, data, ms, pair_sample, seed)
     if not ms:
         return iter([])
@@ -417,9 +409,11 @@ def shrinkage_summaries(model, data, ms, *, pair_sample=None, seed=0):
     start = 0
     for m in sorted(set(ms)):
         fold = _Summary(m, pairs.sampled, pairs.count, VIOLATION_TOL, source)
-        for block in _steps(pairs, Xt, Yt, m, errors[m], d_orig=d_orig, run=run, start=start,
-                            scale=_SWEEP_STEPS):
-            fold.add(block)
+        for step in pairs.steps(_SWEEP_STEPS):
+            lo, hi, ends = step
+            d_t = np.sqrt(_extend(run[lo:hi], Yt[start:m], step))
+            fold.add(d_orig[lo:hi] - d_t, d_orig[lo:hi],
+                     _pairwise(np.add, errors[m], ends, np.empty(hi - lo)))
         done[m] = fold.summary()
         start = m
     return iter([done[m] for m in ms])
@@ -434,9 +428,10 @@ def shrinkage_blocks(model, data, m=None, *, pair_sample=None, seed=0,
     The call checks every argument first (see shrinkage_table and
     check_violation_tol). ``blocks`` iterates PairTable blocks with index
     columns, one per engine step; together they hold the rows of
-    shrinkage_table, in its order, and each is folded as it goes by. Once
-    ``blocks`` is exhausted, ``summary()`` returns their ShrinkageSummary,
-    the same result at every call: a pair violates the guarantees when
+    shrinkage_table, in its order, and each is counted as it goes by.
+    Once ``blocks`` is exhausted, the first ``summary()`` takes the mean,
+    median and max in one pass and returns their ShrinkageSummary, the
+    same object at every later call: a pair violates the guarantees when
     its shrinkage is below -slack or above its bound plus slack, the
     slack being violation_tol times its original distance; at full rank
     (bound 0) this is the isometry check. No pair column but the
@@ -449,9 +444,10 @@ def shrinkage_blocks(model, data, m=None, *, pair_sample=None, seed=0,
 
     def add(block):
         shrinkages[fold.filled:fold.filled + block.shrinkage.size] = block.shrinkage
-        return fold.add(block)
+        fold.add(block.shrinkage, block.dist_original, block.recon_error)
+        return block
 
-    return map(add, _steps(pairs, Xt, Yt, m, errors[m], indices=True)), fold.summary
+    return map(add, _steps(pairs, Xt, Yt, m, errors[m])), fold.summary
 
 
 def shrinkage_table(model, data, m=None, *, pair_sample=None, seed=0, threads=1):
@@ -471,7 +467,7 @@ def shrinkage_table(model, data, m=None, *, pair_sample=None, seed=0, threads=1)
     columns = {f.name: np.empty(pairs.count, dtype=np.int64 if f.name in ("i", "j") else float)
                for f in fields(PairTable)[2:]}
     lo = 0
-    for block in _steps(pairs, Xt, Yt, m, errors[m], indices=True):
+    for block in _steps(pairs, Xt, Yt, m, errors[m]):
         hi = lo + block.i.size
         for name, column in columns.items():
             column[lo:hi] = getattr(block, name)

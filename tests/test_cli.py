@@ -632,8 +632,9 @@ def test_config_seed_beats_env_seed(data_csv, tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("source", ["flag", "config"])
 class TestBadOptionValues:
-    """Values no command can use exit 1 with one error line, from a flag or from config;
-    those that need no input are refused before any is read."""
+    """Values no command can use exit with one error line, from a flag or from config;
+    those that need no input are refused before any is read. Most exit 1; an m, an
+    m range or a fold count below its floor keeps the exit 3 of its library check."""
 
     def run(self, tmp_path, source, option, value, *argv):
         if source == "flag":
@@ -683,6 +684,24 @@ class TestBadOptionValues:
         assert rc == 1
         out, err = capsys.readouterr()
         assert err == "pca-shrink: error: k must be at least 1\n"
+        assert out == "" and list(tmp_path.glob("out*")) == []
+
+    @pytest.mark.parametrize("option, value, argv, message", [
+        ("m", 0, ("analyze",), "[dim-mismatch] m must be at least 1, got 0"),
+        ("m", 0, ("transform", "--model", "model.json"),
+         "[dim-mismatch] m must be at least 1, got 0"),
+        ("m-range", "0..3", ("sweep",),
+         "[dim-mismatch] m range [0, 3] must start at 1 or above"),
+        ("folds", 1, ("sweep",), "[bad-folds] folds must be at least 2, got 1"),
+    ], ids=["analyze-m", "transform-m", "sweep-m-range", "sweep-folds"])
+    def test_below_its_floor_exits_3(self, data_csv, tmp_path, capsys, no_input_read,
+                                     source, option, value, argv, message):
+        # the upper bounds (n, the row count) need the data and are checked after the read
+        rc = self.run(tmp_path, source, option, value, *argv,
+                      "--input", data_csv, "--output", tmp_path / "out")
+        assert rc == 3
+        out, err = capsys.readouterr()
+        assert err == "pca-shrink: %s\n" % message
         assert out == "" and list(tmp_path.glob("out*")) == []
 
     @pytest.mark.parametrize("argv", [("transform", "--model", "model.json"),

@@ -11,6 +11,10 @@ from pcashrink import (
     DatasetIOError,
     DatasetParseError,
     DimMismatchError,
+    EmptyDataError,
+    NonFiniteError,
+    PcaModel,
+    anisotropic_gaussian,
     collision_witness,
     fit,
     load_csv,
@@ -19,6 +23,7 @@ from pcashrink import (
 )
 from pcashrink import cli
 from pcashrink.cli import main
+from pcashrink.matrix import as_data_matrix, as_vector
 from pcashrink.reports import format_correlation_lines
 
 MODEL = fit(np.array([[0.0, 1.0], [2.0, 0.5], [1.0, 3.0]]))
@@ -47,6 +52,25 @@ def test_model_n_must_match_its_arrays(tmp_path):
     with pytest.raises(DatasetParseError) as exc:
         load_model(path)
     assert str(exc.value) == "model file %s declares n=3 but carries 2 features" % path
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("degenerate", "false", "degenerate must be true or false, got 'false'"),
+    ("degenerate", 0, "degenerate must be true or false, got 0"),
+    ("n", 3.7, "n must be an integer, got 3.7"),
+    ("n", 2.0, "n must be an integer, got 2.0"),
+    ("n", True, "n must be an integer, got True"),
+], ids=["degenerate-string", "degenerate-number", "n-fraction", "n-float", "n-boolean"])
+def test_mistyped_model_field_is_malformed(tmp_path, capsys, field, value, message):
+    # a string "false" is truthy and 3.7 truncates: neither may load as a model
+    path, raw = saved_model(tmp_path)
+    raw[field] = value
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    rc = main(["transform", "--model", str(path), "--input", str(tmp_path / "nope.csv")])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert err == "pca-shrink: [parse] model file %s is malformed: %s\n" % (path, message)
+    assert out == ""
 
 
 def test_save_model_onto_a_directory(tmp_path):
@@ -130,3 +154,38 @@ def test_one_feature_sweep_is_refused_before_the_fit(tmp_path, capsys, monkeypat
     out, err = capsys.readouterr()
     assert err == "pca-shrink: [insufficient-rows] need at least two sweep rows, got 1\n"
     assert out == "" and [p.name for p in tmp_path.iterdir()] == ["one.csv"]
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"m-range": [1, 2]}, "config key 'm-range' must be a string or a number, got [1, 2]"),
+    ({"k": True}, "config key 'k' must be a string or a number, got True"),
+], ids=["list", "boolean"])
+def test_config_value_of_the_wrong_json_type(tmp_path, capsys, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    rc = main(["sweep", "--config", str(path), "--input", str(tmp_path / "nope.csv"),
+               "--output", str(tmp_path / "out")])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert err == "pca-shrink: error: %s\n" % message
+    assert out == "" and [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: as_vector([[1.0, 2.0]], "x"), DimMismatchError,
+     "x must be one-dimensional, got shape (1, 2)"),
+    (lambda: as_vector([], "x"), EmptyDataError, "x is empty"),
+    (lambda: as_data_matrix([1.0, 2.0]), DimMismatchError,
+     "data must be a 2-D array of row vectors, got shape (2,)"),
+    (lambda: PcaModel(mean=[[0.0, 1.0]], eigenvalues=[1.0, 0.5], components=np.eye(2)),
+     DimMismatchError, "mean must be a vector, got shape (1, 2)"),
+    (lambda: PcaModel(mean=[0.0, 1.0], eigenvalues=[1.0, np.nan], components=np.eye(2)),
+     NonFiniteError, "model eigenvalues contains NaN or infinite entries"),
+    (lambda: anisotropic_gaussian(10, variances=(1.0, np.nan)), NonFiniteError,
+     "variances contain NaN or infinite entries"),
+], ids=["vector-2d", "vector-empty", "matrix-1d", "model-2d-mean", "model-nan-eigenvalue",
+        "gaussian-nan-variance"])
+def test_library_input_refusals(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

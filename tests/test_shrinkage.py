@@ -219,6 +219,44 @@ class TestPairEngine:
         # the median partitioned the column once; a second call returns that same result
         assert summary() is first
 
+    def test_sweep_builds_no_pair_table(self, monkeypatch):
+        # the sweep folds its steps' arrays; a table per step would be waste
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((90, 6)) * [3.0, 2.0, 1.0, 0.5, 0.2, 0.1]
+        model = fit(X)
+        levels = range(1, 7)
+
+        def hexed(summaries):
+            return [tuple(v.hex() if isinstance(v, float) else v for v in vars(s).values())
+                    for s in summaries]
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("a PairTable was built")
+
+        for options in ({}, {"pair_sample": 300}):
+            want = hexed(shrinkage_summaries(model, X, levels, **options))
+            with monkeypatch.context() as patch:
+                patch.setattr(shrinkage, "PairTable", no_table)
+                got = hexed(shrinkage_summaries(model, X, levels, **options))
+            assert got == want
+
+    def test_median_pass_runs_at_the_first_summary_call(self, three_point_model,
+                                                        monkeypatch):
+        calls = []
+        centre = shrinkage._centre
+
+        def counted(*args):
+            calls.append(args)
+            return centre(*args)
+
+        monkeypatch.setattr(shrinkage, "_centre", counted)
+        blocks, summary = shrinkage_blocks(three_point_model, THREE_POINTS, 1)
+        for _ in blocks:
+            pass
+        assert calls == []
+        assert summary() is summary()
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("data, ms, options, error", [
         (np.ones((1, 2)), [1], {}, InsufficientPairsError),
         (None, [3], {}, DimMismatchError),
