@@ -311,11 +311,10 @@ def cmd_analyze(args):
         for _ in blocks:
             pass
     stats = summary()
-    isometry = stats.violating_pairs if full_rank else None
     if out is not None:
         if not pair_csv:
             write_text(out, [json_text(analyze_report(
-                stats, model.n_features, dataset.name, witness_note, isometry))])
+                stats, model.n_features, dataset.name, witness_note))])
         _log("wrote %s" % out)
 
     print("dataset=%s n=%d m=%d" % (dataset.name, model.n_features, stats.m))
@@ -325,7 +324,7 @@ def cmd_analyze(args):
     print("negative_shrinkage_pairs=%d" % stats.negative_count)
     print("bound_violation_pairs=%d" % stats.bound_violations)
     if full_rank:
-        print("isometry_violation_pairs=%d" % isometry)
+        print("isometry_violation_pairs=%d" % stats.violating_pairs)
         print("witness: none, the full-rank transform is injective")
     else:
         print("witness: sample 0 moved %s along discarded axis %d; truncated images %s apart"

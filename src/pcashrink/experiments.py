@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -212,7 +213,9 @@ def check_k(k):
 
 def _knn_folds(labels, k, folds, seed):
     """Check the k-NN arguments against the row ``labels`` and deal the
-    folds: the labels as an array and each fold's test-row mask."""
+    folds: the labels as an array and each fold's test-row mask. A k
+    above the fewest training rows of a fold warns (RuntimeWarning): such
+    a fold votes over all of its training rows (see _knn_predict)."""
     check_k(k)
     check_seed(seed)
     if labels is None:
@@ -223,6 +226,10 @@ def _knn_folds(labels, k, folds, seed):
         raise BadFoldsError("folds must be in [2, %d], got %d" % (len(labels), folds))
     labels = np.asarray(labels)
     fold_of = _stratified_folds(labels, folds, seed)
+    fewest = labels.size - np.bincount(fold_of).max()
+    if k > fewest:
+        warnings.warn("k=%d exceeds a fold's training rows (as few as %d); such a fold "
+                      "votes over all of them" % (k, fewest), RuntimeWarning, stacklevel=3)
     return labels, [fold_of == f for f in range(folds)]
 
 

@@ -112,8 +112,9 @@ def coords_json_blocks(coords):
     yield text[cut + 1:]
 
 
-def analyze_report(stats, n_features, dataset_name, witness_note, isometry_violations=None):
-    """Dict form of the single-m analysis report (no per-pair rows)."""
+def analyze_report(stats, n_features, dataset_name, witness_note):
+    """Dict form of the single-m analysis report (no per-pair rows), with
+    the isometry check's violating pairs at full rank (m == n_features)."""
     payload = {
         "report": "pca-shrink-analyze",
         "version": VERSION,
@@ -129,8 +130,8 @@ def analyze_report(stats, n_features, dataset_name, witness_note, isometry_viola
         "bound_violation_pairs": stats.bound_violations,
         "witness": witness_note,
     }
-    if isometry_violations is not None:
-        payload["isometry_violation_pairs"] = isometry_violations
+    if stats.m == n_features:
+        payload["isometry_violation_pairs"] = stats.violating_pairs
     return payload
 
 

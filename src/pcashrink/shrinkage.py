@@ -184,7 +184,7 @@ def _choose_pairs(n_samples, pair_sample, seed):
     pairs. Sampling draws pairs uniformly with replacement and is
     deterministic for a given (seed, n_samples); self-pairs are redrawn.
     A pair count above PAIR_BUDGET raises TooManyPairsError before
-    anything is allocated.
+    anything is allocated; _pair_pass calls this before it transforms.
     """
     total = n_samples * (n_samples - 1) // 2
     sampled = 0 < pair_sample < total
@@ -206,9 +206,12 @@ def _choose_pairs(n_samples, pair_sample, seed):
     return _Pairs(n_samples, (np.minimum(a, b), np.maximum(a, b)))
 
 
-def _pairwise(ufunc, v, ends, out):
-    """``ufunc(v[..., b], v[..., a])`` for the pairs of one step, along the
-    last axis of ``v``, written to ``out``."""
+def _pairwise(ufunc, v, step):
+    """``ufunc(v[..., b], v[..., a])`` for the pairs of one ``step``, a
+    (lo, hi, ends) of _Pairs.steps, along the last axis of ``v``: a new
+    array of v's dtype, its last axis the step's hi - lo pairs."""
+    lo, hi, ends = step
+    out = np.empty(v.shape[:-1] + (hi - lo,), v.dtype)
     k = 0
     for a, b in ends:
         vb = v[..., b]
@@ -229,8 +232,7 @@ def _extend(acc, Zt, step):
     running d² makes (experiments._knn_predict), with the same bits. The
     rows are added one by one because np.add.reduce may sum a short axis
     pairwise."""
-    lo, hi, ends = step
-    diff = _pairwise(np.subtract, Zt, ends, np.empty((Zt.shape[0], hi - lo)))
+    diff = _pairwise(np.subtract, Zt, step)
     np.multiply(diff, diff, out=diff)
     for square in diff:
         acc += square
@@ -241,18 +243,19 @@ def _pair_pass(model, data, ms, pair_sample, seed):
     """Check every argument of an engine call and do the work its levels
     share: returns the data and the transform's first max(ms) columns,
     both as contiguous feature-major copies, the checked levels, the
-    _Pairs and each point's reconstruction error at each level, by m."""
+    _Pairs and each point's reconstruction error at each level, by m.
+    The checks and the choice of pairs come first: a refusal transforms
+    nothing."""
     X = as_data_matrix(data)
-    Y = transform(model, X)
     n_samples = X.shape[0]
     if n_samples < 2:
         raise InsufficientPairsError("need at least two samples to form a pair")
     ms = [check_m(model, m) for m in ms]
-
     check_pair_sample(pair_sample)
     check_seed(seed)
     pair_sample = PAIR_SAMPLE_DEFAULT if pair_sample is None else pair_sample
     pairs = _choose_pairs(n_samples, pair_sample, seed)
+    Y = transform(model, X)
     # the norm of each point's discarded coordinates (the basis is orthonormal)
     errors = {m: np.sqrt(np.einsum("ij,ij->i", Y[:, m:], Y[:, m:])) for m in ms}
     Xt, Yt = (np.ascontiguousarray(Z.T) for Z in (X, Y[:, :max(ms, default=0)]))
@@ -260,22 +263,22 @@ def _pair_pass(model, data, ms, pair_sample, seed):
 
 
 def _steps(pairs, Xt, Yt, m, error):
-    """The step loop of analyze and the table at level m: one PairTable
-    block per engine step of the default length, in pair-column order,
-    with its index columns. Both distances are summed from zero, the
-    original from ``Xt`` and the truncated from the first m rows of
-    ``Yt``; the bound adds the two points' ``error``."""
+    """The step loop of analyze and the table at level m: one (lo, hi,
+    block) per engine step of the default length, in pair-column order,
+    ``block`` the PairTable of pairs lo..hi-1 with its index columns.
+    Both distances are summed from zero, the original from ``Xt`` and the
+    truncated from the first m rows of ``Yt``; the bound adds the two
+    points' ``error``."""
     ids = np.arange(pairs.n_samples, dtype=np.int64)
     for step in pairs.steps():
-        lo, hi, ends = step
+        lo, hi, _ = step
         d_o = np.sqrt(_extend(np.zeros(hi - lo), Xt, step))
         d_t = np.sqrt(_extend(np.zeros(hi - lo), Yt[:m], step))
         # every pair joins i < j, so i is the smaller of its two indices
-        i = _pairwise(np.minimum, ids, ends, np.empty(hi - lo, dtype=np.int64))
-        j = _pairwise(np.maximum, ids, ends, np.empty(hi - lo, dtype=np.int64))
-        yield PairTable(m=m, sampled=pairs.sampled, i=i, j=j, dist_original=d_o,
-                        dist_truncated=d_t, shrinkage=d_o - d_t,
-                        recon_error=_pairwise(np.add, error, ends, np.empty(hi - lo)))
+        yield lo, hi, PairTable(
+            m=m, sampled=pairs.sampled, i=_pairwise(np.minimum, ids, step),
+            j=_pairwise(np.maximum, ids, step), dist_original=d_o, dist_truncated=d_t,
+            shrinkage=d_o - d_t, recon_error=_pairwise(np.add, error, step))
 
 
 class _Summary:
@@ -338,15 +341,11 @@ def _centre(source, count):
     Otherwise the pass is redone with the side that missed unbounded;
     only one side can miss, since the bracket's ends are values of the
     column."""
-    sample = source(slice(None, None, _STRIDE)).copy()
+    sample = source(slice(None, None, _STRIDE))
     last = sample.size - 1
     width = int(_MARGIN * math.sqrt(sample.size))
-    upper = min(last, last // 2 + width)
-    lower = max(0, last // 2 - width)
-    sample.partition(upper)
-    high = sample[upper]
-    sample[:upper + 1].partition(lower)
-    low = sample[lower]
+    bracket = [max(0, last // 2 - width), min(last, last // 2 + width)]
+    low, high = np.partition(sample, bracket)[bracket]
     below, inside, sums, tops = _gather(source, count, low, high)
     top = float(np.max(tops))
     if np.isnan(top):
@@ -399,7 +398,8 @@ def shrinkage_summaries(model, data, ms, *, pair_sample=None, seed=0):
         return iter([])
     d_orig = np.empty(pairs.count)
     for step in pairs.steps(_SWEEP_STEPS):
-        d_orig[step[0]:step[1]] = np.sqrt(_extend(np.zeros(step[1] - step[0]), Xt, step))
+        lo, hi, _ = step
+        d_orig[lo:hi] = np.sqrt(_extend(np.zeros(hi - lo), Xt, step))
     run = np.zeros(pairs.count)
 
     def source(sl):
@@ -410,10 +410,9 @@ def shrinkage_summaries(model, data, ms, *, pair_sample=None, seed=0):
     for m in sorted(set(ms)):
         fold = _Summary(m, pairs.sampled, pairs.count, VIOLATION_TOL, source)
         for step in pairs.steps(_SWEEP_STEPS):
-            lo, hi, ends = step
+            lo, hi, _ = step
             d_t = np.sqrt(_extend(run[lo:hi], Yt[start:m], step))
-            fold.add(d_orig[lo:hi] - d_t, d_orig[lo:hi],
-                     _pairwise(np.add, errors[m], ends, np.empty(hi - lo)))
+            fold.add(d_orig[lo:hi] - d_t, d_orig[lo:hi], _pairwise(np.add, errors[m], step))
         done[m] = fold.summary()
         start = m
     return iter([done[m] for m in ms])
@@ -426,9 +425,10 @@ def shrinkage_blocks(model, data, m=None, *, pair_sample=None, seed=0,
     block to the pair CSV or only draining the blocks.
 
     The call checks every argument first (see shrinkage_table and
-    check_violation_tol). ``blocks`` iterates PairTable blocks with index
-    columns, one per engine step; together they hold the rows of
-    shrinkage_table, in its order, and each is counted as it goes by.
+    check_violation_tol), before it transforms. ``blocks`` iterates
+    PairTable blocks with index columns, one per engine step; together
+    they hold the rows of shrinkage_table, in its order, and each is
+    counted and its shrinkages kept, at its step's place, as it goes by.
     Once ``blocks`` is exhausted, the first ``summary()`` takes the mean,
     median and max in one pass and returns their ShrinkageSummary, the
     same object at every later call: a pair violates the guarantees when
@@ -442,12 +442,12 @@ def shrinkage_blocks(model, data, m=None, *, pair_sample=None, seed=0,
     shrinkages = np.empty(pairs.count)
     fold = _Summary(m, pairs.sampled, pairs.count, violation_tol, shrinkages.__getitem__)
 
-    def add(block):
-        shrinkages[fold.filled:fold.filled + block.shrinkage.size] = block.shrinkage
+    def add(lo, hi, block):
+        shrinkages[lo:hi] = block.shrinkage
         fold.add(block.shrinkage, block.dist_original, block.recon_error)
         return block
 
-    return map(add, _steps(pairs, Xt, Yt, m, errors[m])), fold.summary
+    return (add(*step) for step in _steps(pairs, Xt, Yt, m, errors[m])), fold.summary
 
 
 def shrinkage_table(model, data, m=None, *, pair_sample=None, seed=0, threads=1):
@@ -466,10 +466,7 @@ def shrinkage_table(model, data, m=None, *, pair_sample=None, seed=0, threads=1)
     Xt, Yt, (m,), pairs, errors = _pair_pass(model, data, [m], pair_sample, seed)
     columns = {f.name: np.empty(pairs.count, dtype=np.int64 if f.name in ("i", "j") else float)
                for f in fields(PairTable)[2:]}
-    lo = 0
-    for block in _steps(pairs, Xt, Yt, m, errors[m]):
-        hi = lo + block.i.size
+    for lo, hi, block in _steps(pairs, Xt, Yt, m, errors[m]):
         for name, column in columns.items():
             column[lo:hi] = getattr(block, name)
-        lo = hi
     return PairTable(m=m, sampled=pairs.sampled, **columns)

@@ -466,6 +466,23 @@ class TestSweep:
         assert rc == 3
         capsys.readouterr()
 
+    def test_k_above_a_folds_training_rows_warns(self, tmp_path):
+        """12 rows in 5 folds leave 9 or 10 training rows a fold; the
+        clamped k is named on one log line and the run goes on."""
+        data = write_dataset_csv(tmp_path / "twelve.csv", anisotropic_gaussian(12, seed=3))
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pcashrink", "sweep", "--input", str(data), "--folds", "5",
+             "--k", "50", "--output", "out"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ("pca-shrink: warning: k=50 exceeds a fold's training rows "
+                               "(as few as 9); such a fold votes over all of them\n"
+                               "pca-shrink: wrote out.csv\n"
+                               "pca-shrink: wrote out.json\n")
+
 
 class TestConfigAndSeed:
     def test_config_supplies_defaults_flags_win(self, data_csv, tmp_path, capsys):

@@ -408,10 +408,11 @@ class TestRunSweep:
         differenced = []
         pairwise = shrinkage._pairwise
 
-        def counting(ufunc, v, ends, out):
+        def counting(ufunc, v, step):
+            out = pairwise(ufunc, v, step)
             if ufunc is np.subtract:
                 differenced.append(out.size)
-            return pairwise(ufunc, v, ends, out)
+            return out
 
         monkeypatch.setattr(shrinkage, "_pairwise", counting)
         levels = 6

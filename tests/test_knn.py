@@ -4,6 +4,7 @@ bytes of a small seeded sweep."""
 
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -96,8 +97,14 @@ def test_tie_heavy_integer_grid_matches_reference(k):
 @pytest.mark.parametrize("k", [8, 9, 40])
 def test_k_at_or_above_training_size_matches_reference(k):
     ds = anisotropic_gaussian(12, (3.0, 1.0), seed=4)
-    # 3 folds of 4 rows: 8 training rows per fold
-    assert_matches_reference(ds, k=k, folds=3, seed=2)
+    # 3 folds of 4 rows: 8 training rows per fold; a k above that warns
+    if k > 8:
+        with pytest.warns(RuntimeWarning, match=r"k=%d .*as few as 8\)" % k):
+            assert_matches_reference(ds, k=k, folds=3, seed=2)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_matches_reference(ds, k=k, folds=3, seed=2)
 
 
 def test_one_point_test_folds_match_reference():

@@ -272,6 +272,44 @@ class TestPairEngine:
         with pytest.raises(error):
             shrinkage_blocks(three_point_model, data, ms[0], **options)
 
+    @pytest.mark.parametrize("data, ms, options, error", [
+        (np.ones((1, 2)), [1], {}, InsufficientPairsError),
+        (None, [3], {}, DimMismatchError),
+        (None, [1], {"pair_sample": -1}, ValueError),
+        (None, [1], {"seed": -1}, ValueError),
+        (np.zeros((7000, 2)), [1], {"pair_sample": 0}, TooManyPairsError),
+    ], ids=["one-row", "m-above-n", "negative-pair-sample", "negative-seed", "over-budget"])
+    def test_refusals_come_before_the_transform(self, three_point_model, monkeypatch, data, ms,
+                                                options, error):
+        def no_transform(*args):
+            raise AssertionError("the data was transformed")
+
+        monkeypatch.setattr(shrinkage, "transform", no_transform)
+        data = THREE_POINTS if data is None else data
+        with pytest.raises(error):
+            shrinkage_table(three_point_model, data, ms[0], **options)
+        with pytest.raises(error):
+            shrinkage_blocks(three_point_model, data, ms[0], **options)
+        with pytest.raises(error):
+            shrinkage_summaries(three_point_model, data, ms, **options)
+
+    @pytest.mark.parametrize("pair_sample", [0, 23], ids=["all-pairs", "sampled"])
+    def test_steps_carry_their_bounds(self, monkeypatch, pair_sample):
+        # steps of 5 pairs: long rows make steps of their own, short ones share
+        monkeypatch.setattr(shrinkage, "_CHUNK", 5)
+        X = np.random.default_rng(1).standard_normal((9, 3))
+        model = fit(X)
+        table = shrinkage_table(model, X, 2, pair_sample=pair_sample)
+        Xt, Yt, (m,), pairs, errors = shrinkage._pair_pass(model, X, [2], pair_sample, 0)
+        end = 0
+        for lo, hi, block in shrinkage._steps(pairs, Xt, Yt, m, errors[m]):
+            assert lo == end < hi
+            assert block.i.size == block.shrinkage.size == hi - lo
+            assert np.array_equal(block.i, table.i[lo:hi])
+            assert np.array_equal(block.j, table.j[lo:hi])
+            end = hi
+        assert end == pairs.count == table.i.size == (pair_sample or 36)
+
     def test_no_levels_compute_no_distance(self, three_point_model, monkeypatch):
         def no_distance(*args):
             raise AssertionError("a distance was computed")
