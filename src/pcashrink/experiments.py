@@ -29,9 +29,10 @@ from .serialize import open_text
 from .shrinkage import check_seed, shrinkage_summaries
 
 # Bytes of the k-NN temporaries per chunk of test rows. A byte budget, not a
-# row count: the temporaries grow with the training rows, 0.6 MB per test row
-# against a 20,000-row training set.
-KNN_BLOCK_BYTES = 8 << 20
+# row count: the temporaries grow with the training rows, 0.48 MB per test
+# row against a 20,000-row training set. 2 MiB was no slower than 4 or 8 MiB
+# at 2,000 or 20,000 rows.
+KNN_BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -196,10 +197,12 @@ def knn_accuracy(dataset, k=5, folds=5, seed=0):
     ValueError.
 
     Memory: test rows are classified in chunks of KNN_BLOCK_BYTES //
-    (32 x n_train) rows, at least one, budgeting four rows x n_train
-    blocks of doubles (the squared distances, a column's differences and
-    the ranking's temporaries) at 8 MiB; the temporaries grow with
-    neither the number of test rows nor the number of features.
+    (24 x n_train) rows, at least one, budgeting three rows x n_train
+    blocks of 8 bytes (the squared distances, one reused buffer of a
+    column's differences and the partition's indices) at 2 MiB; rows
+    with an exact distance tie at the k-th place are sorted whole besides.
+    The temporaries grow with neither the number of test rows nor the
+    number of features.
     """
     labels, tests = _knn_folds(dataset.labels, k, folds, seed)
     return _knn_pass(dataset.features, labels, tests, [dataset.n_features], k)[0]
@@ -266,15 +269,18 @@ def _knn_predict(X_train, y_train, X_test, k, levels):
     n_train = X_train.shape[0]
     k = min(k, n_train)
     classes, codes = np.unique(y_train, return_inverse=True)
-    chunk = max(1, KNN_BLOCK_BYTES // (4 * 8 * n_train))
+    train = np.ascontiguousarray(X_train[:, :levels[-1]].T)
+    chunk = max(1, KNN_BLOCK_BYTES // (3 * 8 * n_train))
     predictions = np.empty((len(levels), X_test.shape[0]), dtype=np.intp)
     for lo in range(0, X_test.shape[0], chunk):
         test = X_test[lo:lo + chunk]
         d2 = np.zeros((test.shape[0], n_train))
+        diff = np.empty_like(d2)
         for row, (start, m) in enumerate(zip([0, *levels], levels)):
             for c in range(start, m):
-                diff = X_train[:, c] - test[:, c, None]
-                d2 += diff * diff
+                np.subtract(train[c], test[:, c, None], out=diff)
+                np.multiply(diff, diff, out=diff)
+                d2 += diff
             predictions[row, lo:lo + chunk] = _vote(codes[_nearest(d2, k)], classes.size)
     return classes[predictions]
 
@@ -282,12 +288,18 @@ def _knn_predict(X_train, y_train, X_test, k, levels):
 def _nearest(dist, k):
     """Per row of ``dist``, the columns of its k smallest entries ordered
     by (distance, column): the first k of a stable argsort."""
-    part = np.argpartition(dist, k - 1, axis=1)[:, :k]
+    if k == dist.shape[1]:
+        return np.argsort(dist, axis=1, kind="stable")
+    # partitioned at k, columns 0..k-1 hold the k smallest distances and
+    # column k the next one
+    part = np.argpartition(dist, k, axis=1)[:, :k + 1]
     near = np.take_along_axis(dist, part, axis=1)
+    part, near, after = part[:, :k], near[:, :k], near[:, k]
     nearest = np.take_along_axis(part, np.lexsort((part, near), axis=1), axis=1)
-    # with more than k entries at or below the k-th distance, argpartition
-    # may have kept a higher column than the stable order would
-    tied = np.flatnonzero(np.count_nonzero(dist <= near[:, k - 1:], axis=1) > k)
+    # when the next distance equals the k-th, more than k entries lie at or
+    # below it, and argpartition may have kept a higher column than the
+    # stable order would
+    tied = np.flatnonzero(after <= near.max(axis=1))
     if tied.size:
         nearest[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, :k]
     return nearest

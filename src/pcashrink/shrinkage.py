@@ -47,7 +47,8 @@ _SWEEP_STEPS = 4
 
 # the median's bracket: every _STRIDE-th shrinkage by pair index is sampled,
 # and the bracket's ends lie _MARGIN·√s places either side of the median of
-# the s sampled values
+# the s sampled values; a bracket that misses is redrawn from every
+# _STRIDE-th value of the side that it missed
 _STRIDE = 64
 _MARGIN = 4.0
 
@@ -338,27 +339,50 @@ def _centre(source, count):
     gathered values hold the median: one single-kth partition at h =
     count // 2 gives the element at h for an odd count and (the largest
     one below h + it) / 2 for an even one, the bits of np.median.
-    Otherwise the pass is redone with the side that missed unbounded;
-    only one side can miss, since the bracket's ends are values of the
-    column."""
+    Otherwise only one side missed, since the bracket's ends are values
+    of the column: a pass keeps every _STRIDE-th value of that side, the
+    side bounded by the bracket's other end, and a second bracket drawn
+    from those values around the median's rank is gathered. Only when
+    that one misses too is the side that it missed gathered whole."""
     sample = source(slice(None, None, _STRIDE))
-    last = sample.size - 1
-    width = int(_MARGIN * math.sqrt(sample.size))
-    bracket = [max(0, last // 2 - width), min(last, last // 2 + width)]
-    low, high = np.partition(sample, bracket)[bracket]
+    low, high = _bracket(sample, (sample.size - 1) // 2)
     below, inside, sums, tops = _gather(source, count, low, high)
     top = float(np.max(tops))
     if np.isnan(top):
         return top, top, top
     h = count // 2
-    if below > h - 1 + count % 2:
-        below, inside, _, _ = _gather(source, count, -np.inf, high)
-    elif below + inside.size <= h:
-        below, inside, _, _ = _gather(source, count, low, np.inf)
+    side = _missed(below, inside, count)
+    if side:
+        ends = (-np.inf, high) if side < 0 else (low, np.inf)
+        rank = h if side < 0 else h - below
+        low, high = _bracket(_sample_side(source, count, *ends), rank // _STRIDE)
+        below, inside, _, _ = _gather(source, count, low, high)
+        side = _missed(below, inside, count)
+        if side:
+            below, inside, _, _ = _gather(source, count, *(
+                (-np.inf, high) if side < 0 else (low, np.inf)))
     k = h - below
     inside.partition(k)
     median = inside[k] if count % 2 else (inside[:k].max() + inside[k]) / 2
     return math.fsum(sums) / count, float(median), top
+
+
+def _bracket(sample, centre):
+    """The values of ``sample`` _MARGIN·√s ranks either side of its rank
+    ``centre`` (s sampled values), the ends clipped to the sample."""
+    width = int(_MARGIN * math.sqrt(sample.size))
+    ends = [max(0, centre - width), min(sample.size - 1, centre + width)]
+    return np.partition(sample, ends)[ends]
+
+
+def _missed(below, inside, count):
+    """Where the median's ranks lie against a bracket that has ``below``
+    of the ``count`` values under it and gathered ``inside``: -1 below
+    it, 1 above it, 0 inside it."""
+    h = count // 2
+    if below > h - 1 + count % 2:
+        return -1
+    return 1 if below + inside.size <= h else 0
 
 
 def _gather(source, count, low, high):
@@ -373,6 +397,18 @@ def _gather(source, count, low, high):
         below += np.count_nonzero(under)
         inside.append(d[~under & (d <= high)])
     return below, np.concatenate(inside), sums, tops
+
+
+def _sample_side(source, count, low, high):
+    """One pass over the shrinkages: every _STRIDE-th of the values in
+    [low, high], in pair order."""
+    seen, kept = 0, []
+    for lo in range(0, count, _PASS_CHUNK):
+        d = source(slice(lo, lo + _PASS_CHUNK))
+        d = d[(d >= low) & (d <= high)]
+        kept.append(d[-seen % _STRIDE::_STRIDE].copy())  # not a view of the piece
+        seen += d.size
+    return np.concatenate(kept)
 
 
 def shrinkage_summaries(model, data, ms, *, pair_sample=None, seed=0):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import write_dataset_csv
-from pcashrink import Dataset, anisotropic_gaussian, fit, knn_accuracy, transform
+from pcashrink import Dataset, anisotropic_gaussian, experiments, fit, knn_accuracy, transform
 from pcashrink.cli import main
 from pcashrink.experiments import _knn_folds, _knn_pass, _knn_predict, _stratified_folds
 
@@ -84,9 +84,17 @@ def test_pca_features_at_every_level_match_reference(levels):
     assert_levels_match_reference(Dataset(full, ds.labels), levels, k=5, folds=5, seed=101)
 
 
-@pytest.mark.parametrize("k", [1, 3, 7, 50])
-def test_tie_heavy_integer_grid_matches_reference(k):
-    # 4**6 cells for 600 rows: many exact distance ties at the k-th place
+@pytest.mark.parametrize("k, chunk_rows", [
+    *(pytest.param(k, None, id=str(k)) for k in (1, 3, 7, 50)),
+    *(pytest.param(k, rows, id="%d-%d-row-chunks" % (k, rows))
+      for k in (1, 3, 7, 50) for rows in (1, 3)),
+])
+def test_tie_heavy_integer_grid_matches_reference(monkeypatch, k, chunk_rows):
+    # 4**6 cells for 600 rows: many exact distance ties at the k-th place.
+    # With chunk_rows set, the budget fits that many test rows of a fold's
+    # 480 training rows, so the predictions cross chunk borders
+    if chunk_rows is not None:
+        monkeypatch.setattr(experiments, "KNN_BLOCK_BYTES", chunk_rows * 3 * 8 * 480)
     rng = np.random.default_rng(3)
     X = rng.integers(0, 4, size=(600, 6)).astype(float)
     labels = rng.choice(["a", "b", "c"], size=600)

@@ -7,6 +7,7 @@ in column order. Each summary path must give the bits of
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,21 +291,70 @@ def test_a_bracket_that_misses_is_widened(monkeypatch):
     assert any(np.isinf(bound) for bound in np.ravel(passes))
 
 
-@pytest.mark.parametrize("side", ["low", "high"])
-@pytest.mark.parametrize("count", [9_999, 10_000])
-def test_a_sample_that_misses_one_side_unbounds_that_side(monkeypatch, side, count):
-    """Every _STRIDE-th shrinkage, the sample, is among the column's
-    largest (or smallest) values, so the bracket lies above (below) the
-    median and the second pass leaves its lower (upper) side open."""
-    monkeypatch.setattr(shrinkage, "_STRIDE", 16)
-    passes = _passes(monkeypatch)
+def _one_sided_column(side, count, spread):
+    """A column whose every 16th value is 10 plus ``spread`` times a
+    normal draw (negated for the high side), the rest standard normal."""
     rng = np.random.default_rng(7)
     d = rng.standard_normal(count)
     sampled = np.arange(count) % 16 == 0
-    d[sampled] = (10.0 if side == "low" else -10.0) + rng.standard_normal(sampled.sum())
-    table = shrinkage.PairTable(m=1, sampled=False, i=None, j=None, dist_original=np.abs(d),
-                                dist_truncated=np.zeros(count), shrinkage=d,
-                                recon_error=np.zeros(count))
-    _assert_matches_reference(table.summary(), d)
+    d[sampled] = (10.0 + spread * rng.standard_normal(sampled.sum())) * (
+        1.0 if side == "low" else -1.0)
+    return shrinkage.PairTable(m=1, sampled=False, i=None, j=None, dist_original=np.abs(d),
+                               dist_truncated=np.zeros(count), shrinkage=d,
+                               recon_error=np.zeros(count))
+
+
+@pytest.mark.parametrize("side", ["low", "high"])
+@pytest.mark.parametrize("count", [9_999, 10_000])
+def test_a_sample_that_misses_one_side_brackets_that_side(monkeypatch, side, count):
+    """Every _STRIDE-th shrinkage, the sample, is among the column's
+    largest (or smallest) values, so the bracket lies above (below) the
+    median. The second pass samples the values below (above) it, and the
+    bracket drawn from them, which the third pass gathers, lies below
+    (above) the first one and holds the median."""
+    monkeypatch.setattr(shrinkage, "_STRIDE", 16)
+    passes = _passes(monkeypatch)
+    table = _one_sided_column(side, count, 1.0)
+    _assert_matches_reference(table.summary(), table.shrinkage)
     assert len(passes) == 2
-    assert passes[1] == ((-np.inf, passes[0][1]) if side == "low" else (passes[0][0], np.inf))
+    assert np.all(np.isfinite(passes))
+    assert passes[1][1] < passes[0][0] if side == "low" else passes[1][0] > passes[0][1]
+
+
+@pytest.mark.parametrize("side", ["low", "high"])
+@pytest.mark.parametrize("count", [9_999, 10_000])
+def test_a_sample_that_misses_one_side_unbounds_that_side(monkeypatch, side, count):
+    """Every _STRIDE-th shrinkage, the sample, is the column's largest (or
+    smallest) value, and every _STRIDE-th value below (above) the first
+    bracket is that value again, so the second bracket misses the median
+    too and the last pass leaves its lower (upper) side open."""
+    monkeypatch.setattr(shrinkage, "_STRIDE", 16)
+    passes = _passes(monkeypatch)
+    table = _one_sided_column(side, count, 0.0)
+    _assert_matches_reference(table.summary(), table.shrinkage)
+    assert len(passes) == 3
+    assert passes[2] == ((-np.inf, passes[1][1]) if side == "low" else (passes[1][0], np.inf))
+
+
+def test_a_bracket_miss_gathers_a_sample_of_the_side_not_the_side(monkeypatch):
+    """A 2M-value column whose every 64th value is 10 above the others:
+    the sample bracket misses, and the second bracket, drawn from every
+    64th value below the first, holds the median, so no pass gathers a
+    whole side and the memory peak stays under a quarter of the
+    column's bytes. Mean, median and max keep their bits."""
+    passes = _passes(monkeypatch)
+    col = np.random.default_rng(0).random(2_000_000)
+    col[::64] += 10
+    tracemalloc.start()
+    try:
+        mean, median, top = shrinkage._centre(col.__getitem__, col.size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < col.nbytes / 4
+    assert len(passes) == 2 and np.all(np.isfinite(passes))
+    assert median.hex() == float(np.median(col)).hex()
+    assert top.hex() == float(col.max()).hex()
+    pieces = range(0, col.size, shrinkage._PASS_CHUNK)
+    sums = [np.add.reduce(col[lo:lo + shrinkage._PASS_CHUNK]) for lo in pieces]
+    assert mean.hex() == (math.fsum(sums) / col.size).hex()
