@@ -200,9 +200,9 @@ def knn_accuracy(dataset, k=5, folds=5, seed=0):
     (24 x n_train) rows, at least one, budgeting three rows x n_train
     blocks of 8 bytes (the squared distances, one reused buffer of a
     column's differences and the partition's indices) at 2 MiB; rows
-    with an exact distance tie at the k-th place are sorted whole besides.
-    The temporaries grow with neither the number of test rows nor the
-    number of features.
+    with an exact distance tie at the k-th place take a few more such
+    blocks besides. The temporaries grow with neither the number of test
+    rows nor the number of features.
     """
     labels, tests = _knn_folds(dataset.labels, k, folds, seed)
     return _knn_pass(dataset.features, labels, tests, [dataset.n_features], k)[0]
@@ -298,10 +298,18 @@ def _nearest(dist, k):
     nearest = np.take_along_axis(part, np.lexsort((part, near), axis=1), axis=1)
     # when the next distance equals the k-th, more than k entries lie at or
     # below it, and argpartition may have kept a higher column than the
-    # stable order would
-    tied = np.flatnonzero(after <= near.max(axis=1))
+    # stable order would. The stable order's first k are every entry below
+    # the k-th distance, then the lowest columns at it; a stable sort of
+    # those k alone, taken in column order, orders them by (distance, column)
+    kth = near.max(axis=1)
+    tied = np.flatnonzero(after <= kth)
     if tied.size:
-        nearest[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, :k]
+        rows, kth = dist[tied], kth[tied, None]
+        below, at = rows < kth, rows == kth
+        at &= np.cumsum(at, axis=1) <= k - np.count_nonzero(below, axis=1)[:, None]
+        cols = np.nonzero(below | at)[1].reshape(-1, k)
+        order = np.argsort(np.take_along_axis(rows, cols, axis=1), axis=1, kind="stable")
+        nearest[tied] = np.take_along_axis(cols, order, axis=1)
     return nearest
 
 
@@ -352,11 +360,10 @@ def run_sweep(dataset, m_range=None, k=5, folds=5, seed=0, pair_sample=None):
     data and reused for every m. The k-NN arguments, then the pair
     arguments and budget, are checked before any pass (a ToolkitError
     names the first m). shrinkage_summaries first summarizes the pairs of
-    every level without building a pair table, holding two pair columns,
-    the original distances and the running squared distances, which it
-    frees when it returns; then one k-NN pass covers every level. Both add
-    one column a level to running squared distances, by the one distance
-    rule. Deterministic for fixed inputs and seed.
+    every level in one pass, holding no pair column and freeing its
+    temporaries when it returns; then one k-NN pass covers every level.
+    Both add one column a level to running squared distances, by the one
+    distance rule. Deterministic for fixed inputs and seed.
     """
     X = dataset.features
     n = X.shape[1]

@@ -11,6 +11,7 @@ the seed, pair-count and tolerance checks its callers share sit beside it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -30,8 +31,8 @@ from .pca import check_m, transform
 PAIR_SAMPLE_DEFAULT = 2_000_000
 
 # most pairs one engine call may visit: a PairTable of that many would hold
-# ~1 GB at 48 B a pair (analyze keeps 8 B a pair, its shrinkages, and a sweep
-# 16 B, the original distances and the running squared truncated distances)
+# ~1 GB at 48 B a pair (analyze keeps 8 B a pair, its shrinkages; a sweep
+# keeps no pair column)
 PAIR_BUDGET = 20_000_000
 
 # a pair's violation slack, as a fraction of its original distance
@@ -52,8 +53,8 @@ _SWEEP_STEPS = 4
 _STRIDE = 64
 _MARGIN = 4.0
 
-# pairs per piece of a summary's pass; the shrinkages a sweep re-derives
-# for a piece are its only temporaries, so it stays small
+# pairs per piece of a summary's pass: the mean is the math.fsum of the
+# pieces' sums, so their bounds are fixed by the pair index
 _PASS_CHUNK = 1 << 15
 
 
@@ -177,6 +178,18 @@ class _Pairs:
             hi += n - 1 - r
         yield lo, hi, ends
 
+    def stride(self):
+        """The pairs at every _STRIDE-th place of the pair column, the
+        median's sample (see _centre), as sampled _Pairs. Of all pairs, a
+        place's row i is the last one whose first pair is at or before it."""
+        if self.sampled:
+            return _Pairs(self.n_samples, tuple(v[::_STRIDE] for v in self.ij))
+        place = np.arange(0, self.count, _STRIDE)
+        rows = np.arange(self.n_samples - 1)
+        starts = rows * self.n_samples - rows * (rows + 1) // 2
+        i = np.searchsorted(starts, place, side="right") - 1
+        return _Pairs(self.n_samples, (i, place - starts[i] + i + 1))
+
 
 def _choose_pairs(n_samples, pair_sample, seed):
     """The _Pairs to visit: all pairs or a seeded subsample.
@@ -289,9 +302,9 @@ class _Summary:
     has folded and three counts: the negative, over-bound and violating
     (either, counted once) pairs, the guarantee rule, with a slack of
     ``tol`` times each pair's original distance. The first ``summary()``
-    after the last pair is folded runs _centre's pass over ``source``,
-    which maps a slice of the pair column to its shrinkages, for the
-    mean, the exact median and the max."""
+    after the last pair is folded takes the mean, the exact median and
+    the max from ``centre()``: by default _centre's pass over ``source``,
+    which maps a slice of the pair column to its shrinkages."""
 
     def __init__(self, m, sampled, count, tol, source):
         self.m, self.sampled, self.count, self.tol, self.source = m, sampled, count, tol, source
@@ -308,12 +321,15 @@ class _Summary:
         if violating:
             self.counts += [np.count_nonzero(negative), np.count_nonzero(over), violating]
 
+    def centre(self):
+        return _centre(self.source, self.count)
+
     def summary(self):
         if self.filled < self.count:
             raise RuntimeError("%d of %d pairs folded; exhaust the blocks first"
                                % (self.filled, self.count))
         if self.result is None:
-            mean, median, top = _centre(self.source, self.count)
+            mean, median, top = self.centre()
             negative, over, violating = (int(c) for c in self.counts)
             self.result = ShrinkageSummary(
                 m=self.m, pair_count=self.count, sampled=self.sampled, mean=mean,
@@ -322,7 +338,39 @@ class _Summary:
         return self.result
 
 
-def _centre(source, count):
+class _Level(_Summary):
+    """A sweep level, folded as the sweep's one pass goes by: besides the
+    guarantee counts, its shrinkages are copied, in pair order, into one
+    buffer of _PASS_CHUNK pairs, and each full buffer is folded against
+    the level's ``bracket`` as one piece of _centre's first pass, so that
+    no pair column is held. Only when the bracket misses the median is
+    the level's own shrinkage column built, by ``column(m)``, for the
+    passes that redraw it."""
+
+    def __init__(self, m, sampled, count, bracket, column):
+        super().__init__(m, sampled, count, VIOLATION_TOL, None)
+        self.pieces, self.column = _Pieces(*bracket), column
+        self.piece, self.fill = np.empty(min(count, _PASS_CHUNK)), 0
+
+    def add(self, d, d_orig, bound):
+        super().add(d, d_orig, bound)
+        done = 0
+        while done < d.size:
+            n = min(d.size - done, self.piece.size - self.fill)
+            self.piece[self.fill:self.fill + n] = d[done:done + n]
+            self.fill, done = self.fill + n, done + n
+            if self.fill == self.piece.size:
+                self.pieces.add(self.piece)
+                self.fill = 0
+
+    def centre(self):
+        if self.fill:
+            self.pieces.add(self.piece[:self.fill])
+        column = functools.cache(lambda: self.column(self.m))
+        return _centre(lambda sl: column()[sl], self.count, self.pieces)
+
+
+def _centre(source, count, first=None):
     """The mean, the exact median and the max of the ``count`` shrinkages
     that ``source(slice)`` gives, without holding them: returns (mean,
     median, max), all three NaN when a shrinkage is NaN, like np.mean,
@@ -332,10 +380,11 @@ def _centre(source, count):
     its order statistics _MARGIN·√s places either side of its own median
     (s sampled values) bracket the median. One pass over the shrinkages,
     in pieces of _PASS_CHUNK pairs aligned to the pair index, takes each
-    piece's sum and max and gathers the values inside the bracket; the
-    mean is the math.fsum of the piece sums over ``count``, whose bits do
-    not depend on how the pairs were blocked. When the values below the
-    bracket and those inside it reach past the median's ranks, the
+    piece's sum and max and gathers the values inside the bracket (the
+    sweep makes that pass itself and hands its _Pieces in as ``first``);
+    the mean is the math.fsum of the piece sums over ``count``, whose bits
+    do not depend on how the pairs were blocked. When the values below
+    the bracket and those inside it reach past the median's ranks, the
     gathered values hold the median: one single-kth partition at h =
     count // 2 gives the element at h for an odd count and (the largest
     one below h + it) / 2 for an even one, the bits of np.median.
@@ -344,27 +393,28 @@ def _centre(source, count):
     side bounded by the bracket's other end, and a second bracket drawn
     from those values around the median's rank is gathered. Only when
     that one misses too is the side that it missed gathered whole."""
-    sample = source(slice(None, None, _STRIDE))
-    low, high = _bracket(sample, (sample.size - 1) // 2)
-    below, inside, sums, tops = _gather(source, count, low, high)
-    top = float(np.max(tops))
+    if first is None:
+        sample = source(slice(None, None, _STRIDE))
+        first = _gather(source, count, *_bracket(sample, (sample.size - 1) // 2))
+    top = float(np.max(first.tops))
     if np.isnan(top):
         return top, top, top
     h = count // 2
-    side = _missed(below, inside, count)
+    low, high, gathered = first.low, first.high, first
+    side = _missed(gathered, count)
     if side:
         ends = (-np.inf, high) if side < 0 else (low, np.inf)
-        rank = h if side < 0 else h - below
+        rank = h if side < 0 else h - gathered.below
         low, high = _bracket(_sample_side(source, count, *ends), rank // _STRIDE)
-        below, inside, _, _ = _gather(source, count, low, high)
-        side = _missed(below, inside, count)
+        gathered = _gather(source, count, low, high)
+        side = _missed(gathered, count)
         if side:
-            below, inside, _, _ = _gather(source, count, *(
-                (-np.inf, high) if side < 0 else (low, np.inf)))
-    k = h - below
+            gathered = _gather(source, count, *((-np.inf, high) if side < 0 else (low, np.inf)))
+    inside = np.concatenate(gathered.inside)
+    k = h - gathered.below
     inside.partition(k)
     median = inside[k] if count % 2 else (inside[:k].max() + inside[k]) / 2
-    return math.fsum(sums) / count, float(median), top
+    return math.fsum(first.sums) / count, float(median), top
 
 
 def _bracket(sample, centre):
@@ -375,28 +425,40 @@ def _bracket(sample, centre):
     return np.partition(sample, ends)[ends]
 
 
-def _missed(below, inside, count):
-    """Where the median's ranks lie against a bracket that has ``below``
-    of the ``count`` values under it and gathered ``inside``: -1 below
-    it, 1 above it, 0 inside it."""
+def _missed(gathered, count):
+    """Where the median's ranks lie against the bracket of the _Pieces
+    ``gathered``, which counted the values under it and gathered those
+    inside it: -1 below it, 1 above it, 0 inside it."""
     h = count // 2
-    if below > h - 1 + count % 2:
+    if gathered.below > h - 1 + count % 2:
         return -1
-    return 1 if below + inside.size <= h else 0
+    return 1 if gathered.below + sum(v.size for v in gathered.inside) <= h else 0
+
+
+class _Pieces:
+    """One pass's fold of the shrinkages against the bracket [low, high],
+    a piece at a time in pair order: the number below ``low``, the values
+    in [low, high] (a list of arrays), and each piece's sum and max."""
+
+    def __init__(self, low, high):
+        self.low, self.high = low, high
+        self.below, self.inside, self.sums, self.tops = 0, [], [], []
+
+    def add(self, d):
+        self.sums.append(np.add.reduce(d))
+        self.tops.append(d.max())
+        under = d < self.low
+        self.below += np.count_nonzero(under)
+        self.inside.append(d[~under & (d <= self.high)])
 
 
 def _gather(source, count, low, high):
-    """One pass over the shrinkages: the number below ``low``, the values
-    in [low, high], and each piece's sum and max."""
-    below, inside, sums, tops = 0, [], [], []
+    """One pass over the shrinkages, in pieces of _PASS_CHUNK pairs: their
+    _Pieces against [low, high]."""
+    pieces = _Pieces(low, high)
     for lo in range(0, count, _PASS_CHUNK):
-        d = source(slice(lo, lo + _PASS_CHUNK))
-        sums.append(np.add.reduce(d))
-        tops.append(d.max())
-        under = d < low
-        below += np.count_nonzero(under)
-        inside.append(d[~under & (d <= high)])
-    return below, np.concatenate(inside), sums, tops
+        pieces.add(source(slice(lo, lo + _PASS_CHUNK)))
+    return pieces
 
 
 def _sample_side(source, count, low, high):
@@ -411,46 +473,65 @@ def _sample_side(source, count, low, high):
     return np.concatenate(kept)
 
 
+def _shrinkages(Xt, Yt, ms, step):
+    """The sweep's kernel for one step: per level m of the ascending
+    ``ms``, the step's original distances and its shrinkages. The n rows
+    of ``Xt`` are differenced once and the first max(ms) rows of ``Yt``
+    once, each level adding its new rows to one running column of squared
+    truncated distances."""
+    lo, hi, _ = step
+    d_orig = np.sqrt(_extend(np.zeros(hi - lo), Xt, step))
+    run = np.zeros(hi - lo)
+    start = 0
+    for m in ms:
+        _extend(run, Yt[start:m], step)
+        start = m
+        yield d_orig, d_orig - np.sqrt(run)
+
+
+def _columns(Xt, Yt, ms, pairs):
+    """The shrinkage column over ``pairs`` of each level of the ascending
+    ``ms``, in that order."""
+    columns = [np.empty(pairs.count) for _ in ms]
+    for step in pairs.steps(_SWEEP_STEPS):
+        lo, hi, _ = step
+        for column, (_, d) in zip(columns, _shrinkages(Xt, Yt, ms, step)):
+            column[lo:hi] = d
+    return columns
+
+
 def shrinkage_summaries(model, data, ms, *, pair_sample=None, seed=0):
     """An iterator of one ShrinkageSummary per retained dimension in
     ``ms``, for the sweep, with the bits of ``shrinkage_table(...).summary()``
     and no table. The call checks every argument (see shrinkage_table)
-    and does all the work: it computes the pair list, the full transform
-    and the original distances, a column the levels share, once, then
-    every level.
+    and does all the work: it computes the pair list and the full
+    transform once, then every level in one pass over the pairs.
 
-    The levels are computed in ascending order, each once, in the sweep's
-    own step loop: a step extends its slice of one running column of
-    squared truncated distances by the level's new rows of the transform,
-    so that levels 1..M difference M columns of the transform a pair, not
-    M(M+1)/2, and folds the step's arrays, with no PairTable. ``ms`` may
-    come in any order and repeat, and each value gets the summary of its
-    level; an empty ``ms`` computes no distance. The pair memory is two
-    columns, the original distances and the running one (the summary
-    re-derives each shrinkage from both), and it is freed before the call
-    returns."""
+    The shrinkages of the median's sample, every _STRIDE-th pair, come
+    first, at every level, for each level's bracket (see _centre). Then
+    each engine step differences the n columns of the data and the
+    max(ms) columns of the transform once, and grows a step-local column
+    of squared truncated distances level by level, in ascending order, so
+    that levels 1..M difference M columns of the transform a pair, not
+    M(M+1)/2. Each level folds its guarantee counts and the first pass
+    of its median as the step goes by (see _Level). No pair column is
+    held: a level's own column is built only if its bracket misses the
+    median. ``ms`` may come in any order and repeat, and each value gets
+    the summary of its level; an empty ``ms`` computes no distance."""
     Xt, Yt, ms, pairs, errors = _pair_pass(model, data, ms, pair_sample, seed)
-    if not ms:
+    levels = sorted(set(ms))
+    if not levels:
         return iter([])
-    d_orig = np.empty(pairs.count)
+
+    def column(m):
+        return _columns(Xt, Yt, [m], pairs)[0]
+
+    folds = [_Level(m, pairs.sampled, pairs.count, _bracket(sample, (sample.size - 1) // 2),
+                    column) for m, sample in zip(levels, _columns(Xt, Yt, levels, pairs.stride()))]
     for step in pairs.steps(_SWEEP_STEPS):
-        lo, hi, _ = step
-        d_orig[lo:hi] = np.sqrt(_extend(np.zeros(hi - lo), Xt, step))
-    run = np.zeros(pairs.count)
-
-    def source(sl):
-        return d_orig[sl] - np.sqrt(run[sl])
-
-    done = {}
-    start = 0
-    for m in sorted(set(ms)):
-        fold = _Summary(m, pairs.sampled, pairs.count, VIOLATION_TOL, source)
-        for step in pairs.steps(_SWEEP_STEPS):
-            lo, hi, _ = step
-            d_t = np.sqrt(_extend(run[lo:hi], Yt[start:m], step))
-            fold.add(d_orig[lo:hi] - d_t, d_orig[lo:hi], _pairwise(np.add, errors[m], step))
-        done[m] = fold.summary()
-        start = m
+        for fold, (d_orig, d) in zip(folds, _shrinkages(Xt, Yt, levels, step)):
+            fold.add(d, d_orig, _pairwise(np.add, errors[fold.m], step))
+    done = {fold.m: fold.summary() for fold in folds}
     return iter([done[m] for m in ms])
 
 

@@ -367,9 +367,11 @@ class TestRunSweep:
         assert str(info.value) == message
 
     def test_memory_holds_one_level_table(self):
-        # 719,400 pairs: 12.5 MiB with the original distances and the running
-        # squared truncated distances alive (5.5 MiB each); a six-column pair
-        # table per level peaked at 41.0 MiB
+        # 719,400 pairs and no pair column: 5.6 MiB, the median's sample, the
+        # values inside each level's bracket, a piece buffer per level and one
+        # step's differences; holding the original distances and the running
+        # squared truncated distances (5.5 MiB each) peaked at 12.5 MiB, and a
+        # six-column pair table per level at 41.0 MiB
         ds = anisotropic_gaussian(1200, tuple(2.0 ** -k for k in range(8)), seed=3)
         tracemalloc.start()
         try:
@@ -378,11 +380,29 @@ class TestRunSweep:
         finally:
             tracemalloc.stop()
         assert len(result.rows) == 6
-        assert peak < 16 * 2**20
+        assert peak < 10 * 2**20
+
+    def test_summary_memory_grows_slower_than_the_pairs(self):
+        # 4x the pairs (719,400 -> 2,878,800), all of them: 5.6 -> 8.3 MiB, the
+        # bracketed values growing with the square root of the pairs; a pair
+        # column grows with the pairs (12.5 -> 46.8 MiB for two of them)
+        peaks = []
+        for n_samples in (1200, 2400):
+            ds = anisotropic_gaussian(n_samples, tuple(2.0 ** -k for k in range(8)), seed=3)
+            model = fit(ds.features)
+            tracemalloc.start()
+            try:
+                stats = list(shrinkage.shrinkage_summaries(model, ds.features, range(1, 7),
+                                                           pair_sample=0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert stats[-1].pair_count == n_samples * (n_samples - 1) // 2
+        assert peaks[1] < 2.5 * peaks[0]
 
     def test_knn_runs_with_no_pair_column_alive(self, monkeypatch):
-        # the same 719,400 pairs: the pair summaries are done, and their two
-        # 5.5 MiB columns freed, before the k-NN's first fold starts
+        # the same 719,400 pairs: the pair summaries are done, and their
+        # temporaries freed, before the k-NN's first fold starts
         ds = anisotropic_gaussian(1200, tuple(2.0 ** -k for k in range(8)), seed=3)
         predict = experiments._knn_predict
         alive = []
@@ -401,9 +421,11 @@ class TestRunSweep:
         assert max(alive) < 2**20
 
     def test_each_level_differences_one_column_of_the_transform(self, monkeypatch):
-        """The work the pair kernel does, counted without a clock: the n
-        columns of X once for the original distances, then one column of
-        the transform per level, not the m columns of every level m."""
+        """The work the pair kernel does, counted without a clock: for each
+        pair, the n columns of X once for the original distances, then one
+        column of the transform per level, not the m columns of every level
+        m. The median's sample, every _STRIDE-th pair, is differenced the
+        same way once more, before the pass."""
         ds = anisotropic_gaussian(50, seed=2)
         differenced = []
         pairwise = shrinkage._pairwise
@@ -418,7 +440,8 @@ class TestRunSweep:
         levels = 6
         run_sweep(ds, m_range=(1, levels), folds=3)
         pairs = 50 * 49 // 2
-        assert sum(differenced) == (ds.n_features + levels) * pairs
+        sample = -(-pairs // shrinkage._STRIDE)
+        assert sum(differenced) == (ds.n_features + levels) * (pairs + sample)
 
 
 class TestCorrelate:

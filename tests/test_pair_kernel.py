@@ -358,3 +358,43 @@ def test_a_bracket_miss_gathers_a_sample_of_the_side_not_the_side(monkeypatch):
     pieces = range(0, col.size, shrinkage._PASS_CHUNK)
     sums = [np.add.reduce(col[lo:lo + shrinkage._PASS_CHUNK]) for lo in pieces]
     assert mean.hex() == (math.fsum(sums) / col.size).hex()
+
+
+@pytest.mark.parametrize("pass_chunk", [shrinkage._PASS_CHUNK, 100], ids=["pieces", "small-pieces"])
+@pytest.mark.parametrize("options", [{"pair_sample": 0}, {"pair_sample": 1500, "seed": 5}],
+                         ids=["all-pairs", "sampled"])
+def test_a_sweep_level_whose_bracket_misses_builds_its_own_column(monkeypatch, pass_chunk,
+                                                                  options):
+    """The sweep's bracket for level 2 is the sample's largest value, far
+    above the median, while the other levels get theirs: only level 2
+    builds a column, and every level keeps the bits of the table's
+    summary. Each level's sample is every _STRIDE-th shrinkage of the
+    table. Small pieces fill and straddle the sweep's steps."""
+    monkeypatch.setattr(shrinkage, "_CHUNK", 64)
+    monkeypatch.setattr(shrinkage, "_PASS_CHUNK", pass_chunk)
+    bracket, columns = shrinkage._bracket, shrinkage._columns
+    samples, built = [], []
+
+    def high_second(sample, centre):
+        samples.append(sample.copy())
+        ends = bracket(sample, centre)
+        return (sample.max(), sample.max()) if len(samples) == 2 else ends
+
+    def spy(Xt, Yt, ms, pairs):
+        built.append((list(ms), pairs.count))
+        return columns(Xt, Yt, ms, pairs)
+
+    monkeypatch.setattr(shrinkage, "_bracket", high_second)
+    monkeypatch.setattr(shrinkage, "_columns", spy)
+    X = _data(60, 6, seed=2)
+    model = fit(X)
+    levels = range(1, 7)
+    summaries = list(shrinkage_summaries(model, X, levels, **options))
+    count = summaries[0].pair_count
+    sample = -(-count // shrinkage._STRIDE)
+    assert built == [(list(levels), sample), ([2], count)]
+    monkeypatch.setattr(shrinkage, "_bracket", bracket)
+    for m, got, sample in zip(levels, summaries, samples):
+        table = shrinkage_table(model, X, m, **options)
+        assert sample.tobytes() == table.shrinkage[::shrinkage._STRIDE].tobytes(), "m=%d" % m
+        assert _hex_fields(got) == _hex_fields(table.summary()), "m=%d" % m
