@@ -61,23 +61,31 @@ def as_data_matrix(data, name="data"):
 
 
 def max_exponent(v):
-    """The e with max|v| in [2^(e-1), 2^e), and 0 when every entry is 0."""
-    return int(np.frexp(np.max(np.abs(v)))[1])
+    """The e with max|v| in [2^(e-1), 2^e), and 0 when every entry is 0;
+    max|v| is read as max(max v, -min v), which copies nothing."""
+    return int(np.frexp(np.maximum(np.max(v), -np.min(v)))[1])
 
 
 def covariance(data):
     """Population covariance matrix of row-vector samples.
 
     Uses the 1/N normalization, so a single sample gives the zero matrix.
-    The accumulated product is symmetrized before returning to scrub
-    floating-point asymmetry. Data whose covariance overflows the float
-    range raise NonFiniteError.
+    The centred data are scaled by an exact power of two 2^s before the
+    product, and the result by 2^-2s after it: s brings their largest
+    magnitude to the largest power of two whose N squares still sum below
+    2^1021, so the sum cannot overflow where the covariance itself does
+    not, small products keep all the range below it, and 2^k X has the
+    covariance 4^k S bit for bit. The accumulated product is symmetrized
+    before returning to scrub floating-point asymmetry. Data whose
+    covariance overflows the float range raise NonFiniteError.
     """
     X = as_data_matrix(data)
     with np.errstate(over="ignore", invalid="ignore"):
         centered = X - X.mean(axis=0)
+        shift = (1021 - X.shape[0].bit_length()) // 2 - max_exponent(centered)
+        np.ldexp(centered, shift, out=centered)
         cov = centered.T @ centered / X.shape[0]
-        cov = (cov + cov.T) / 2.0
+        cov = np.ldexp((cov + cov.T) / 2.0, -2 * shift)
     if not np.all(np.isfinite(cov)):
         raise NonFiniteError("the covariance overflows the float range; rescale the data")
     return cov

@@ -31,8 +31,7 @@ from .pca import check_m, transform
 PAIR_SAMPLE_DEFAULT = 2_000_000
 
 # most pairs one engine call may visit: a PairTable of that many would hold
-# ~1 GB at 48 B a pair (analyze keeps 8 B a pair, its shrinkages; a sweep
-# keeps no pair column)
+# ~1 GB at 48 B a pair (neither analyze nor a sweep keeps a pair column)
 PAIR_BUDGET = 20_000_000
 
 # a pair's violation slack, as a fraction of its original distance
@@ -45,6 +44,10 @@ _CHUNK = 4096
 # a sweep renders nothing, so its steps are this many times longer: a
 # quarter of the per-step calls, for temporaries of a few MB
 _SWEEP_STEPS = 4
+
+# coordinates differenced at once for a step, so that its temporaries do
+# not grow with the number of features
+_DIFF_ROWS = 8
 
 # the median's bracket: every _STRIDE-th shrinkage by pair index is sampled,
 # and the bracket's ends lie _MARGIN·√s places either side of the median of
@@ -95,7 +98,7 @@ class PairTable:
         VIOLATION_TOL; the median reads the shrinkage column and leaves
         it as it is."""
         fold = _Summary(self.m, self.sampled, self.shrinkage.size, VIOLATION_TOL,
-                        self.shrinkage.__getitem__)
+                        self.shrinkage[::_STRIDE], lambda: self.shrinkage)
         fold.add(self.shrinkage, self.dist_original, self.recon_error)
         return fold.summary()
 
@@ -180,7 +183,7 @@ class _Pairs:
 
     def stride(self):
         """The pairs at every _STRIDE-th place of the pair column, the
-        median's sample (see _centre), as sampled _Pairs. Of all pairs, a
+        median's sample (see _Summary), as sampled _Pairs. Of all pairs, a
         place's row i is the last one whose first pair is at or before it."""
         if self.sampled:
             return _Pairs(self.n_samples, tuple(v[::_STRIDE] for v in self.ij))
@@ -220,12 +223,14 @@ def _choose_pairs(n_samples, pair_sample, seed):
     return _Pairs(n_samples, (np.minimum(a, b), np.maximum(a, b)))
 
 
-def _pairwise(ufunc, v, step):
+def _pairwise(ufunc, v, step, out=None):
     """``ufunc(v[..., b], v[..., a])`` for the pairs of one ``step``, a
-    (lo, hi, ends) of _Pairs.steps, along the last axis of ``v``: a new
-    array of v's dtype, its last axis the step's hi - lo pairs."""
+    (lo, hi, ends) of _Pairs.steps, along the last axis of ``v``: into
+    ``out`` when given, else a new array of v's dtype, its last axis the
+    step's hi - lo pairs."""
     lo, hi, ends = step
-    out = np.empty(v.shape[:-1] + (hi - lo,), v.dtype)
+    if out is None:
+        out = np.empty(v.shape[:-1] + (hi - lo,), v.dtype)
     k = 0
     for a, b in ends:
         vb = v[..., b]
@@ -240,16 +245,22 @@ def _extend(acc, Zt, step):
     differences of each row of ``Zt`` in row order, in place: the pair
     kernel of every engine path. ``Zt`` is feature-major, one row a
     coordinate and one column a point, so a step's differences are laid
-    out (coordinates, pairs) and each row is added whole. A distance is
-    the square root of its squared coordinate differences added one
-    coordinate at a time in column order, from zero: the sum the k-NN's
-    running d² makes (experiments._knn_predict), with the same bits. The
-    rows are added one by one because np.add.reduce may sum a short axis
-    pairwise."""
-    diff = _pairwise(np.subtract, Zt, step)
-    np.multiply(diff, diff, out=diff)
-    for square in diff:
-        acc += square
+    out (coordinates, pairs), _DIFF_ROWS coordinates at a time in one
+    buffer, and each row is added whole. A distance is the square root of
+    its squared coordinate differences added one coordinate at a time in
+    column order, from zero: the sum the k-NN's running d² makes
+    (experiments._knn_predict), with the same bits. The rows are added
+    one by one because np.add.reduce may sum a short axis pairwise. The
+    buffer is made once a call: a new block per chunk of coordinates had
+    the allocator give memory back and fault it in again every step."""
+    lo, hi, _ = step
+    buffer = np.empty((min(_DIFF_ROWS, Zt.shape[0]), hi - lo))
+    for start in range(0, Zt.shape[0], _DIFF_ROWS):
+        rows = Zt[start:start + _DIFF_ROWS]
+        diff = _pairwise(np.subtract, rows, step, buffer[:len(rows)])
+        np.multiply(diff, diff, out=diff)
+        for square in diff:
+            acc += square
     return acc
 
 
@@ -279,15 +290,13 @@ def _pair_pass(model, data, ms, pair_sample, seed):
 def _steps(pairs, Xt, Yt, m, error):
     """The step loop of analyze and the table at level m: one (lo, hi,
     block) per engine step of the default length, in pair-column order,
-    ``block`` the PairTable of pairs lo..hi-1 with its index columns.
-    Both distances are summed from zero, the original from ``Xt`` and the
-    truncated from the first m rows of ``Yt``; the bound adds the two
-    points' ``error``."""
+    ``block`` the PairTable of pairs lo..hi-1 with its index columns, its
+    distances from _distances and each bound the sum of the two points'
+    ``error``."""
     ids = np.arange(pairs.n_samples, dtype=np.int64)
     for step in pairs.steps():
         lo, hi, _ = step
-        d_o = np.sqrt(_extend(np.zeros(hi - lo), Xt, step))
-        d_t = np.sqrt(_extend(np.zeros(hi - lo), Yt[:m], step))
+        (d_o, d_t), = _distances(Xt, Yt, [m], step)
         # every pair joins i < j, so i is the smaller of its two indices
         yield lo, hi, PairTable(
             m=m, sampled=pairs.sampled, i=_pairwise(np.minimum, ids, step),
@@ -298,20 +307,25 @@ def _steps(pairs, Xt, Yt, m, error):
 class _Summary:
     """Folds ``count`` pairs of level m, in pair order, into their
     ShrinkageSummary at violation tolerance ``tol``: the one place that
-    summaries are made. It keeps no pair column, only how many pairs it
-    has folded and three counts: the negative, over-bound and violating
-    (either, counted once) pairs, the guarantee rule, with a slack of
-    ``tol`` times each pair's original distance. The first ``summary()``
-    after the last pair is folded takes the mean, the exact median and
-    the max from ``centre()``: by default _centre's pass over ``source``,
-    which maps a slice of the pair column to its shrinkages."""
+    summaries are made, with no pair column held. ``sample``, every
+    _STRIDE-th shrinkage by pair index, draws the median's bracket at
+    once. ``add`` counts the guarantee rule's negative, over-bound and
+    violating (either, counted once) pairs, with a slack of ``tol`` times
+    each pair's original distance, and buffers the shrinkages into pieces
+    of _PASS_CHUNK pairs, _centre's first pass against that bracket. The
+    first ``summary()`` after the last pair takes the mean, the exact
+    median and the max from _centre, which asks ``column()`` for the
+    shrinkage column, once, only when the bracket misses."""
 
-    def __init__(self, m, sampled, count, tol, source):
-        self.m, self.sampled, self.count, self.tol, self.source = m, sampled, count, tol, source
+    def __init__(self, m, sampled, count, tol, sample, column):
+        self.m, self.sampled, self.count, self.tol = m, sampled, count, tol
+        self.column = functools.cache(column)
+        self.pieces = _Pieces(*_bracket(sample, (sample.size - 1) // 2))
+        self.piece, self.fill = np.empty(min(count, _PASS_CHUNK)), 0
         self.filled, self.counts, self.result = 0, np.zeros(3, np.int64), None
 
     def add(self, d, d_orig, bound):
-        """Count the next pairs: shrinkages ``d``, their original
+        """Fold the next pairs: shrinkages ``d``, their original
         distances ``d_orig`` and their bounds ``bound``."""
         self.filled += d.size
         slack = self.tol * d_orig
@@ -320,40 +334,6 @@ class _Summary:
         violating = np.count_nonzero(negative | over)
         if violating:
             self.counts += [np.count_nonzero(negative), np.count_nonzero(over), violating]
-
-    def centre(self):
-        return _centre(self.source, self.count)
-
-    def summary(self):
-        if self.filled < self.count:
-            raise RuntimeError("%d of %d pairs folded; exhaust the blocks first"
-                               % (self.filled, self.count))
-        if self.result is None:
-            mean, median, top = self.centre()
-            negative, over, violating = (int(c) for c in self.counts)
-            self.result = ShrinkageSummary(
-                m=self.m, pair_count=self.count, sampled=self.sampled, mean=mean,
-                median=median, max=top, negative_count=negative, bound_violations=over,
-                violating_pairs=violating)
-        return self.result
-
-
-class _Level(_Summary):
-    """A sweep level, folded as the sweep's one pass goes by: besides the
-    guarantee counts, its shrinkages are copied, in pair order, into one
-    buffer of _PASS_CHUNK pairs, and each full buffer is folded against
-    the level's ``bracket`` as one piece of _centre's first pass, so that
-    no pair column is held. Only when the bracket misses the median is
-    the level's own shrinkage column built, by ``column(m)``, for the
-    passes that redraw it."""
-
-    def __init__(self, m, sampled, count, bracket, column):
-        super().__init__(m, sampled, count, VIOLATION_TOL, None)
-        self.pieces, self.column = _Pieces(*bracket), column
-        self.piece, self.fill = np.empty(min(count, _PASS_CHUNK)), 0
-
-    def add(self, d, d_orig, bound):
-        super().add(d, d_orig, bound)
         done = 0
         while done < d.size:
             n = min(d.size - done, self.piece.size - self.fill)
@@ -363,39 +343,45 @@ class _Level(_Summary):
                 self.pieces.add(self.piece)
                 self.fill = 0
 
-    def centre(self):
-        if self.fill:
-            self.pieces.add(self.piece[:self.fill])
-        column = functools.cache(lambda: self.column(self.m))
-        return _centre(lambda sl: column()[sl], self.count, self.pieces)
+    def summary(self):
+        if self.filled < self.count:
+            raise RuntimeError("%d of %d pairs folded; exhaust the blocks first"
+                               % (self.filled, self.count))
+        if self.result is None:
+            if self.fill:
+                self.pieces.add(self.piece[:self.fill])
+            mean, median, top = _centre(lambda sl: self.column()[sl], self.count, self.pieces)
+            negative, over, violating = (int(c) for c in self.counts)
+            self.result = ShrinkageSummary(
+                m=self.m, pair_count=self.count, sampled=self.sampled, mean=mean,
+                median=median, max=top, negative_count=negative, bound_violations=over,
+                violating_pairs=violating)
+        return self.result
 
 
-def _centre(source, count, first=None):
+def _centre(source, count, first):
     """The mean, the exact median and the max of the ``count`` shrinkages
-    that ``source(slice)`` gives, without holding them: returns (mean,
-    median, max), all three NaN when a shrinkage is NaN, like np.mean,
-    np.median and np.max.
+    that ``source(slice)`` gives, without holding them, from ``first``:
+    returns (mean, median, max), all three NaN when a shrinkage is NaN,
+    like np.mean, np.median and np.max.
 
-    Every _STRIDE-th shrinkage by pair index, a sample, is drawn first;
-    its order statistics _MARGIN·√s places either side of its own median
-    (s sampled values) bracket the median. One pass over the shrinkages,
-    in pieces of _PASS_CHUNK pairs aligned to the pair index, takes each
-    piece's sum and max and gathers the values inside the bracket (the
-    sweep makes that pass itself and hands its _Pieces in as ``first``);
-    the mean is the math.fsum of the piece sums over ``count``, whose bits
-    do not depend on how the pairs were blocked. When the values below
-    the bracket and those inside it reach past the median's ranks, the
-    gathered values hold the median: one single-kth partition at h =
-    count // 2 gives the element at h for an odd count and (the largest
-    one below h + it) / 2 for an even one, the bits of np.median.
-    Otherwise only one side missed, since the bracket's ends are values
-    of the column: a pass keeps every _STRIDE-th value of that side, the
-    side bounded by the bracket's other end, and a second bracket drawn
-    from those values around the median's rank is gathered. Only when
-    that one misses too is the side that it missed gathered whole."""
-    if first is None:
-        sample = source(slice(None, None, _STRIDE))
-        first = _gather(source, count, *_bracket(sample, (sample.size - 1) // 2))
+    ``first`` is the _Pieces of one pass over the shrinkages, in pieces
+    of _PASS_CHUNK pairs aligned to the pair index: each piece's sum and
+    max and the values inside a bracket drawn from a sample, every
+    _STRIDE-th shrinkage by pair index, whose order statistics
+    _MARGIN·√s places either side of its own median (s sampled values)
+    are the bracket's ends (see _Summary). The mean is the math.fsum of
+    the piece sums over ``count``, whose bits do not depend on how the
+    pairs were blocked. When the values below the bracket and those
+    inside it reach past the median's ranks, the gathered values hold the
+    median: one single-kth partition at h = count // 2 gives the element
+    at h for an odd count and (the largest one below h + it) / 2 for an
+    even one, the bits of np.median. Otherwise only one side missed,
+    since the bracket's ends are values of the column, and ``source`` is
+    read: a pass keeps every _STRIDE-th value of that side, the side
+    bounded by the bracket's other end, and a second bracket drawn from
+    those values around the median's rank is gathered. Only when that one
+    misses too is the side that it missed gathered whole."""
     top = float(np.max(first.tops))
     if np.isnan(top):
         return top, top, top
@@ -473,12 +459,12 @@ def _sample_side(source, count, low, high):
     return np.concatenate(kept)
 
 
-def _shrinkages(Xt, Yt, ms, step):
-    """The sweep's kernel for one step: per level m of the ascending
-    ``ms``, the step's original distances and its shrinkages. The n rows
-    of ``Xt`` are differenced once and the first max(ms) rows of ``Yt``
-    once, each level adding its new rows to one running column of squared
-    truncated distances."""
+def _distances(Xt, Yt, ms, step):
+    """The pair kernel for one step: per level m of the ascending ``ms``,
+    the step's original and truncated distances. The n rows of ``Xt`` are
+    differenced once and the first max(ms) rows of ``Yt`` once, each level
+    adding its new rows to one running column of squared truncated
+    distances, which has the bits of a sum from zero."""
     lo, hi, _ = step
     d_orig = np.sqrt(_extend(np.zeros(hi - lo), Xt, step))
     run = np.zeros(hi - lo)
@@ -486,7 +472,7 @@ def _shrinkages(Xt, Yt, ms, step):
     for m in ms:
         _extend(run, Yt[start:m], step)
         start = m
-        yield d_orig, d_orig - np.sqrt(run)
+        yield d_orig, np.sqrt(run)
 
 
 def _columns(Xt, Yt, ms, pairs):
@@ -495,9 +481,20 @@ def _columns(Xt, Yt, ms, pairs):
     columns = [np.empty(pairs.count) for _ in ms]
     for step in pairs.steps(_SWEEP_STEPS):
         lo, hi, _ = step
-        for column, (_, d) in zip(columns, _shrinkages(Xt, Yt, ms, step)):
-            column[lo:hi] = d
+        for column, (d_orig, d_trunc) in zip(columns, _distances(Xt, Yt, ms, step)):
+            np.subtract(d_orig, d_trunc, out=column[lo:hi])
     return columns
+
+
+def _folds(Xt, Yt, levels, pairs, tol):
+    """One _Summary over ``pairs`` per level of the ascending ``levels``,
+    at violation tolerance ``tol``: the samples of every level are
+    computed first, in one pass over every _STRIDE-th pair, and a level's
+    whole column only if its bracket misses."""
+    samples = _columns(Xt, Yt, levels, pairs.stride())
+    return [_Summary(m, pairs.sampled, pairs.count, tol, sample,
+                     lambda m=m: _columns(Xt, Yt, [m], pairs)[0])
+            for m, sample in zip(levels, samples)]
 
 
 def shrinkage_summaries(model, data, ms, *, pair_sample=None, seed=0):
@@ -508,29 +505,25 @@ def shrinkage_summaries(model, data, ms, *, pair_sample=None, seed=0):
     transform once, then every level in one pass over the pairs.
 
     The shrinkages of the median's sample, every _STRIDE-th pair, come
-    first, at every level, for each level's bracket (see _centre). Then
+    first, at every level, for each level's bracket (see _folds). Then
     each engine step differences the n columns of the data and the
     max(ms) columns of the transform once, and grows a step-local column
     of squared truncated distances level by level, in ascending order, so
     that levels 1..M difference M columns of the transform a pair, not
-    M(M+1)/2. Each level folds its guarantee counts and the first pass
-    of its median as the step goes by (see _Level). No pair column is
-    held: a level's own column is built only if its bracket misses the
-    median. ``ms`` may come in any order and repeat, and each value gets
-    the summary of its level; an empty ``ms`` computes no distance."""
+    M(M+1)/2 (see _distances). Each level folds its guarantee counts and
+    the first pass of its median as the step goes by (see _Summary). No
+    pair column is held: a level's own column is built only if its
+    bracket misses the median. ``ms`` may come in any order and repeat,
+    and each value gets the summary of its level; an empty ``ms``
+    computes no distance."""
     Xt, Yt, ms, pairs, errors = _pair_pass(model, data, ms, pair_sample, seed)
     levels = sorted(set(ms))
     if not levels:
         return iter([])
-
-    def column(m):
-        return _columns(Xt, Yt, [m], pairs)[0]
-
-    folds = [_Level(m, pairs.sampled, pairs.count, _bracket(sample, (sample.size - 1) // 2),
-                    column) for m, sample in zip(levels, _columns(Xt, Yt, levels, pairs.stride()))]
+    folds = _folds(Xt, Yt, levels, pairs, VIOLATION_TOL)
     for step in pairs.steps(_SWEEP_STEPS):
-        for fold, (d_orig, d) in zip(folds, _shrinkages(Xt, Yt, levels, step)):
-            fold.add(d, d_orig, _pairwise(np.add, errors[fold.m], step))
+        for fold, (d_orig, d_trunc) in zip(folds, _distances(Xt, Yt, levels, step)):
+            fold.add(d_orig - d_trunc, d_orig, _pairwise(np.add, errors[fold.m], step))
     done = {fold.m: fold.summary() for fold in folds}
     return iter([done[m] for m in ms])
 
@@ -542,29 +535,28 @@ def shrinkage_blocks(model, data, m=None, *, pair_sample=None, seed=0,
     block to the pair CSV or only draining the blocks.
 
     The call checks every argument first (see shrinkage_table and
-    check_violation_tol), before it transforms. ``blocks`` iterates
-    PairTable blocks with index columns, one per engine step; together
-    they hold the rows of shrinkage_table, in its order, and each is
-    counted and its shrinkages kept, at its step's place, as it goes by.
-    Once ``blocks`` is exhausted, the first ``summary()`` takes the mean,
-    median and max in one pass and returns their ShrinkageSummary, the
-    same object at every later call: a pair violates the guarantees when
-    its shrinkage is below -slack or above its bound plus slack, the
-    slack being violation_tol times its original distance; at full rank
-    (bound 0) this is the isometry check. No pair column but the
-    shrinkages, the summary's source, is kept.
+    check_violation_tol), before it transforms, then computes the
+    median's sample, every _STRIDE-th pair (see _folds). ``blocks``
+    iterates PairTable blocks with index columns, one per engine step;
+    together they hold the rows of shrinkage_table, in its order, and
+    each is folded into the summary as it goes by. Once ``blocks`` is
+    exhausted, the first ``summary()`` takes the mean, median and max and
+    returns their ShrinkageSummary, the same object at every later call:
+    a pair violates the guarantees when its shrinkage is below -slack or
+    above its bound plus slack, the slack being violation_tol times its
+    original distance; at full rank (bound 0) this is the isometry check.
+    No pair column is kept: only a bracket that misses the median has the
+    shrinkage column built again, by a second pass of the engine.
     """
     check_violation_tol(violation_tol)
     Xt, Yt, (m,), pairs, errors = _pair_pass(model, data, [m], pair_sample, seed)
-    shrinkages = np.empty(pairs.count)
-    fold = _Summary(m, pairs.sampled, pairs.count, violation_tol, shrinkages.__getitem__)
+    fold, = _folds(Xt, Yt, [m], pairs, violation_tol)
 
-    def add(lo, hi, block):
-        shrinkages[lo:hi] = block.shrinkage
+    def add(block):
         fold.add(block.shrinkage, block.dist_original, block.recon_error)
         return block
 
-    return (add(*step) for step in _steps(pairs, Xt, Yt, m, errors[m])), fold.summary
+    return (add(block) for _, _, block in _steps(pairs, Xt, Yt, m, errors[m])), fold.summary
 
 
 def shrinkage_table(model, data, m=None, *, pair_sample=None, seed=0, threads=1):

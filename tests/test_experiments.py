@@ -430,8 +430,8 @@ class TestRunSweep:
         differenced = []
         pairwise = shrinkage._pairwise
 
-        def counting(ufunc, v, step):
-            out = pairwise(ufunc, v, step)
+        def counting(ufunc, v, step, *out):
+            out = pairwise(ufunc, v, step, *out)
             if ufunc is np.subtract:
                 differenced.append(out.size)
             return out

@@ -264,13 +264,13 @@ def test_median_max_and_mean_match_an_independent_column(n_samples):
 def _passes(monkeypatch):
     """The bounds of every pass the median makes, as (low, high)."""
     seen = []
-    gather = shrinkage._gather
+    pieces = shrinkage._Pieces
 
-    def spy(source, count, low, high):
+    def spy(low, high):
         seen.append((low, high))
-        return gather(source, count, low, high)
+        return pieces(low, high)
 
-    monkeypatch.setattr(shrinkage, "_gather", spy)
+    monkeypatch.setattr(shrinkage, "_Pieces", spy)
     return seen
 
 
@@ -347,7 +347,10 @@ def test_a_bracket_miss_gathers_a_sample_of_the_side_not_the_side(monkeypatch):
     col[::64] += 10
     tracemalloc.start()
     try:
-        mean, median, top = shrinkage._centre(col.__getitem__, col.size)
+        sample = col[::shrinkage._STRIDE]
+        bracket = shrinkage._bracket(sample, (sample.size - 1) // 2)
+        first = shrinkage._gather(col.__getitem__, col.size, *bracket)
+        mean, median, top = shrinkage._centre(col.__getitem__, col.size, first)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -398,3 +401,44 @@ def test_a_sweep_level_whose_bracket_misses_builds_its_own_column(monkeypatch, p
         table = shrinkage_table(model, X, m, **options)
         assert sample.tobytes() == table.shrinkage[::shrinkage._STRIDE].tobytes(), "m=%d" % m
         assert _hex_fields(got) == _hex_fields(table.summary()), "m=%d" % m
+
+
+def _peak(run):
+    """The traced memory peak of ``run()``, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _drain(model, X, m, **options):
+    blocks, summary = shrinkage_blocks(model, X, m, **options)
+    for _ in blocks:
+        pass
+    return summary()
+
+
+def test_drained_blocks_keep_no_pair_column():
+    """All 2,878,800 pairs of 2,400 points: analyze's fold holds pieces
+    of the first pass, not a shrinkage column of 8 B a pair."""
+    X = _data(2400, 6, seed=8)
+    model = fit(X)
+    pairs = 2400 * 2399 // 2
+    assert _peak(lambda: _drain(model, X, 2, pair_sample=0)) < pairs * 8 / 4
+
+
+@pytest.mark.parametrize("path", ["sweep", "analyze"])
+def test_step_temporaries_do_not_grow_with_the_features(path):
+    """The kernel differences a few coordinates at a time, so a step's
+    temporaries at 100 features are those at 20."""
+    peaks = []
+    for n_features in (20, 100):
+        X = _data(300, n_features, seed=9)
+        model = fit(X)
+        if path == "sweep":
+            peaks.append(_peak(lambda: list(shrinkage_summaries(model, X, range(1, 11)))))
+        else:
+            peaks.append(_peak(lambda: _drain(model, X, 2, pair_sample=0)))
+    assert peaks[1] < 1.5 * peaks[0], peaks

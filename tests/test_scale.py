@@ -40,7 +40,7 @@ def test_fit_eigenvalues_match_lapack(c):
     assert np.max(np.abs(got - want)) <= 1e-9 * want[0]
 
 
-@pytest.mark.parametrize("k", [-500, -240, -30, 30, 240, 500])
+@pytest.mark.parametrize("k", [-500, -240, -30, 30, 240, 500, 508])
 def test_power_of_two_rescaling_is_exact(k):
     """2^k X has the covariance 4^k S bit for bit, and the solver scales
     both to the same matrix, so the components keep every bit and the
