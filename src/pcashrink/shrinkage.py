@@ -11,7 +11,6 @@ the seed, pair-count and tolerance checks its callers share sit beside it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -51,8 +50,8 @@ _DIFF_ROWS = 8
 
 # the median's bracket: every _STRIDE-th shrinkage by pair index is sampled,
 # and the bracket's ends lie _MARGIN·√s places either side of the median of
-# the s sampled values; a bracket that misses is redrawn from every
-# _STRIDE-th value of the side that it missed
+# the s sampled values; a bracket that misses has the median read off the
+# whole shrinkage column
 _STRIDE = 64
 _MARGIN = 4.0
 
@@ -98,7 +97,7 @@ class PairTable:
         VIOLATION_TOL; the median reads the shrinkage column and leaves
         it as it is."""
         fold = _Summary(self.m, self.sampled, self.shrinkage.size, VIOLATION_TOL,
-                        self.shrinkage[::_STRIDE], lambda: self.shrinkage)
+                        self.shrinkage[::_STRIDE], self.shrinkage.copy)
         fold.add(self.shrinkage, self.dist_original, self.recon_error)
         return fold.summary()
 
@@ -308,19 +307,22 @@ class _Summary:
     """Folds ``count`` pairs of level m, in pair order, into their
     ShrinkageSummary at violation tolerance ``tol``: the one place that
     summaries are made, with no pair column held. ``sample``, every
-    _STRIDE-th shrinkage by pair index, draws the median's bracket at
-    once. ``add`` counts the guarantee rule's negative, over-bound and
-    violating (either, counted once) pairs, with a slack of ``tol`` times
-    each pair's original distance, and buffers the shrinkages into pieces
-    of _PASS_CHUNK pairs, _centre's first pass against that bracket. The
-    first ``summary()`` after the last pair takes the mean, the exact
-    median and the max from _centre, which asks ``column()`` for the
-    shrinkage column, once, only when the bracket misses."""
+    _STRIDE-th shrinkage by pair index, draws the median's bracket [low,
+    high] at once. ``add`` counts the guarantee rule's negative, over-bound
+    and violating (either, counted once) pairs, with a slack of ``tol``
+    times each pair's original distance, and buffers the shrinkages into
+    pieces of _PASS_CHUNK pairs aligned to the pair index. Each piece
+    leaves its sum and max, the number of its values below the bracket and
+    a copy of those inside it: _centre's first pass. The first
+    ``summary()`` after the last pair takes the mean, the exact median and
+    the max from _centre, which calls ``column()``, for a new shrinkage
+    column of its own, only when the bracket misses the median."""
 
     def __init__(self, m, sampled, count, tol, sample, column):
         self.m, self.sampled, self.count, self.tol = m, sampled, count, tol
-        self.column = functools.cache(column)
-        self.pieces = _Pieces(*_bracket(sample, (sample.size - 1) // 2))
+        self.column = column
+        self.low, self.high = _bracket(sample, (sample.size - 1) // 2)
+        self.below, self.inside, self.sums, self.tops = 0, [], [], []
         self.piece, self.fill = np.empty(min(count, _PASS_CHUNK)), 0
         self.filled, self.counts, self.result = 0, np.zeros(3, np.int64), None
 
@@ -340,8 +342,15 @@ class _Summary:
             self.piece[self.fill:self.fill + n] = d[done:done + n]
             self.fill, done = self.fill + n, done + n
             if self.fill == self.piece.size:
-                self.pieces.add(self.piece)
+                self._fold(self.piece)
                 self.fill = 0
+
+    def _fold(self, d):
+        self.sums.append(np.add.reduce(d))
+        self.tops.append(d.max())
+        under = d < self.low
+        self.below += np.count_nonzero(under)
+        self.inside.append(d[~under & (d <= self.high)])
 
     def summary(self):
         if self.filled < self.count:
@@ -349,8 +358,8 @@ class _Summary:
                                % (self.filled, self.count))
         if self.result is None:
             if self.fill:
-                self.pieces.add(self.piece[:self.fill])
-            mean, median, top = _centre(lambda sl: self.column()[sl], self.count, self.pieces)
+                self._fold(self.piece[:self.fill])
+            mean, median, top = _centre(self, self.count, self.column)
             negative, over, violating = (int(c) for c in self.counts)
             self.result = ShrinkageSummary(
                 m=self.m, pair_count=self.count, sampled=self.sampled, mean=mean,
@@ -359,47 +368,29 @@ class _Summary:
         return self.result
 
 
-def _centre(source, count, first):
+def _centre(first, count, column):
     """The mean, the exact median and the max of the ``count`` shrinkages
-    that ``source(slice)`` gives, without holding them, from ``first``:
-    returns (mean, median, max), all three NaN when a shrinkage is NaN,
-    like np.mean, np.median and np.max.
+    that ``first``, a _Summary, has folded in one pass: returns (mean,
+    median, max), all three NaN when a shrinkage is NaN, like np.mean,
+    np.median and np.max.
 
-    ``first`` is the _Pieces of one pass over the shrinkages, in pieces
-    of _PASS_CHUNK pairs aligned to the pair index: each piece's sum and
-    max and the values inside a bracket drawn from a sample, every
-    _STRIDE-th shrinkage by pair index, whose order statistics
-    _MARGIN·√s places either side of its own median (s sampled values)
-    are the bracket's ends (see _Summary). The mean is the math.fsum of
-    the piece sums over ``count``, whose bits do not depend on how the
-    pairs were blocked. When the values below the bracket and those
-    inside it reach past the median's ranks, the gathered values hold the
-    median: one single-kth partition at h = count // 2 gives the element
-    at h for an odd count and (the largest one below h + it) / 2 for an
-    even one, the bits of np.median. Otherwise only one side missed,
-    since the bracket's ends are values of the column, and ``source`` is
-    read: a pass keeps every _STRIDE-th value of that side, the side
-    bounded by the bracket's other end, and a second bracket drawn from
-    those values around the median's rank is gathered. Only when that one
-    misses too is the side that it missed gathered whole."""
+    The mean is the math.fsum of the piece sums over ``count``, whose
+    bits do not depend on how the pairs were blocked. When the values
+    below the bracket and those inside it reach past the median's ranks,
+    the gathered values hold the median; otherwise ``column()`` gives all
+    the shrinkages, in an array that is partitioned in place. Either way,
+    one single-kth partition at the place of h = count // 2 gives the
+    element at h for an odd count and (the largest one below h + it) / 2
+    for an even one, the bits of np.median."""
     top = float(np.max(first.tops))
     if np.isnan(top):
         return top, top, top
     h = count // 2
-    low, high, gathered = first.low, first.high, first
-    side = _missed(gathered, count)
-    if side:
-        ends = (-np.inf, high) if side < 0 else (low, np.inf)
-        rank = h if side < 0 else h - gathered.below
-        low, high = _bracket(_sample_side(source, count, *ends), rank // _STRIDE)
-        gathered = _gather(source, count, low, high)
-        side = _missed(gathered, count)
-        if side:
-            gathered = _gather(source, count, *((-np.inf, high) if side < 0 else (low, np.inf)))
-    inside = np.concatenate(gathered.inside)
-    k = h - gathered.below
-    inside.partition(k)
-    median = inside[k] if count % 2 else (inside[:k].max() + inside[k]) / 2
+    values, k = np.concatenate(first.inside), h - first.below
+    if not 1 - count % 2 <= k < values.size:
+        values, k = column(), h
+    values.partition(k)
+    median = values[k] if count % 2 else (values[:k].max() + values[k]) / 2
     return math.fsum(first.sums) / count, float(median), top
 
 
@@ -409,54 +400,6 @@ def _bracket(sample, centre):
     width = int(_MARGIN * math.sqrt(sample.size))
     ends = [max(0, centre - width), min(sample.size - 1, centre + width)]
     return np.partition(sample, ends)[ends]
-
-
-def _missed(gathered, count):
-    """Where the median's ranks lie against the bracket of the _Pieces
-    ``gathered``, which counted the values under it and gathered those
-    inside it: -1 below it, 1 above it, 0 inside it."""
-    h = count // 2
-    if gathered.below > h - 1 + count % 2:
-        return -1
-    return 1 if gathered.below + sum(v.size for v in gathered.inside) <= h else 0
-
-
-class _Pieces:
-    """One pass's fold of the shrinkages against the bracket [low, high],
-    a piece at a time in pair order: the number below ``low``, the values
-    in [low, high] (a list of arrays), and each piece's sum and max."""
-
-    def __init__(self, low, high):
-        self.low, self.high = low, high
-        self.below, self.inside, self.sums, self.tops = 0, [], [], []
-
-    def add(self, d):
-        self.sums.append(np.add.reduce(d))
-        self.tops.append(d.max())
-        under = d < self.low
-        self.below += np.count_nonzero(under)
-        self.inside.append(d[~under & (d <= self.high)])
-
-
-def _gather(source, count, low, high):
-    """One pass over the shrinkages, in pieces of _PASS_CHUNK pairs: their
-    _Pieces against [low, high]."""
-    pieces = _Pieces(low, high)
-    for lo in range(0, count, _PASS_CHUNK):
-        pieces.add(source(slice(lo, lo + _PASS_CHUNK)))
-    return pieces
-
-
-def _sample_side(source, count, low, high):
-    """One pass over the shrinkages: every _STRIDE-th of the values in
-    [low, high], in pair order."""
-    seen, kept = 0, []
-    for lo in range(0, count, _PASS_CHUNK):
-        d = source(slice(lo, lo + _PASS_CHUNK))
-        d = d[(d >= low) & (d <= high)]
-        kept.append(d[-seen % _STRIDE::_STRIDE].copy())  # not a view of the piece
-        seen += d.size
-    return np.concatenate(kept)
 
 
 def _distances(Xt, Yt, ms, step):
@@ -546,7 +489,8 @@ def shrinkage_blocks(model, data, m=None, *, pair_sample=None, seed=0,
     above its bound plus slack, the slack being violation_tol times its
     original distance; at full rank (bound 0) this is the isometry check.
     No pair column is kept: only a bracket that misses the median has the
-    shrinkage column built again, by a second pass of the engine.
+    shrinkage column built again, by a second pass of the engine, and the
+    median read off it by one partition in place (see _centre).
     """
     check_violation_tol(violation_tol)
     Xt, Yt, (m,), pairs, errors = _pair_pass(model, data, [m], pair_sample, seed)

@@ -261,25 +261,51 @@ def test_median_max_and_mean_match_an_independent_column(n_samples):
             _assert_matches_reference(summary, reference)
 
 
-def _passes(monkeypatch):
-    """The bounds of every pass the median makes, as (low, high)."""
-    seen = []
-    pieces = shrinkage._Pieces
+def _builds(monkeypatch):
+    """The (levels, pair count) of every shrinkage column the engine builds."""
+    built = []
+    columns = shrinkage._columns
 
-    def spy(low, high):
-        seen.append((low, high))
-        return pieces(low, high)
+    def spy(Xt, Yt, ms, pairs):
+        built.append((list(ms), pairs.count))
+        return columns(Xt, Yt, ms, pairs)
 
-    monkeypatch.setattr(shrinkage, "_Pieces", spy)
-    return seen
+    monkeypatch.setattr(shrinkage, "_columns", spy)
+    return built
+
+
+def _column_reads(monkeypatch):
+    """The pair count of every column a summary's median reads whole."""
+    reads = []
+    centre = shrinkage._centre
+
+    def spy(first, count, column):
+        def read():
+            reads.append(count)
+            return column()
+        return centre(first, count, read)
+
+    monkeypatch.setattr(shrinkage, "_centre", spy)
+    return reads
+
+
+def _misses(column):
+    """Whether the bracket at _MARGIN = 0, the median of every _STRIDE-th
+    value, misses either of the median's ranks of ``column``."""
+    sample = np.sort(column[::shrinkage._STRIDE])
+    end = sample[(sample.size - 1) // 2]
+    ordered, h = np.sort(column), column.size // 2
+    return not ordered[h - 1 + column.size % 2] == end == ordered[h]
 
 
 def test_a_bracket_that_misses_is_widened(monkeypatch):
     """With no margin the bracket is the sample's median alone, which
-    almost never is the column's: the pass is redone with one side
-    unbounded, and every path still gives the reference bits."""
+    almost never is the column's: the median is read off the whole
+    column, which the sweep and analyze's blocks build once for each level
+    that misses (a table copies its own), and every path still gives the
+    reference bits."""
     monkeypatch.setattr(shrinkage, "_MARGIN", 0.0)
-    passes = _passes(monkeypatch)
+    built = _builds(monkeypatch)
     X = _data(200, 5, seed=6)
     model = fit(X)
     Y = transform(model, X)
@@ -287,8 +313,10 @@ def test_a_bracket_that_misses_is_widened(monkeypatch):
     for m, summaries in _all_paths(model, X, levels):
         for summary in summaries:
             _assert_matches_reference(summary, _reference(X, Y, m))
-    assert len(passes) > 3 * len(levels)
-    assert any(np.isinf(bound) for bound in np.ravel(passes))
+    missing = [[m] for m in levels if _misses(_reference(X, Y, m))]
+    assert missing
+    # the sweep builds its levels' columns before analyze runs any level
+    assert [ms for ms, count in built if count == 200 * 199 // 2] == missing * 2
 
 
 def _one_sided_column(side, count, spread):
@@ -304,63 +332,69 @@ def _one_sided_column(side, count, spread):
                                recon_error=np.zeros(count))
 
 
+def _assert_one_sided_miss(monkeypatch, side, count, spread):
+    monkeypatch.setattr(shrinkage, "_STRIDE", 16)
+    reads = _column_reads(monkeypatch)
+    table = _one_sided_column(side, count, spread)
+    before = table.shrinkage.tobytes()
+    _assert_matches_reference(table.summary(), table.shrinkage)
+    assert reads == [count]
+    assert table.shrinkage.tobytes() == before
+
+
 @pytest.mark.parametrize("side", ["low", "high"])
 @pytest.mark.parametrize("count", [9_999, 10_000])
 def test_a_sample_that_misses_one_side_brackets_that_side(monkeypatch, side, count):
     """Every _STRIDE-th shrinkage, the sample, is among the column's
     largest (or smallest) values, so the bracket lies above (below) the
-    median. The second pass samples the values below (above) it, and the
-    bracket drawn from them, which the third pass gathers, lies below
-    (above) the first one and holds the median."""
-    monkeypatch.setattr(shrinkage, "_STRIDE", 16)
-    passes = _passes(monkeypatch)
-    table = _one_sided_column(side, count, 1.0)
-    _assert_matches_reference(table.summary(), table.shrinkage)
-    assert len(passes) == 2
-    assert np.all(np.isfinite(passes))
-    assert passes[1][1] < passes[0][0] if side == "low" else passes[1][0] > passes[0][1]
+    median: the median is read off one copy of the column, and the
+    table's own column keeps its bytes."""
+    _assert_one_sided_miss(monkeypatch, side, count, 1.0)
 
 
 @pytest.mark.parametrize("side", ["low", "high"])
 @pytest.mark.parametrize("count", [9_999, 10_000])
 def test_a_sample_that_misses_one_side_unbounds_that_side(monkeypatch, side, count):
     """Every _STRIDE-th shrinkage, the sample, is the column's largest (or
-    smallest) value, and every _STRIDE-th value below (above) the first
-    bracket is that value again, so the second bracket misses the median
-    too and the last pass leaves its lower (upper) side open."""
-    monkeypatch.setattr(shrinkage, "_STRIDE", 16)
-    passes = _passes(monkeypatch)
-    table = _one_sided_column(side, count, 0.0)
-    _assert_matches_reference(table.summary(), table.shrinkage)
-    assert len(passes) == 3
-    assert passes[2] == ((-np.inf, passes[1][1]) if side == "low" else (passes[1][0], np.inf))
+    smallest) value, so both of the bracket's ends are that one value:
+    the median is read off one copy of the column, and the table's own
+    column keeps its bytes."""
+    _assert_one_sided_miss(monkeypatch, side, count, 0.0)
 
 
-def test_a_bracket_miss_gathers_a_sample_of_the_side_not_the_side(monkeypatch):
-    """A 2M-value column whose every 64th value is 10 above the others:
-    the sample bracket misses, and the second bracket, drawn from every
-    64th value below the first, holds the median, so no pass gathers a
-    whole side and the memory peak stays under a quarter of the
-    column's bytes. Mean, median and max keep their bits."""
-    passes = _passes(monkeypatch)
-    col = np.random.default_rng(0).random(2_000_000)
-    col[::64] += 10
+def _peak(run):
+    """The traced memory peak of ``run()``, in bytes."""
     tracemalloc.start()
     try:
-        sample = col[::shrinkage._STRIDE]
-        bracket = shrinkage._bracket(sample, (sample.size - 1) // 2)
-        first = shrinkage._gather(col.__getitem__, col.size, *bracket)
-        mean, median, top = shrinkage._centre(col.__getitem__, col.size, first)
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < col.nbytes / 4
-    assert len(passes) == 2 and np.all(np.isfinite(passes))
-    assert median.hex() == float(np.median(col)).hex()
-    assert top.hex() == float(col.max()).hex()
-    pieces = range(0, col.size, shrinkage._PASS_CHUNK)
-    sums = [np.add.reduce(col[lo:lo + shrinkage._PASS_CHUNK]) for lo in pieces]
-    assert mean.hex() == (math.fsum(sums) / col.size).hex()
+
+
+def test_a_sweep_bracket_miss_adds_at_most_one_column_to_the_peak(monkeypatch):
+    """All 499,500 pairs of 1,000 points, levels 1..10: with level 2's
+    bracket forced above the median, the sweep's memory peak grows by at
+    most about that level's one column, 8 B a pair, and every level keeps
+    the bits it has when no bracket misses."""
+    X = _data(1000, 20, seed=10)
+    model = fit(X)
+    levels = range(1, 11)
+    want = [_hex_fields(s) for s in shrinkage_summaries(model, X, levels)]
+    hit = _peak(lambda: list(shrinkage_summaries(model, X, levels)))
+    bracket, drawn = shrinkage._bracket, []
+
+    def high_second(sample, centre):
+        drawn.append(centre)
+        return (sample.max(), sample.max()) if len(drawn) == 2 else bracket(sample, centre)
+
+    monkeypatch.setattr(shrinkage, "_bracket", high_second)
+    built = _builds(monkeypatch)
+    got = []
+    missed = _peak(lambda: got.extend(shrinkage_summaries(model, X, levels)))
+    assert built[1:] == [([2], 499_500)]
+    assert [_hex_fields(s) for s in got] == want
+    assert missed - hit < 1.1 * 8 * 499_500, (hit, missed)
 
 
 @pytest.mark.parametrize("pass_chunk", [shrinkage._PASS_CHUNK, 100], ids=["pieces", "small-pieces"])
@@ -375,20 +409,15 @@ def test_a_sweep_level_whose_bracket_misses_builds_its_own_column(monkeypatch, p
     table. Small pieces fill and straddle the sweep's steps."""
     monkeypatch.setattr(shrinkage, "_CHUNK", 64)
     monkeypatch.setattr(shrinkage, "_PASS_CHUNK", pass_chunk)
-    bracket, columns = shrinkage._bracket, shrinkage._columns
-    samples, built = [], []
+    bracket, samples = shrinkage._bracket, []
 
     def high_second(sample, centre):
         samples.append(sample.copy())
         ends = bracket(sample, centre)
         return (sample.max(), sample.max()) if len(samples) == 2 else ends
 
-    def spy(Xt, Yt, ms, pairs):
-        built.append((list(ms), pairs.count))
-        return columns(Xt, Yt, ms, pairs)
-
     monkeypatch.setattr(shrinkage, "_bracket", high_second)
-    monkeypatch.setattr(shrinkage, "_columns", spy)
+    built = _builds(monkeypatch)
     X = _data(60, 6, seed=2)
     model = fit(X)
     levels = range(1, 7)
@@ -401,16 +430,6 @@ def test_a_sweep_level_whose_bracket_misses_builds_its_own_column(monkeypatch, p
         table = shrinkage_table(model, X, m, **options)
         assert sample.tobytes() == table.shrinkage[::shrinkage._STRIDE].tobytes(), "m=%d" % m
         assert _hex_fields(got) == _hex_fields(table.summary()), "m=%d" % m
-
-
-def _peak(run):
-    """The traced memory peak of ``run()``, in bytes."""
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def _drain(model, X, m, **options):
