@@ -75,16 +75,19 @@ def covariance(data):
     magnitude to the largest power of two whose N squares still sum below
     2^1021, so the sum cannot overflow where the covariance itself does
     not, small products keep all the range below it, and 2^k X has the
-    covariance 4^k S bit for bit. The accumulated product is symmetrized
-    before returning to scrub floating-point asymmetry. Data whose
-    covariance overflows the float range raise NonFiniteError.
+    covariance 4^k S bit for bit. The product is summed over the rows by
+    np.einsum, in an order fixed by the data's shape and not by a BLAS
+    library's thread count, so a fit has the same bits at any thread
+    count. The accumulated product is symmetrized before returning to
+    scrub floating-point asymmetry. Data whose covariance overflows the
+    float range raise NonFiniteError.
     """
     X = as_data_matrix(data)
     with np.errstate(over="ignore", invalid="ignore"):
         centered = X - X.mean(axis=0)
         shift = (1021 - X.shape[0].bit_length()) // 2 - max_exponent(centered)
         np.ldexp(centered, shift, out=centered)
-        cov = centered.T @ centered / X.shape[0]
+        cov = np.einsum("ki,kj->ij", centered, centered) / X.shape[0]
         cov = np.ldexp((cov + cov.T) / 2.0, -2 * shift)
     if not np.all(np.isfinite(cov)):
         raise NonFiniteError("the covariance overflows the float range; rescale the data")

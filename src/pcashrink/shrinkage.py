@@ -226,15 +226,16 @@ def _pairwise(ufunc, v, step, out=None):
     """``ufunc(v[..., b], v[..., a])`` for the pairs of one ``step``, a
     (lo, hi, ends) of _Pairs.steps, along the last axis of ``v``: into
     ``out`` when given, else a new array of v's dtype, its last axis the
-    step's hi - lo pairs."""
+    step's hi - lo pairs. Slices are views; index arrays are gathered by
+    ``take``, which is faster than fancy indexing for the same bits."""
     lo, hi, ends = step
     if out is None:
         out = np.empty(v.shape[:-1] + (hi - lo,), v.dtype)
     k = 0
     for a, b in ends:
-        vb = v[..., b]
+        va, vb = (v[..., e] if isinstance(e, slice) else v.take(e, axis=-1) for e in (a, b))
         n = vb.shape[-1]
-        ufunc(vb, v[..., a], out=out[..., k:k + n])
+        ufunc(vb, va, out=out[..., k:k + n])
         k += n
     return out
 

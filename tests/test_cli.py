@@ -393,7 +393,14 @@ def test_pair_and_transform_csv_bytes_are_pinned(tmp_path, capsys):
     column order: against the previous files, i, j, m and recon_error
     were identical, and dist_original, dist_truncated and shrinkage
     within 4.7e-16 of their pair's dist_original; the other three digests
-    did not move."""
+    did not move. All five were re-pinned when the covariance moved from
+    a BLAS product to a fixed-order np.einsum sum, which changed the fit's
+    last bits: against the previous files, i, j, m, dist_original and the
+    model's mean were identical, dist_truncated within 1.2e-15 and
+    recon_error within 3.1e-15 of their pair's dist_original, shrinkage
+    within 1.6e-15 of the column's largest value, every coordinate within
+    3.5e-16 of the largest one, and the eigenvalues within 1.2e-16 of the
+    largest one."""
     ds = anisotropic_gaussian(400, seed=5)
     data = write_dataset_csv(tmp_path / "data.csv", ds)
     runs = {
@@ -417,11 +424,11 @@ def test_pair_and_transform_csv_bytes_are_pinned(tmp_path, capsys):
         raw = (tmp_path / name).read_bytes()
         got[name] = (len(raw), hashlib.sha256(raw).hexdigest())
     assert got == {
-        "all.csv": (6_869_057, "254e03a294deee8d5ee7735262ea964faf035f41a5fc153e566e7420e9886a00"),
-        "sampled.csv": (430_409, "2d6770ff4aa39a2394c764fdafaf15dd4a63a27804312534d25f9eff11fc8e31"),
-        "coords.csv": (31_860, "b56f63a8995e0b32f2081a8b052e2616359b49d36d58df0d19d4a48f91632081"),
-        "all.stdout": (316, "bfc39866ad30a3949a9036bec33019157368a52e2743e7c3bc1a11da41d702c6"),
-        "report.json": (518, "5658e082d08501397495e3ced476a272b241562ebaa451a09ba1cdf6028ebe84"),
+        "all.csv": (6_869_176, "46029425f796792d27c07a8574e91689621ea48acb3822ec57d59c69520644bc"),
+        "sampled.csv": (430_449, "b6cd8711f920dc8f78222cad017833e766f843911332838d41a708bc8b069d4e"),
+        "coords.csv": (31_870, "554c695be1c264e82250216efa406a962cbbb37eb51d838a62ef9fb972ee7acc"),
+        "all.stdout": (316, "b12d32e57b37c5c78d83bf2810d859ddd97d8d8015fd519d490d050fb57ebe70"),
+        "report.json": (518, "03f3c58431de763afbf60445b92d6eb6d7c13c64b66e4ed2dbccd22e474f1dee"),
     }
 
 

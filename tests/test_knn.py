@@ -166,7 +166,11 @@ def test_small_sweep_bytes_are_pinned(tmp_path, capsys):
     every pair distance became its squared coordinate differences summed
     in column order and the mean a sum of fixed pieces: m, eigsum and
     every accuracy were identical, and each shrinkage column within
-    5.1e-16 of its largest value."""
+    5.1e-16 of its largest value. Re-pinned when the covariance moved from
+    a BLAS product to a fixed-order np.einsum sum, which changed the fit's
+    last bits: m and every accuracy were identical, eigsum within 4.0e-16
+    and each shrinkage column within 5.1e-16 of its largest value, and
+    each correlation within 4e-16."""
     ds = anisotropic_gaussian(400, seed=5)
     data = write_dataset_csv(tmp_path / "data.csv", ds)
     rc = main(["sweep", "--input", str(data), "--k", "5", "--folds", "4", "--seed", "3",
@@ -176,6 +180,6 @@ def test_small_sweep_bytes_are_pinned(tmp_path, capsys):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("s.csv", "s.json")}
     assert digests == {
-        "s.csv": "61faeeefbca5bb0eb285ec0133453e49e85f1633b43cb97b84e7cd59713993a1",
-        "s.json": "eb43cb642af562b2fe0004700adf38ef52178c08a0ba1976ddc7e394829b5f6f",
+        "s.csv": "5fba5ca73fa451c401debfc6f281f3a5923db9bdb655e849a7a519ee6f76724d",
+        "s.json": "b3651fc980599acf69692069a1fb6cb7cfd2149e29073699ccca7e08ce5c5bbb",
     }

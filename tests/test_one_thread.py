@@ -1,6 +1,7 @@
 """The pair engine runs in the calling thread: no entry point starts a
 thread whatever ``threads`` asks for, and importing the CLI does not pull
-in concurrent.futures."""
+in concurrent.futures. The BLAS library's own threads do not change a
+fit's bytes either."""
 
 import os
 import subprocess
@@ -58,3 +59,34 @@ def test_cli_import_leaves_concurrent_futures_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+# the fit of 100 features, and the transform of its input, as one digest
+BLAS_PROBE = """
+import hashlib, math
+from pcashrink import fit, transform
+from pcashrink.experiments import anisotropic_gaussian
+X = anisotropic_gaussian(300, [math.exp(-k / 25.0) for k in range(100)], seed=1).features
+model = fit(X)
+digest = hashlib.sha256()
+for v in (model.mean, model.eigenvalues, model.components, transform(model, X)):
+    digest.update(v.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_fit_and_transform_bytes_do_not_depend_on_the_blas_thread_count():
+    """The covariance sums its rows in a fixed order, not in a BLAS
+    product that OpenBLAS splits across its threads."""
+    digests = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", BLAS_PROBE],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
