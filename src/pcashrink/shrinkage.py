@@ -233,7 +233,10 @@ def _pairwise(ufunc, v, step, out=None):
         out = np.empty(v.shape[:-1] + (hi - lo,), v.dtype)
     k = 0
     for a, b in ends:
-        va, vb = (v[..., e] if isinstance(e, slice) else v.take(e, axis=-1) for e in (a, b))
+        if isinstance(b, slice):
+            va, vb = v[..., a], v[..., b]
+        else:
+            va, vb = v.take(a, axis=-1), v.take(b, axis=-1)
         n = vb.shape[-1]
         ufunc(vb, va, out=out[..., k:k + n])
         k += n
