@@ -16,9 +16,12 @@ SWEEP_CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 PAIR_CSV_HEADER = "i,j,m,dist_original,dist_truncated,shrinkage,recon_error"
 # one pair row: "%d" gives str() of an int and F17 the f17 text of a float
 PAIR_CSV_ROW = "%d,%d,%d" + ("," + F17) * 4 + "\n"
-# values per write of a transform report, whose rows can be wide: a pair
-# CSV block's worth (one engine step of 4096 rows of 7 columns)
+# values per write of a transform report, whose rows can be wide: one
+# engine step's pair CSV values (4096 rows of 7 columns)
 _COORDS_BLOCK = 7 * 4096
+# pair CSV rows rendered at once: a block's rows become Python ints,
+# floats, tuples and row strings this many at a time
+_PAIR_ROWS = 1024
 
 
 def sweep_csv(result):
@@ -73,13 +76,14 @@ def sweep_report_json(result, summary):
 
 def pair_csv_blocks(blocks):
     """The pair CSV text of an iterable of PairTable ``blocks``: the
-    header, then one string per block with its rows in order. A block's
-    columns become Python scalars only when it is rendered."""
+    header, then one string per _PAIR_ROWS rows of a block, in order. A
+    block's rows become Python scalars only when they are rendered."""
     yield PAIR_CSV_HEADER + "\n"
     for b in blocks:
-        i, j, *floats = (c.tolist() for c in (b.i, b.j, b.dist_original, b.dist_truncated,
-                                              b.shrinkage, b.recon_error))
-        yield "".join([PAIR_CSV_ROW % row for row in zip(i, j, repeat(b.m), *floats)])
+        for lo in range(0, b.i.size, _PAIR_ROWS):
+            i, j, *floats = (c[lo:lo + _PAIR_ROWS].tolist() for c in (
+                b.i, b.j, b.dist_original, b.dist_truncated, b.shrinkage, b.recon_error))
+            yield "".join([PAIR_CSV_ROW % row for row in zip(i, j, repeat(b.m), *floats)])
 
 
 def _row_blocks(coords, row, sep):

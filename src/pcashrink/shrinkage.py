@@ -30,7 +30,9 @@ from .pca import check_m, transform
 PAIR_SAMPLE_DEFAULT = 2_000_000
 
 # most pairs one engine call may visit: a PairTable of that many would hold
-# ~1 GB at 48 B a pair (neither analyze nor a sweep keeps a pair column)
+# ~1 GB at 48 B a pair (neither analyze nor a sweep keeps a pair column).
+# A sampled pair list costs 2 x its index type's bytes a pair (see
+# _choose_pairs): 80 MB at the budget for up to 65,536 samples
 PAIR_BUDGET = 20_000_000
 
 # a pair's violation slack, as a fraction of its original distance
@@ -93,12 +95,15 @@ class PairTable:
     recon_error: np.ndarray
 
     def summary(self):
-        """Aggregate statistics, the table folded as one block at
-        VIOLATION_TOL; the median reads the shrinkage column and leaves
-        it as it is."""
+        """Aggregate statistics, the table folded at VIOLATION_TOL a
+        _PASS_CHUNK slice at a time, so that the fold's temporaries do not
+        grow with the table; the median reads the shrinkage column and
+        leaves it as it is."""
         fold = _Summary(self.m, self.sampled, self.shrinkage.size, VIOLATION_TOL,
                         self.shrinkage[::_STRIDE], self.shrinkage.copy)
-        fold.add(self.shrinkage, self.dist_original, self.recon_error)
+        for lo in range(0, self.shrinkage.size, _PASS_CHUNK):
+            part = slice(lo, lo + _PASS_CHUNK)
+            fold.add(self.shrinkage[part], self.dist_original[part], self.recon_error[part])
         return fold.summary()
 
 
@@ -147,7 +152,9 @@ def check_violation_tol(tol):
 class _Pairs:
     """The pairs one engine call visits, in pair-column order: all pairs
     of ``n_samples`` rows in triu_indices order when ``ij`` is None, else
-    the sampled index arrays ``ij = (i, j)`` with i < j."""
+    the sampled index arrays ``ij = (i, j)`` with i < j, of any integer
+    type: _choose_pairs holds them in the smallest that fits, 2 x its
+    bytes a pair."""
 
     def __init__(self, n_samples, ij):
         self.n_samples = n_samples
@@ -201,6 +208,11 @@ def _choose_pairs(n_samples, pair_sample, seed):
     deterministic for a given (seed, n_samples); self-pairs are redrawn.
     A pair count above PAIR_BUDGET raises TooManyPairsError before
     anything is allocated; _pair_pass calls this before it transforms.
+
+    Each draw is made in int64 and held in np.min_scalar_type(n_samples -
+    1), uint8 up to 256 samples, uint16 up to 65,536 and uint32 beyond:
+    the pair list costs 2 x that type's bytes a pair (4 B up to 65,536
+    samples), and the draw peaks at about 12 B a pair there.
     """
     total = n_samples * (n_samples - 1) // 2
     sampled = 0 < pair_sample < total
@@ -212,13 +224,17 @@ def _choose_pairs(n_samples, pair_sample, seed):
         )
     if not sampled:
         return _Pairs(n_samples, None)
+    index = np.min_scalar_type(n_samples - 1)
     rng = np.random.default_rng([int(seed), n_samples, 0x70A1])
-    a = rng.integers(0, n_samples, size=pair_sample, dtype=np.int64)
+    a = rng.integers(0, n_samples, size=pair_sample, dtype=np.int64).astype(index)
     b = rng.integers(0, n_samples, size=pair_sample, dtype=np.int64)
-    clash = a == b
-    while clash.any():
-        b[clash] = rng.integers(0, n_samples, size=int(np.count_nonzero(clash)), dtype=np.int64)
-        clash = a == b
+    # only a redrawn place can clash again, so only those are compared; they
+    # stay in ascending order, and the redraws take the stream in pair order
+    clash = np.flatnonzero(a == b)
+    while clash.size:
+        b[clash] = rng.integers(0, n_samples, size=clash.size, dtype=np.int64)
+        clash = clash[a[clash] == b[clash]]
+    b = b.astype(index)
     return _Pairs(n_samples, (np.minimum(a, b), np.maximum(a, b)))
 
 

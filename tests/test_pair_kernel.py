@@ -3,7 +3,8 @@ of the sweep and of analyze. All pairs go in row blocks (row r's pairs
 as ``Z[r+1:] - Z[r]``), sampled pairs by index gathers; both must give
 the bits of the one distance rule, squared coordinate differences added
 in column order. Each summary path must give the bits of
-``PairTable.summary`` without a table."""
+``PairTable.summary`` without a table. Sampled pairs are drawn in int64
+and held in the smallest index type."""
 
 import dataclasses
 import math
@@ -445,6 +446,94 @@ def test_drained_blocks_keep_no_pair_column():
     model = fit(X)
     pairs = 2400 * 2399 // 2
     assert _peak(lambda: _drain(model, X, 2, pair_sample=0)) < pairs * 8 / 4
+
+
+def test_a_table_summary_folds_in_slices():
+    """A 2,000,000-pair table's summary folds a _PASS_CHUNK slice at a
+    time: its temporaries stay under a quarter of one 8 B column, and it
+    has the bits of the table folded as one block."""
+    count = 2_000_000
+    rng = np.random.default_rng(12)
+    d = rng.random(count)
+    d[:10] = -1.0  # negative
+    bound = d + 0.5
+    bound[10:20] = 0.0  # over its bound
+    ids, orig = np.zeros(count, np.int64), d + 1.0
+    table = shrinkage.PairTable(m=3, sampled=True, i=ids, j=ids, dist_original=orig,
+                                dist_truncated=orig, shrinkage=d, recon_error=bound)
+    got = []
+    assert _peak(lambda: got.append(table.summary())) < count * 8 / 4
+    whole = shrinkage._Summary(3, True, count, shrinkage.VIOLATION_TOL,
+                               d[::shrinkage._STRIDE], d.copy)
+    whole.add(d, orig, bound)
+    assert _hex_fields(got[0]) == _hex_fields(whole.summary())
+    assert (got[0].negative_count, got[0].bound_violations) == (10, 10)
+
+
+# the sweep of _data(5000, 6, seed=11) at levels 1..3 over 1,000,000 pairs
+# drawn at seed 4, from int64 pair arrays
+SAMPLED_SWEEP = [
+    (1, "0x1.437c0ef216f1cp-2", "0x1.b693a98fc031ep-3", "0x1.869c33fb6a20dp+1"),
+    (2, "0x1.4532befa515e6p-4", "0x1.6efe1496f4a9cp-5", "0x1.5f44ae4188f5dp+0"),
+    (3, "0x1.3fc5313bbde98p-6", "0x1.556fb067c6e40p-7", "0x1.52bef4d578becp-1"),
+]
+
+
+def test_a_sampled_sweep_holds_its_pairs_in_compact_indices():
+    """1,000,000 pairs of 5,000 points: the sweep's peak is its pair
+    draw, under 16 B a pair (32 B a pair from int64 draws), and its
+    summaries keep the bits they had with int64 pair arrays."""
+    X = _data(5000, 6, seed=11)
+    model = fit(X)
+    count = 1_000_000
+    got = []
+    assert _peak(lambda: got.extend(
+        shrinkage_summaries(model, X, [1, 2, 3], pair_sample=count, seed=4))) < 16 * count
+    assert [(s.m, s.mean.hex(), s.median.hex(), s.max.hex()) for s in got] == SAMPLED_SWEEP
+    assert all(s.pair_count == count and s.sampled and s.violating_pairs == 0 for s in got)
+
+
+def _int64_draw(n_samples, count, seed):
+    """The pair draw as it was made in int64: every pair compared again on
+    each round of redraws."""
+    rng = np.random.default_rng([seed, n_samples, 0x70A1])
+    a = rng.integers(0, n_samples, size=count, dtype=np.int64)
+    b = rng.integers(0, n_samples, size=count, dtype=np.int64)
+    clash = a == b
+    while clash.any():
+        b[clash] = rng.integers(0, n_samples, size=int(np.count_nonzero(clash)), dtype=np.int64)
+        clash = a == b
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+# at 3 points a third of the draws clash; 256/257 and 65,536/65,537 points
+# straddle the uint8/uint16 and uint16/uint32 index types; a count one
+# below the pair total is the densest draw
+@pytest.mark.parametrize("n_samples, count, dtype", [
+    (3, 1, np.uint8), (3, 2, np.uint8), (256, 32_639, np.uint8), (257, 32_895, np.uint16),
+    (257, 1000, np.uint16), (65_536, 20_000, np.uint16), (65_537, 20_000, np.uint32)])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_sampled_pairs_are_the_int64_draw_in_the_smallest_type(n_samples, count, dtype, seed):
+    i, j = shrinkage._choose_pairs(n_samples, count, seed).ij
+    want_i, want_j = _int64_draw(n_samples, count, seed)
+    assert i.dtype == j.dtype == dtype
+    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+
+
+def test_a_draw_peaks_under_14_bytes_a_pair():
+    """1,000,000 pairs of 5,000 points are held in uint16, 4 B a pair
+    (int64 arrays held 16 and peaked at 33.7)."""
+    shrinkage._choose_pairs(5000, 10, 0)  # numpy's lazy imports, before the trace
+    count = 1_000_000
+    tracemalloc.start()
+    try:
+        pairs = shrinkage._choose_pairs(5000, count, 0)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pairs.count == count
+    assert peak < 14 * count, peak / count
+    assert held < 5 * count, held / count
 
 
 @pytest.mark.parametrize("path", ["sweep", "analyze"])
