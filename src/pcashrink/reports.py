@@ -5,29 +5,40 @@ two runs with the same inputs produce byte-identical files."""
 from __future__ import annotations
 
 from dataclasses import asdict, astuple, fields
-from itertools import repeat
+
+import numpy as np
 
 from ._version import VERSION
 from .experiments import SweepRow
-from .serialize import F17, csv_line, f17, json_text
+from .serialize import F17, f17, json_text
 
 STRONG_CORRELATION = 0.7
 SWEEP_CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
+# one sweep row, a format per field type ("%d" gives str() of an int and F17
+# the f17 text of a float); the annotations are strings, as experiments
+# postpones their evaluation
+SWEEP_CSV_ROW = ",".join({"int": "%d", "float": F17}[f.type] for f in fields(SweepRow)) + "\n"
 PAIR_CSV_HEADER = "i,j,m,dist_original,dist_truncated,shrinkage,recon_error"
-# one pair row: "%d" gives str() of an int and F17 the f17 text of a float
 PAIR_CSV_ROW = "%d,%d,%d" + ("," + F17) * 4 + "\n"
-# values per write of a transform report, whose rows can be wide: one
-# engine step's pair CSV values (4096 rows of 7 columns)
-_COORDS_BLOCK = 7 * 4096
-# pair CSV rows rendered at once: a block's rows become Python ints,
-# floats, tuples and row strings this many at a time
-_PAIR_ROWS = 1024
+# values rendered at once by _rows: 1,024 pair CSV rows of seven values, so a
+# report's rows become Python scalars, tuples and row strings a few hundred
+# KB at a time however wide they are
+_RENDER_VALUES = 7 * 1024
+
+
+def _rows(columns, row, sep=""):
+    """The rows of the equal-length numpy ``columns`` rendered with the
+    %-format ``row`` and joined by ``sep``, one string per slice of
+    _RENDER_VALUES // len(columns) rows (at least one row); a slice's
+    values become Python scalars only when it is rendered."""
+    step = max(1, _RENDER_VALUES // len(columns))
+    for lo in range(0, len(columns[0]), step):
+        yield sep.join([row % values for values in zip(*[c[lo:lo + step].tolist() for c in columns])])
 
 
 def sweep_csv(result):
     """CSV text for the rows of a SweepResult."""
-    lines = [SWEEP_CSV_HEADER] + [csv_line(astuple(row)) for row in result.rows]
-    return "\n".join(lines) + "\n"
+    return SWEEP_CSV_HEADER + "\n" + "".join(SWEEP_CSV_ROW % astuple(row) for row in result.rows)
 
 
 def _strength(r):
@@ -76,30 +87,17 @@ def sweep_report_json(result, summary):
 
 def pair_csv_blocks(blocks):
     """The pair CSV text of an iterable of PairTable ``blocks``: the
-    header, then one string per _PAIR_ROWS rows of a block, in order. A
-    block's rows become Python scalars only when they are rendered."""
+    header, then each block's rows a slice at a time, in order."""
     yield PAIR_CSV_HEADER + "\n"
     for b in blocks:
-        for lo in range(0, b.i.size, _PAIR_ROWS):
-            i, j, *floats = (c[lo:lo + _PAIR_ROWS].tolist() for c in (
-                b.i, b.j, b.dist_original, b.dist_truncated, b.shrinkage, b.recon_error))
-            yield "".join([PAIR_CSV_ROW % row for row in zip(i, j, repeat(b.m), *floats)])
-
-
-def _row_blocks(coords, row, sep):
-    """The rows of ``coords`` rendered with the %-format ``row`` and
-    joined by ``sep``, one string per block of about _COORDS_BLOCK values
-    (at least one row); a block's rows become Python floats only when it
-    is rendered."""
-    step = max(1, _COORDS_BLOCK // coords.shape[1])
-    for lo in range(0, coords.shape[0], step):
-        yield sep.join([row % tuple(values) for values in coords[lo:lo + step].tolist()])
+        yield from _rows((b.i, b.j, np.broadcast_to(b.m, b.i.shape), b.dist_original,
+                          b.dist_truncated, b.shrinkage, b.recon_error), PAIR_CSV_ROW)
 
 
 def coords_csv_blocks(coords):
     """The headerless CSV text of the rows of ``coords``, each value as
     f17 text, a block of rows at a time."""
-    return _row_blocks(coords, ",".join([F17] * coords.shape[1]) + "\n", "")
+    return _rows(coords.T, ",".join([F17] * coords.shape[1]) + "\n")
 
 
 def coords_json_blocks(coords):
@@ -111,7 +109,7 @@ def coords_json_blocks(coords):
     cut = text.rindex("[]")  # the rows list, the report's last value
     yield text[:cut] + "["
     row = "[" + ", ".join([F17] * coords.shape[1]) + "]"
-    for k, block in enumerate(_row_blocks(coords, row, ", ")):
+    for k, block in enumerate(_rows(coords.T, row, ", ")):
         yield ", " + block if k else block
     yield text[cut + 1:]
 

@@ -26,17 +26,6 @@ def f17(x):
     return F17 % float(x)
 
 
-def csv_line(values):
-    """One CSV line; floats go through f17, everything else through str."""
-    parts = []
-    for v in values:
-        if isinstance(v, (float, np.floating)):
-            parts.append(f17(v))
-        else:
-            parts.append(str(v))
-    return ",".join(parts)
-
-
 def write_text(path, chunks):
     """Write the strings of ``chunks`` to ``path`` as UTF-8, one write each.
 

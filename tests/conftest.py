@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pcashrink import cli, fit
-from pcashrink.serialize import csv_line
+from pcashrink.serialize import f17
 
 
 def random_dataset(rng, max_features=10, max_samples=50):
@@ -12,6 +12,12 @@ def random_dataset(rng, max_features=10, max_samples=50):
     scales = rng.uniform(0.1, 4.0, size=n)
     shift = rng.uniform(-5.0, 5.0, size=n)
     return rng.standard_normal((n_samples, n)) * scales + shift
+
+
+def csv_line(values):
+    """One CSV line; floats go through f17, everything else through str:
+    the reference the report row formats are checked against."""
+    return ",".join(f17(v) if isinstance(v, (float, np.floating)) else str(v) for v in values)
 
 
 def write_dataset_csv(path, dataset):

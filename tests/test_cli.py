@@ -19,7 +19,7 @@ from pcashrink import cli, load_model, transform
 from pcashrink.cli import main
 from pcashrink.experiments import Dataset, anisotropic_gaussian
 from pcashrink._version import VERSION
-from pcashrink.reports import coords_json_blocks
+from pcashrink.reports import _RENDER_VALUES, coords_json_blocks
 from pcashrink.serialize import json_text
 from pcashrink.shrinkage import VIOLATION_TOL
 from test_trace_sites import RETIRED, STALE
@@ -232,16 +232,18 @@ class TestTransform:
         assert len(json.loads((tmp_path / "coords.json").read_text())["rows"]) == 2000
         assert peak < 5 * 2**20, peak
 
-    # 3000 x 20 is 60,000 values, three blocks
-    @pytest.mark.parametrize("shape", [(1, 4), (30, 1), (3000, 20)],
-                             ids=["one-row", "one-column", "several-blocks"])
+    # a head, a tail and a block per slice of rows; a row wider than the
+    # render budget is a slice of its own
+    @pytest.mark.parametrize("shape", [(1, 4), (30, 1), (3000, 20), (2, 10000)],
+                             ids=["one-row", "one-column", "several-blocks", "wide-rows"])
     def test_json_blocks_give_the_bytes_of_json_text(self, shape):
         coords = np.random.default_rng(5).standard_normal(shape) * 1e-3
         coords.flat[:3] = [-0.0, 5e-324, 1e17][:coords.size]
         want = json_text({"report": "pca-shrink-transform", "version": VERSION,
                           "m": shape[1], "rows": coords})
         blocks = list(coords_json_blocks(coords))
-        assert len(blocks) == 2 + (3 if shape[0] == 3000 else 1)
+        step = max(1, _RENDER_VALUES // shape[1])
+        assert len(blocks) == 2 + -(-shape[0] // step)
         assert "".join(blocks) == want
 
 

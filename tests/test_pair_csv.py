@@ -1,6 +1,6 @@
-"""The pair CSV renderer: its one-format-per-row rendering gives the same
-text as csv_line on edge values, its rows read back to the table's exact
-bits, and it streams block by block."""
+"""The report row renderer: the pair and sweep CSV row formats give the
+same text as csv_line on edge values, and the pair CSV's rows read back to
+the table's exact bits and stream block by block."""
 
 import csv
 import dataclasses
@@ -9,8 +9,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pcashrink.reports import PAIR_CSV_HEADER, PAIR_CSV_ROW, pair_csv_blocks
-from pcashrink.serialize import csv_line, write_text
+from conftest import csv_line
+from pcashrink.reports import (
+    PAIR_CSV_HEADER,
+    PAIR_CSV_ROW,
+    SWEEP_CSV_HEADER,
+    SWEEP_CSV_ROW,
+    pair_csv_blocks,
+)
+from pcashrink.serialize import write_text
 from pcashrink.shrinkage import PairTable
 
 EDGE_FLOATS = [
@@ -33,14 +40,25 @@ def edge_rows():
     return rows
 
 
-@pytest.mark.parametrize("row", edge_rows())
-def test_row_format_matches_csv_line(row):
-    assert PAIR_CSV_ROW % row == csv_line(row) + "\n"
+def sweep_edge_rows():
+    """Rows in SWEEP_CSV_HEADER column order (m, then five floats): m takes
+    each edge int, and each float column each edge float."""
+    return [(EDGE_INTS[k % len(EDGE_INTS)],)
+            + tuple(EDGE_FLOATS[(k + s) % len(EDGE_FLOATS)] for s in range(5))
+            for k in range(len(EDGE_FLOATS))]
 
 
-def test_row_format_has_one_field_per_header_column():
-    assert PAIR_CSV_ROW.endswith("\n")
-    assert len(PAIR_CSV_ROW[:-1].split(",")) == len(PAIR_CSV_HEADER.split(","))
+@pytest.mark.parametrize("form, row", [(PAIR_CSV_ROW, row) for row in edge_rows()]
+                         + [(SWEEP_CSV_ROW, row) for row in sweep_edge_rows()])
+def test_row_format_matches_csv_line(form, row):
+    assert form % row == csv_line(row) + "\n"
+
+
+@pytest.mark.parametrize("form, header", [(PAIR_CSV_ROW, PAIR_CSV_HEADER),
+                                          (SWEEP_CSV_ROW, SWEEP_CSV_HEADER)])
+def test_row_format_has_one_field_per_header_column(form, header):
+    assert form.endswith("\n")
+    assert len(form[:-1].split(",")) == len(header.split(","))
 
 
 def random_table(n_pairs, seed=0):
