@@ -35,6 +35,9 @@ PAIR_SAMPLE_DEFAULT = 2_000_000
 # _choose_pairs): 80 MB at the budget for up to 65,536 samples
 PAIR_BUDGET = 20_000_000
 
+# sampled pair ends drawn at once in int64 before they are stored compact
+_DRAW = 1 << 16
+
 # a pair's violation slack, as a fraction of its original distance
 VIOLATION_TOL = 1e-9
 
@@ -209,10 +212,12 @@ def _choose_pairs(n_samples, pair_sample, seed):
     A pair count above PAIR_BUDGET raises TooManyPairsError before
     anything is allocated; _pair_pass calls this before it transforms.
 
-    Each draw is made in int64 and held in np.min_scalar_type(n_samples -
-    1), uint8 up to 256 samples, uint16 up to 65,536 and uint32 beyond:
-    the pair list costs 2 x that type's bytes a pair (4 B up to 65,536
-    samples), and the draw peaks at about 12 B a pair there.
+    Each array is drawn in int64 a _DRAW-value chunk at a time, straight
+    into np.min_scalar_type(n_samples - 1), uint8 up to 256 samples,
+    uint16 up to 65,536 and uint32 beyond (successive draws continue one
+    stream, so the pairs are those of one whole-array draw): the pair list
+    costs 2 x that type's bytes a pair (4 B up to 65,536 samples), and the
+    draw peaks at about 1 B a pair more.
     """
     total = n_samples * (n_samples - 1) // 2
     sampled = 0 < pair_sample < total
@@ -224,18 +229,23 @@ def _choose_pairs(n_samples, pair_sample, seed):
         )
     if not sampled:
         return _Pairs(n_samples, None)
-    index = np.min_scalar_type(n_samples - 1)
     rng = np.random.default_rng([int(seed), n_samples, 0x70A1])
-    a = rng.integers(0, n_samples, size=pair_sample, dtype=np.int64).astype(index)
-    b = rng.integers(0, n_samples, size=pair_sample, dtype=np.int64)
+    chunks = [slice(lo, lo + _DRAW) for lo in range(0, pair_sample, _DRAW)]
+    a, b = np.empty((2, pair_sample), dtype=np.min_scalar_type(n_samples - 1))
+    for ends in (a, b):
+        for s in chunks:
+            ends[s] = rng.integers(0, n_samples, size=ends[s].size, dtype=np.int64)
     # only a redrawn place can clash again, so only those are compared; they
     # stay in ascending order, and the redraws take the stream in pair order
     clash = np.flatnonzero(a == b)
     while clash.size:
         b[clash] = rng.integers(0, n_samples, size=clash.size, dtype=np.int64)
         clash = clash[a[clash] == b[clash]]
-    b = b.astype(index)
-    return _Pairs(n_samples, (np.minimum(a, b), np.maximum(a, b)))
+    for s in chunks:
+        low = np.minimum(a[s], b[s])
+        np.maximum(a[s], b[s], out=b[s])
+        a[s] = low
+    return _Pairs(n_samples, (a, b))
 
 
 def _pairwise(ufunc, v, step, out=None):
