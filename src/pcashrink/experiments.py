@@ -412,11 +412,11 @@ def pearson(xs, ys):
         raise DimMismatchError("length mismatch: %d vs %d" % (x.shape[0], y.shape[0]))
     dx = x - x.mean()
     dy = y - y.mean()
-    sx = float(np.sqrt(np.dot(dx, dx)))
-    sy = float(np.sqrt(np.dot(dy, dy)))
+    sx = float(np.sqrt(np.einsum("i,i->", dx, dx)))
+    sy = float(np.sqrt(np.einsum("i,i->", dy, dy)))
     if sx == 0.0 or sy == 0.0:
         raise ZeroVarianceError("correlation is undefined for a constant series")
-    r = float(np.dot(dx, dy)) / (sx * sy)
+    r = float(np.einsum("i,i->", dx, dy)) / (sx * sy)
     return min(1.0, max(-1.0, r))
 
 
@@ -478,7 +478,13 @@ def anisotropic_gaussian(n_samples=200, variances=(8.0, 4.0, 2.0, 1.0, 0.5, 0.25
     n = variances.size
     rng = np.random.default_rng(int(seed))
     latent = rng.standard_normal((int(n_samples), n)) * np.sqrt(variances)
-    basis, upper = np.linalg.qr(rng.standard_normal((n, n)))
-    basis = basis * np.where(np.diag(upper) >= 0, 1.0, -1.0)
+    # the Q of a Gaussian matrix's QR with R's diagonal positive, by modified
+    # Gram-Schmidt run twice: row k of ``basis`` is column k of Q
+    basis = rng.standard_normal((n, n)).T.copy()
+    for k, v in enumerate(basis):
+        for q in [*basis[:k], *basis[:k]]:
+            v -= np.einsum("i,i->", q, v) * q
+        v /= np.sqrt(np.einsum("i,i->", v, v))
     labels = tuple("pos" if z > 0 else "neg" for z in latent[:, 0])
-    return Dataset(features=latent @ basis.T, labels=labels, name="anisotropic-gaussian")
+    return Dataset(features=np.einsum("ij,jk->ik", latent, basis), labels=labels,
+                   name="anisotropic-gaussian")

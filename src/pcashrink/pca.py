@@ -121,7 +121,7 @@ def transform(model, x, m=None):
         raise DimMismatchError(
             "expected %d features, got %d" % (model.n_features, X.shape[1])
         )
-    Y = ((X - model.mean) @ model.components)[:, :m]
+    Y = np.einsum("ij,jk->ik", X - model.mean, model.components[:, :m])
     return Y[0] if arr.ndim == 1 else Y
 
 
@@ -136,7 +136,7 @@ def reconstruct(model, y):
     arr = np.asarray(y, dtype=float)
     Y = as_data_matrix(arr[None, :] if arr.ndim == 1 else arr, "y")
     m = check_m(model, Y.shape[1])
-    X = Y @ model.components[:, :m].T + model.mean
+    X = np.einsum("ij,kj->ik", Y, model.components[:, :m]) + model.mean
     return X[0] if arr.ndim == 1 else X
 
 

@@ -402,7 +402,16 @@ def test_pair_and_transform_csv_bytes_are_pinned(tmp_path, capsys):
     recon_error within 3.1e-15 of their pair's dist_original, shrinkage
     within 1.6e-15 of the column's largest value, every coordinate within
     3.5e-16 of the largest one, and the eigenvalues within 1.2e-16 of the
-    largest one."""
+    largest one. All five were re-pinned when anisotropic_gaussian moved
+    from np.linalg.qr and a BLAS product to fixed-order sums, which changed
+    the input's last bits, and transform and reconstruct to np.einsum:
+    against the previous files, i, j and m were identical, every distance
+    and recon_error within 3.4e-15 of its pair's dist_original, shrinkage
+    within 2.0e-15 of the column's largest value, every coordinate within
+    4.9e-16 of the largest one, the summary's mean, median and max within
+    7.3e-16 of their own size, and the witness's original distance 1 +
+    2^-51 where it was 1 + 2^-52, its truncated distance 3.9e-16 where it
+    was 4.5e-16."""
     ds = anisotropic_gaussian(400, seed=5)
     data = write_dataset_csv(tmp_path / "data.csv", ds)
     runs = {
@@ -426,11 +435,11 @@ def test_pair_and_transform_csv_bytes_are_pinned(tmp_path, capsys):
         raw = (tmp_path / name).read_bytes()
         got[name] = (len(raw), hashlib.sha256(raw).hexdigest())
     assert got == {
-        "all.csv": (6_869_176, "46029425f796792d27c07a8574e91689621ea48acb3822ec57d59c69520644bc"),
-        "sampled.csv": (430_449, "b6cd8711f920dc8f78222cad017833e766f843911332838d41a708bc8b069d4e"),
-        "coords.csv": (31_870, "554c695be1c264e82250216efa406a962cbbb37eb51d838a62ef9fb972ee7acc"),
-        "all.stdout": (316, "b12d32e57b37c5c78d83bf2810d859ddd97d8d8015fd519d490d050fb57ebe70"),
-        "report.json": (518, "03f3c58431de763afbf60445b92d6eb6d7c13c64b66e4ed2dbccd22e474f1dee"),
+        "all.csv": (6_868_554, "3f8aaed549850494db92b7349c8bec2bef7251d49d80fdde52882c1d5d0aa502"),
+        "sampled.csv": (430_372, "9ea737ed51100a0b3a716cf8aa0f37aaf9c5a421b6921ec8510844afbe0dc91f"),
+        "coords.csv": (31_843, "d609cd1436c4f2e5394c0b1576a17859f410ba11016b37b8e5a5f360edf8c16c"),
+        "all.stdout": (316, "a5a2fa62d12aaf4f0f5f27ec881e9ea5ca5921e05c17bcff1b47686eff5de846"),
+        "report.json": (518, "7c3f3772da3bc359f87e543d25235df1eb1ccffe5e91a3238230d5ba62b84851"),
     }
 
 

@@ -61,32 +61,51 @@ def test_cli_import_leaves_concurrent_futures_out():
     assert proc.stdout == "False\n"
 
 
-# the fit of 100 features, and the transform of its input, as one digest
+# the generated input, its fit of 100 features and the transform, and the
+# correlations of a small sweep, as one digest
 BLAS_PROBE = """
 import hashlib, math
 from pcashrink import fit, transform
-from pcashrink.experiments import anisotropic_gaussian
+from pcashrink.experiments import anisotropic_gaussian, correlate, run_sweep
 X = anisotropic_gaussian(300, [math.exp(-k / 25.0) for k in range(100)], seed=1).features
 model = fit(X)
 digest = hashlib.sha256()
-for v in (model.mean, model.eigenvalues, model.components, transform(model, X)):
+for v in (X, model.mean, model.eigenvalues, model.components, transform(model, X)):
     digest.update(v.tobytes())
+summary = correlate(run_sweep(anisotropic_gaussian(60, seed=2), m_range=(1, 5), folds=3))
+digest.update(repr(summary).encode())
 print(digest.hexdigest())
 """
 
 
+def _has_avx2():
+    try:
+        return "avx2" in Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return False
+
+
 def test_fit_and_transform_bytes_do_not_depend_on_the_blas_thread_count():
-    """The covariance sums its rows in a fixed order, not in a BLAS
-    product that OpenBLAS splits across its threads."""
-    digests = []
-    for threads in ("1", "2"):
-        proc = subprocess.run(
-            [sys.executable, "-c", BLAS_PROBE],
-            env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads),
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout)
-    assert digests[0] == digests[1]
+    """The generator, the covariance, transform and pearson sum in a fixed
+    order, with np.einsum, not in a BLAS product whose order OpenBLAS picks
+    by its thread count and by the kernels it chose for the CPU. The probe
+    runs at one and two OpenBLAS threads, each with the default kernels and
+    with OPENBLAS_CORETYPE=Haswell, the kernels of x86 CPUs with AVX2 but
+    not AVX-512; those runs are skipped on a CPU without AVX2, where the
+    Haswell kernels would fault. An OpenBLAS built without DYNAMIC_ARCH
+    ignores OPENBLAS_CORETYPE, so there its runs repeat the default ones."""
+    coretypes = [{}, {"OPENBLAS_CORETYPE": "Haswell"}] if _has_avx2() else [{}]
+    digests = set()
+    for coretype in coretypes:
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", BLAS_PROBE],
+                env=dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                         OPENBLAS_NUM_THREADS=threads, **coretype),
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.add(proc.stdout)
+    assert len(digests) == 1, digests

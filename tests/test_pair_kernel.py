@@ -471,11 +471,13 @@ def test_a_table_summary_folds_in_slices():
 
 
 # the sweep of _data(5000, 6, seed=11) at levels 1..3 over 1,000,000 pairs
-# drawn at seed 4, from int64 pair arrays
+# drawn at seed 4, from int64 pair arrays; re-pinned when transform moved to
+# np.einsum, which moved level 3's mean by one last bit and its median by
+# 1.7e-16 of the level's max
 SAMPLED_SWEEP = [
     (1, "0x1.437c0ef216f1cp-2", "0x1.b693a98fc031ep-3", "0x1.869c33fb6a20dp+1"),
     (2, "0x1.4532befa515e6p-4", "0x1.6efe1496f4a9cp-5", "0x1.5f44ae4188f5dp+0"),
-    (3, "0x1.3fc5313bbde98p-6", "0x1.556fb067c6e40p-7", "0x1.52bef4d578becp-1"),
+    (3, "0x1.3fc5313bbde99p-6", "0x1.556fb067c6e00p-7", "0x1.52bef4d578becp-1"),
 ]
 
 
