@@ -33,7 +33,8 @@ def _rows(columns, row, sep=""):
     values become Python scalars only when it is rendered."""
     step = max(1, _RENDER_VALUES // len(columns))
     for lo in range(0, len(columns[0]), step):
-        yield sep.join([row % values for values in zip(*[c[lo:lo + step].tolist() for c in columns])])
+        values = zip(*[c[lo:lo + step].tolist() for c in columns])
+        yield sep.join([row % v for v in values])
 
 
 def sweep_csv(result):
