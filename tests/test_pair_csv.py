@@ -48,17 +48,19 @@ def sweep_edge_rows():
             for k in range(len(EDGE_FLOATS))]
 
 
-@pytest.mark.parametrize("form, row", [(PAIR_CSV_ROW, row) for row in edge_rows()]
-                         + [(SWEEP_CSV_ROW, row) for row in sweep_edge_rows()])
+@pytest.mark.parametrize(
+    "form, row",
+    [pytest.param(PAIR_CSV_ROW, row, id="row%d" % k) for k, row in enumerate(edge_rows())]
+    + [pytest.param(SWEEP_CSV_ROW, row, id="sweep-row%d" % k)
+       for k, row in enumerate(sweep_edge_rows())])
 def test_row_format_matches_csv_line(form, row):
     assert form % row == csv_line(row) + "\n"
 
 
-@pytest.mark.parametrize("form, header", [(PAIR_CSV_ROW, PAIR_CSV_HEADER),
-                                          (SWEEP_CSV_ROW, SWEEP_CSV_HEADER)])
-def test_row_format_has_one_field_per_header_column(form, header):
-    assert form.endswith("\n")
-    assert len(form[:-1].split(",")) == len(header.split(","))
+def test_row_format_has_one_field_per_header_column():
+    for form, header in ((PAIR_CSV_ROW, PAIR_CSV_HEADER), (SWEEP_CSV_ROW, SWEEP_CSV_HEADER)):
+        assert form.endswith("\n")
+        assert len(form[:-1].split(",")) == len(header.split(","))
 
 
 def random_table(n_pairs, seed=0):
