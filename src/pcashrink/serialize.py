@@ -104,6 +104,12 @@ def _render(obj, level):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return f17(obj)
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim:
+        # a float vector in one join, with the bits of f17 on each value;
+        # a matrix row by row
+        if obj.ndim == 1:
+            return "[" + ", ".join([F17 % v for v in obj.tolist()]) + "]"
+        return "[" + ", ".join([_render(row, level + 1) for row in obj]) + "]"
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):

@@ -340,13 +340,14 @@ class _Summary:
     _STRIDE-th shrinkage by pair index, draws the median's bracket [low,
     high] at once. ``add`` counts the guarantee rule's negative, over-bound
     and violating (either, counted once) pairs, with a slack of ``tol``
-    times each pair's original distance, and buffers the shrinkages into
-    pieces of _PASS_CHUNK pairs aligned to the pair index. Each piece
-    leaves its sum and max, the number of its values below the bracket and
-    a copy of those inside it: _centre's first pass. The first
-    ``summary()`` after the last pair takes the mean, the exact median and
-    the max from _centre, which calls ``column()``, for a new shrinkage
-    column of its own, only when the bracket misses the median."""
+    times each pair's original distance (``add_limits`` takes the limits
+    made already), and buffers the shrinkages into pieces of _PASS_CHUNK
+    pairs aligned to the pair index. Each piece leaves its sum and max,
+    the number of its values below the bracket and a copy of those inside
+    it: _centre's first pass. The first ``summary()`` after the last pair
+    takes the mean, the exact median and the max from _centre, which
+    calls ``column()``, for a new shrinkage column of its own, only when
+    the bracket misses the median."""
 
     def __init__(self, m, sampled, count, tol, sample, column):
         self.m, self.sampled, self.count, self.tol = m, sampled, count, tol
@@ -358,11 +359,18 @@ class _Summary:
 
     def add(self, d, d_orig, bound):
         """Fold the next pairs: shrinkages ``d``, their original
-        distances ``d_orig`` and their bounds ``bound``."""
-        self.filled += d.size
+        distances ``d_orig`` and their bounds ``bound``; none of the three
+        arrays is changed."""
         slack = self.tol * d_orig
-        negative = d < -slack
-        over = d > bound + slack
+        self.add_limits(d, -slack, bound + slack)
+
+    def add_limits(self, d, low, high):
+        """Fold the next pairs: shrinkages ``d``, each of which violates
+        the guarantees below ``low`` (-slack) or above ``high`` (its bound
+        plus slack). The sweep makes the slack once a step for all levels."""
+        self.filled += d.size
+        negative = d < low
+        over = d > high
         violating = np.count_nonzero(negative | over)
         if violating:
             self.counts += [np.count_nonzero(negative), np.count_nonzero(over), violating]
@@ -378,9 +386,8 @@ class _Summary:
     def _fold(self, d):
         self.sums.append(np.add.reduce(d))
         self.tops.append(d.max())
-        under = d < self.low
-        self.below += np.count_nonzero(under)
-        self.inside.append(d[~under & (d <= self.high)])
+        self.below += np.count_nonzero(d < self.low)
+        self.inside.append(d[(d >= self.low) & (d <= self.high)])
 
     def summary(self):
         if self.filled < self.count:
@@ -484,9 +491,10 @@ def shrinkage_summaries(model, data, ms, *, pair_sample=None, seed=0):
     of squared truncated distances level by level, in ascending order, so
     that levels 1..M difference M columns of the transform a pair, not
     M(M+1)/2 (see _distances). Each level folds its guarantee counts and
-    the first pass of its median as the step goes by (see _Summary). No
-    pair column is held: a level's own column is built only if its
-    bracket misses the median. ``ms`` may come in any order and repeat,
+    the first pass of its median as the step goes by (see _Summary),
+    against a slack made once a step for every level. No pair column is
+    held: a level's own column is built only if its bracket misses the
+    median. ``ms`` may come in any order and repeat,
     and each value gets the summary of its level; an empty ``ms``
     computes no distance."""
     Xt, Yt, ms, pairs, errors = _pair_pass(model, data, ms, pair_sample, seed)
@@ -495,8 +503,15 @@ def shrinkage_summaries(model, data, ms, *, pair_sample=None, seed=0):
         return iter([])
     folds = _folds(Xt, Yt, levels, pairs, VIOLATION_TOL)
     for step in pairs.steps(_SWEEP_STEPS):
+        low = None
         for fold, (d_orig, d_trunc) in zip(folds, _distances(Xt, Yt, levels, step)):
-            fold.add(d_orig - d_trunc, d_orig, _pairwise(np.add, errors[fold.m], step))
+            if low is None:
+                slack = VIOLATION_TOL * d_orig
+                low = -slack
+            # each level's d_trunc and bound are new arrays of its own
+            high = _pairwise(np.add, errors[fold.m], step)
+            high += slack
+            fold.add_limits(np.subtract(d_orig, d_trunc, out=d_trunc), low, high)
     done = {fold.m: fold.summary() for fold in folds}
     return iter([done[m] for m in ms])
 

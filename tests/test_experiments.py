@@ -129,8 +129,8 @@ class TestLoadCsv:
             load_csv(path)
         assert str(info.value) == "%s: line 2 column 2: 'oops' is not a number" % path
 
-    # Rows are converted whole; only a row that fails goes through the
-    # per-cell checks, which must still name its first bad cell.
+    # Blocks of rows are converted whole; only a block that fails goes
+    # through the per-cell checks, which must still name its first bad cell.
     @pytest.mark.parametrize("text, label_column, message", [
         ("inf,x,a\n", -1, "line 1 column 1: non-finite value 'inf'"),
         ("1,x,inf\n", -1, "line 1 column 2: 'x' is not a number"),
@@ -169,6 +169,62 @@ class TestLoadCsv:
             tracemalloc.stop()
         assert ds.features.shape == (1000, 39)
         assert peak < 1.0 * 2**20
+
+
+# a 32-byte row of two feature cells: a block of _LOAD_CELLS // 2 of them
+# is longer than the 8 KB the text reader decodes at once
+ROW = b"5.000000000000,6.000000000000,a\n"
+PER_BLOCK = experiments._LOAD_CELLS // 2
+
+
+class TestLoadCsvBlocks:
+    """load_csv converts a block of rows at a time: a bad cell still
+    wins over every later error, and still names its own line and column."""
+
+    # the bad cell opens line PER_BLOCK + 2, in the second block; the later
+    # error comes 400 rows (12.8 KB) on, in that same block
+    @pytest.mark.parametrize("later", [
+        b"5,6\n",
+        b"5,%s,a\n" % (b"6" * 131_073),  # over csv's 131,072-character field limit
+        b"\xff,6,a\n",
+    ], ids=["width", "field-limit", "not-utf8"])
+    def test_bad_cell_wins_over_a_later_error_in_its_block(self, tmp_path, later):
+        path = tmp_path / "t.csv"
+        path.write_bytes(ROW * (PER_BLOCK + 1) + b"3,oops,b\n" + ROW * 400 + later + ROW)
+        with pytest.raises(DatasetParseError) as info:
+            load_csv(path)
+        assert str(info.value) == "%s: line %d column 2: 'oops' is not a number" % (
+            path, PER_BLOCK + 2)
+
+    def test_bad_cell_in_the_last_partial_block(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(ROW * (2 * PER_BLOCK + 4) + b"3,4,b\n1,2 2,a\n" + ROW * 3)
+        with pytest.raises(DatasetParseError) as info:
+            load_csv(path)
+        assert str(info.value) == "%s: line %d column 2: '2 2' is not a number" % (
+            path, 2 * PER_BLOCK + 6)
+
+    @pytest.mark.parametrize("label_column, row, bad, message", [
+        (-1, ROW, b"3,-inf,b\n", "column 2: non-finite value '-inf'"),
+        # the label is column 1 and no feature
+        (0, b"a,5.000000000000,6.000000000000\n", b"b,3,nan\n",
+         "column 3: non-finite value 'nan'"),
+    ], ids=["label-last", "label-first"])
+    def test_non_finite_cell_in_block_two_names_its_place(self, tmp_path, label_column,
+                                                          row, bad, message):
+        path = tmp_path / "t.csv"
+        path.write_bytes(row * (PER_BLOCK + 3) + bad + row * 5)
+        with pytest.raises(DatasetParseError) as info:
+            load_csv(path, label_column=label_column)
+        assert str(info.value) == "%s: line %d %s" % (path, PER_BLOCK + 4, message)
+
+    def test_non_finite_cell_wins_over_a_later_bad_cell_in_its_block(self, tmp_path):
+        # the block fails its cast on "x"; the cell checks go in file order
+        path = tmp_path / "t.csv"
+        path.write_bytes(ROW * 3 + b"nan,1,a\n" + ROW * 3 + b"x,1,a\n" + ROW * 3)
+        with pytest.raises(DatasetParseError) as info:
+            load_csv(path)
+        assert str(info.value) == "%s: line 4 column 1: non-finite value 'nan'" % path
 
 
 class TestDataset:

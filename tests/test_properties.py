@@ -1,6 +1,7 @@
 """The paper's guarantees as properties over generated data: every data
 scale from 1e-9 to 1e8, rank-deficient matrices, duplicate rows and up
-to 12 features.
+to 12 features; and load_csv against a reader that converts each row
+as it comes, over generated cells.
 
 Each slack is relative to the data's own scale, the largest distance of
 a sample from the mean, and not to each pair's own distance: a pair of
@@ -11,21 +12,32 @@ Known failures are not drawn here; they stay as the deterministic
 strict xfails of tests/test_scale.py, since a failing hypothesis test
 cannot report cleanly while warnings are errors."""
 
+import csv
+import math
+import tempfile
+from array import array
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcashrink import (
+    DatasetParseError,
     FullRankInjectiveError,
     collision_witness,
     covariance,
     discarded_eigenvalue_sum,
     fit,
+    load_csv,
     reconstruct,
     shrinkage_table,
     transform,
 )
+from pcashrink import experiments
+from pcashrink.experiments import _numbered_rows
 
 ROUNDOFF = 64 * np.finfo(float).eps
 # the solver stops once its off-diagonal norm is 1e-12 of the matrix's
@@ -138,3 +150,110 @@ def test_eigenpairs_match_lapack(X):
     V = model.components
     assert np.linalg.norm(S @ V - V * model.eigenvalues) <= RESIDUAL_TOL * scale2
     assert np.linalg.norm(V.T @ V - np.eye(model.n_features)) <= ROUNDOFF * model.n_features
+
+
+SPACES = " \t\x0b\x0c\xa0\u2003\u3000"
+DIGITS = "0123456789\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669\u0967"
+SIGNS = st.sampled_from(["", "+", "-"])
+
+
+def padded(cells):
+    """``cells`` with up to two ASCII or Unicode spaces on either side."""
+    pad = st.text(SPACES, max_size=2)
+    return st.builds("{}{}{}".format, pad, cells, pad)
+
+
+# finite cells that float() reads: decimal and exponent spellings, digit
+# groups joined by underscores, and non-ASCII digits
+NUMBERS = padded(st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e300, 1e300).map("%.3e".__mod__),
+    st.builds("{}{}.{}e{}{}".format, SIGNS, st.text(DIGITS, min_size=1, max_size=3),
+              st.text(DIGITS, max_size=3), SIGNS, st.text(DIGITS, min_size=1, max_size=2)),
+    st.lists(st.text(DIGITS, min_size=1, max_size=3), min_size=1, max_size=3).map("_".join),
+))
+
+# cells load_csv refuses: inf and nan spellings, and cells that are no
+# float, the csv reader's NUL among them
+BAD = st.one_of(
+    padded(st.sampled_from(["inf", "-Infinity", "+INF", "nan", "-NaN", "nAn", "1e999"])),
+    st.sampled_from(["", " ", "0x10", "1e", "1\x00", "--1", "1__0", "_1", "1_", "1.2.3",
+                     "infinit", "nan(1)", "\u0661\u066b5"]),
+    st.text(st.characters(exclude_categories=("Cs",), exclude_characters=',"\r\n'),
+            max_size=4),
+)
+
+
+def per_row_reference(path, label_column):
+    """(features' bytes, None) or (None, the first error's message) of
+    the reader load_csv's blocks replaced: each row's feature cells go
+    through map(float) as it is read, and a row that fails is checked
+    cell by cell."""
+    values = array("d")
+    width = None
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            for line, row in _numbered_rows(csv.reader(fh), path):
+                if not row:
+                    continue
+                width = width or len(row)
+                if len(row) != width:
+                    return None, "%s: line %d has %d columns, expected %d" % (
+                        path, line, len(row), width)
+                cells = row if label_column is None else row[1:]
+                try:
+                    feats = list(map(float, cells))
+                except ValueError:
+                    feats = [math.nan]
+                if not math.isfinite(sum(feats)):
+                    for col, cell in enumerate(row, 1):
+                        if col == 1 and label_column is not None:
+                            continue
+                        try:
+                            value = float(cell)
+                        except ValueError:
+                            return None, "%s: line %d column %d: %r is not a number" % (
+                                path, line, col, cell)
+                        if not math.isfinite(value):
+                            return None, "%s: line %d column %d: non-finite value %r" % (
+                                path, line, col, cell)
+                values.extend(feats)
+    except DatasetParseError as exc:
+        return None, str(exc)
+    if width is None:
+        return None, "%s: no data rows" % path
+    if width == (label_column is not None):
+        return None, "%s: no feature columns left" % path
+    return values.tobytes(), None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.data())
+def test_load_csv_matches_the_per_row_reader(data):
+    """Block by block, load_csv reads the features' bits and the first
+    error of a reader that converts each row as it comes, over files of
+    several blocks."""
+    n = data.draw(st.integers(1, 4))
+    labelled = data.draw(st.booleans())
+    rows = data.draw(st.lists(st.lists(NUMBERS, min_size=n, max_size=n),
+                              min_size=1, max_size=30))
+    for _ in range(data.draw(st.integers(0, 3))):
+        row = rows[data.draw(st.integers(0, len(rows) - 1))]
+        if not row:
+            continue
+        if data.draw(st.integers(0, 2)):
+            row[data.draw(st.integers(0, len(row) - 1))] = data.draw(BAD)
+        else:
+            row.pop()  # a row one cell short
+    text = "".join(",".join((["a"] if labelled else []) + row) + "\n" for row in rows)
+    label_column = 0 if labelled else None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        want = per_row_reference(path, label_column)
+        with mock.patch.object(experiments, "_LOAD_CELLS", data.draw(st.integers(1, 12))):
+            try:
+                got = load_csv(path, label_column=label_column).features.tobytes(), None
+            except DatasetParseError as exc:
+                got = None, str(exc)
+    assert got == want

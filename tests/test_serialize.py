@@ -1,12 +1,13 @@
 """Golden renderings of json_text for the values no report on the tested
-inputs contains: None, empty containers and nesting, and what it refuses."""
+inputs contains: None, empty containers and nesting, and what it refuses;
+and float arrays against a render of one value at a time."""
 
 import numpy as np
 import pytest
 
 from pcashrink.experiments import SweepResult, SweepRow, correlate
 from pcashrink.reports import sweep_report_json
-from pcashrink.serialize import json_text
+from pcashrink.serialize import f17, json_text
 
 
 @pytest.mark.parametrize("obj, text", [
@@ -31,6 +32,30 @@ from pcashrink.serialize import json_text
 ], ids=["none", "empty-list", "empty-tuple", "empty-dict", "nested"])
 def test_json_text_golden(obj, text):
     assert json_text(obj) == text + "\n"
+
+
+def per_value(a):
+    """The text of a float array rendered one f17 value at a time."""
+    if a.ndim == 1:
+        return "[" + ", ".join(f17(v) for v in a) + "]"
+    return "[" + ", ".join(per_value(row) for row in a) + "]"
+
+
+EDGES = [-0.0, 5e-324, 0.1, 1 / 3, 1e16, 1e17]
+
+
+@pytest.mark.parametrize("a", [
+    np.array(EDGES),
+    np.array(EDGES).reshape(2, 3),
+    np.array(EDGES).reshape(3, 2)[:, ::-1],
+    np.array(EDGES, dtype=np.float32),
+    np.empty(0),
+    np.empty((0, 3)),
+    np.empty((2, 0)),
+], ids=["1d", "2d", "2d-strided", "float32", "empty", "no-rows", "empty-rows"])
+def test_json_text_of_float_arrays_renders_each_value(a):
+    assert json_text(a) == per_value(a) + "\n"
+    assert json_text({"v": a}) == '{\n  "v": %s\n}\n' % per_value(a)
 
 
 def test_json_text_refuses_a_set():
