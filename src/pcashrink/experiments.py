@@ -42,15 +42,20 @@ _LOAD_CELLS = 2048
 
 @dataclass(frozen=True)
 class Dataset:
-    """Numeric feature rows with optional string class labels."""
+    """Numeric feature rows with optional string class labels. The
+    features are held read-only: a writeable input is copied first, so
+    that changing it later leaves the Dataset as it was; a read-only
+    float64 matrix is kept as it is."""
 
     features: np.ndarray
     labels: tuple | None = None
     name: str = "dataset"
 
     def __post_init__(self):
-        X = as_data_matrix(self.features, "features").copy()
-        X.setflags(write=False)
+        X = as_data_matrix(self.features, "features")
+        if X.flags.writeable:
+            X = X.copy()
+            X.setflags(write=False)
         object.__setattr__(self, "features", X)
         if self.labels is not None:
             labels = tuple(str(v) for v in self.labels)
@@ -134,8 +139,10 @@ def load_csv(path, label_column=-1, header=False, delimiter=","):
         raise DatasetParseError("%s: no data rows" % path)
     if n_features == 0:
         raise DatasetParseError("%s: no feature columns left" % path)
+    features = np.frombuffer(values, dtype=float).reshape(-1, n_features)
+    features.setflags(write=False)  # the Dataset keeps it, with no copy
     return Dataset(
-        features=np.frombuffer(values, dtype=float).reshape(-1, n_features),
+        features=features,
         labels=tuple(labels) if label_index is not None else None,
         name=path.stem,
     )

@@ -80,17 +80,20 @@ def covariance(data):
     library's thread count, so a fit has the same bits at any thread
     count. The accumulated product is symmetrized before returning to
     scrub floating-point asymmetry. Data whose covariance overflows the
-    float range raise NonFiniteError.
+    float range, or whose nonzero covariance has its largest entry below
+    the smallest normal float, raise NonFiniteError.
     """
     X = as_data_matrix(data)
     with np.errstate(over="ignore", invalid="ignore"):
         centered = X - X.mean(axis=0)
         shift = (1021 - X.shape[0].bit_length()) // 2 - max_exponent(centered)
         np.ldexp(centered, shift, out=centered)
-        cov = np.einsum("ki,kj->ij", centered, centered) / X.shape[0]
-        cov = np.ldexp((cov + cov.T) / 2.0, -2 * shift)
+        scaled = np.einsum("ki,kj->ij", centered, centered) / X.shape[0]
+        cov = np.ldexp((scaled + scaled.T) / 2.0, -2 * shift)
     if not np.all(np.isfinite(cov)):
         raise NonFiniteError("the covariance overflows the float range; rescale the data")
+    if np.any(scaled) and np.max(np.abs(cov)) < np.finfo(float).tiny:
+        raise NonFiniteError("the covariance underflows the float range; rescale the data")
     return cov
 
 
@@ -149,7 +152,9 @@ def jacobi_eigendecomposition(S):
     its largest-magnitude entry is non-negative (first such entry on
     ties), and the number of sweeps taken. Raises NoConvergenceError,
     carrying the remaining off-diagonal norm in the units of S, if
-    JACOBI_MAX_SWEEPS full sweeps are not enough.
+    JACOBI_MAX_SWEEPS full sweeps are not enough, and NonFiniteError if
+    an eigenvalue, scaled back to the units of S, overflows the float
+    range (it may exceed max |S| by up to a factor of n).
     """
     A = np.asarray(S, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -213,7 +218,10 @@ def jacobi_eigendecomposition(S):
         sweeps += 1
         residual = _offdiag_norm(A)
 
-    values = np.ldexp(diag, exponent)
+    with np.errstate(over="ignore"):
+        values = np.ldexp(diag, exponent)
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteError("the eigenvalues overflow the float range; rescale the data")
     order = np.argsort(-values, kind="stable")
     values = values[order]
     vectors = Vt[order].T.copy()

@@ -155,11 +155,7 @@ def discarded_eigenvalue_sum(model, m):
 
 def save_model(model, path):
     """Write a model to ``path`` as deterministic JSON."""
-    write_text(path, [model_json(model)])
-
-
-def model_json(model):
-    payload = {
+    write_text(path, [json_text({
         "format": MODEL_FORMAT,
         "version": VERSION,
         "n": model.n_features,
@@ -167,8 +163,7 @@ def model_json(model):
         "mean": model.mean,
         "eigenvalues": model.eigenvalues,
         "components": model.components,
-    }
-    return json_text(payload)
+    })])
 
 
 def load_model(path):

@@ -1,6 +1,8 @@
-"""Deterministic CSV and JSON renderings of sweep and pair-analysis
-results. All floats pass through the 17-significant-digit formatter, so
-two runs with the same inputs produce byte-identical files."""
+"""The shapes of the CSV and JSON reports of sweep, pair-analysis and
+transform results: their headers, row formats and report dicts. Floats
+are rendered in serialize's 17-significant-digit format, the streamed
+rows by its one row generator, so two runs with the same inputs produce
+byte-identical files."""
 
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ import numpy as np
 
 from ._version import VERSION
 from .experiments import SweepRow
-from .serialize import F17, f17, json_text
+from .serialize import F17, _rows, f17, json_text
 
 STRONG_CORRELATION = 0.7
 SWEEP_CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
@@ -20,22 +22,6 @@ SWEEP_CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 SWEEP_CSV_ROW = ",".join({"int": "%d", "float": F17}[f.type] for f in fields(SweepRow)) + "\n"
 PAIR_CSV_HEADER = "i,j,m,dist_original,dist_truncated,shrinkage,recon_error"
 PAIR_CSV_ROW = "%d,%d,%d" + ("," + F17) * 4 + "\n"
-# values rendered at once by _rows: 1,024 pair CSV rows of seven values, so a
-# report's rows become Python scalars, tuples and row strings a few hundred
-# KB at a time however wide they are
-_RENDER_VALUES = 7 * 1024
-
-
-def _rows(columns, row, sep=""):
-    """The rows of the equal-length numpy ``columns`` rendered with the
-    %-format ``row`` and joined by ``sep``, one string per slice of
-    _RENDER_VALUES // len(columns) rows (at least one row); a slice's
-    values become Python scalars only when it is rendered."""
-    step = max(1, _RENDER_VALUES // len(columns))
-    for lo in range(0, len(columns[0]), step):
-        values = zip(*[c[lo:lo + step].tolist() for c in columns])
-        yield sep.join([row % v for v in values])
-
 
 def sweep_csv(result):
     """CSV text for the rows of a SweepResult."""

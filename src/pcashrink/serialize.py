@@ -3,8 +3,10 @@ the one reader and one writer every input and output file goes through.
 
 Floats are always written in the one format F17, 17 significant digits,
 so the printed value round-trips to the exact same IEEE-754 double,
-which is what makes repeated runs byte-identical. Every reader skips a
-UTF-8 byte-order mark.
+which is what makes repeated runs byte-identical. Float arrays become
+text through one row generator, _rows: json_text's vectors and matrices
+(model.json among them) and the streamed CSV and JSON reports of
+``reports`` alike. Every reader skips a UTF-8 byte-order mark.
 """
 
 import errno
@@ -19,11 +21,26 @@ from .errors import DatasetIOError, DatasetParseError
 
 
 F17 = "%.17g"  # the one float format; every row format is built from it
+# values rendered at once by _rows: 1,024 pair CSV rows of seven values, so a
+# report's rows become Python scalars, tuples and row strings a few hundred
+# KB at a time however wide they are
+_RENDER_VALUES = 7 * 1024
 
 
 def f17(x):
     """Format a float with 17 significant digits."""
     return F17 % float(x)
+
+
+def _rows(columns, row, sep=""):
+    """The rows of the equal-length numpy ``columns`` rendered with the
+    %-format ``row`` and joined by ``sep``, one string per slice of
+    _RENDER_VALUES // len(columns) rows (at least one row); a slice's
+    values become Python scalars only when it is rendered."""
+    step = max(1, _RENDER_VALUES // len(columns))
+    for lo in range(0, len(columns[0]), step):
+        values = zip(*[c[lo:lo + step].tolist() for c in columns])
+        yield sep.join([row % v for v in values])
 
 
 def write_text(path, chunks):
@@ -104,12 +121,13 @@ def _render(obj, level):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return f17(obj)
-    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim:
-        # a float vector in one join, with the bits of f17 on each value;
-        # a matrix row by row
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim in (1, 2):
+        # a vector is one column of _rows; a (k, 0) matrix goes on to tolist()
         if obj.ndim == 1:
-            return "[" + ", ".join([F17 % v for v in obj.tolist()]) + "]"
-        return "[" + ", ".join([_render(row, level + 1) for row in obj]) + "]"
+            return "[" + ", ".join(_rows((obj,), F17, ", ")) + "]"
+        if obj.shape[1]:
+            row = "[" + ", ".join([F17] * obj.shape[1]) + "]"
+            return "[" + ", ".join(_rows(obj.T, row, ", ")) + "]"
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):

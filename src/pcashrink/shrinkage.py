@@ -20,6 +20,7 @@ from .errors import (
     DimMismatchError,
     FullRankInjectiveError,
     InsufficientPairsError,
+    NonFiniteError,
     TooManyPairsError,
 )
 from .matrix import as_data_matrix, as_vector, max_exponent
@@ -281,15 +282,21 @@ def _extend(acc, Zt, step):
     (experiments._knn_predict), with the same bits. The rows are added
     one by one because np.add.reduce may sum a short axis pairwise. The
     buffer is made once a call: a new block per chunk of coordinates had
-    the allocator give memory back and fault it in again every step."""
+    the allocator give memory back and fault it in again every step. A
+    difference, square or sum that overflows raises NonFiniteError."""
     lo, hi, _ = step
     buffer = np.empty((min(_DIFF_ROWS, Zt.shape[0]), hi - lo))
-    for start in range(0, Zt.shape[0], _DIFF_ROWS):
-        rows = Zt[start:start + _DIFF_ROWS]
-        diff = _pairwise(np.subtract, rows, step, buffer[:len(rows)])
-        np.multiply(diff, diff, out=diff)
-        for square in diff:
-            acc += square
+    try:
+        with np.errstate(over="raise"):
+            for start in range(0, Zt.shape[0], _DIFF_ROWS):
+                rows = Zt[start:start + _DIFF_ROWS]
+                diff = _pairwise(np.subtract, rows, step, buffer[:len(rows)])
+                np.multiply(diff, diff, out=diff)
+                for square in diff:
+                    acc += square
+    except FloatingPointError as exc:
+        raise NonFiniteError("pairwise distances overflow the float range; "
+                             "rescale the data") from exc
     return acc
 
 

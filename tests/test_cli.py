@@ -19,8 +19,8 @@ from pcashrink import cli, load_model, transform
 from pcashrink.cli import main
 from pcashrink.experiments import Dataset, anisotropic_gaussian
 from pcashrink._version import VERSION
-from pcashrink.reports import _RENDER_VALUES, coords_json_blocks
-from pcashrink.serialize import json_text
+from pcashrink.reports import coords_json_blocks
+from pcashrink.serialize import _RENDER_VALUES, json_text
 from pcashrink.shrinkage import VIOLATION_TOL
 from test_trace_sites import RETIRED, STALE
 

@@ -22,6 +22,7 @@ from pcashrink import (
     run_sweep,
     shrinkage_table,
 )
+from pcashrink.cli import main
 
 BASE = anisotropic_gaussian(300, seed=0).features
 SCALES = (1e-9, 1e-7, 1e-6, 1.0, 1e6)
@@ -132,3 +133,68 @@ def test_covariance_overflow_is_a_clean_non_finite_error(tmp_path):
     assert proc.returncode == 3
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert "[non-finite]" in proc.stderr and "overflow" in proc.stderr
+
+
+def scaled_csv(tmp_path, k):
+    """The CSV of anisotropic_gaussian(300, seed=0) times 2^k."""
+    dataset = anisotropic_gaussian(300, seed=0)
+    return write_dataset_csv(tmp_path / ("x%d.csv" % k), dataclasses.replace(
+        dataset, features=np.ldexp(dataset.features, k)))
+
+
+COMMANDS = {
+    "fit": ("fit",),
+    "analyze": ("analyze", "--m", "2", "--pair-sample", "0"),
+    "sweep": ("sweep", "--m-range", "1..3"),
+}
+
+
+def test_covariance_underflow_is_a_clean_non_finite_error():
+    """Below about 2^-511 the eigenvalues, in data units squared, leave the
+    normal float range: zeros at 2^-560, subnormals at 2^-520. Data whose
+    covariance is exactly zero still fit."""
+    for k in (-560, -520):
+        with pytest.raises(NonFiniteError, match="underflow"):
+            fit(np.ldexp(BASE, k))
+    for X in (np.full((5, 3), 2.0 ** -560), np.ldexp(BASE[:2], -560)[[0, 0]]):
+        assert not np.any(fit(X).eigenvalues)
+    with pytest.warns(RuntimeWarning, match="single sample"):
+        assert fit(np.ldexp(BASE[:1], -560)).degenerate
+
+
+@pytest.mark.parametrize("command, k, what", [
+    ("fit", -560, "underflow"), ("analyze", -560, "underflow"), ("sweep", -560, "underflow"),
+    ("fit", -520, "underflow"), ("analyze", -520, "underflow"), ("sweep", -520, "underflow"),
+    ("analyze", 509, "overflow"), ("sweep", 509, "overflow"),
+    ("analyze", 510, "overflow"), ("sweep", 510, "overflow"),
+    ("fit", 511, "overflow"),
+])
+def test_out_of_range_scales_are_refused(tmp_path, capsys, command, k, what):
+    """Past either end of the float range a command exits 3 with one
+    [non-finite] line that names the edge, and writes nothing: no NaN,
+    inf or zero eigenvalue reaches a report, and no numpy warning leaks
+    (tier-1 turns one into an error)."""
+    path = scaled_csv(tmp_path, k)
+    out = tmp_path / "out"
+    assert main([*COMMANDS[command], "--input", str(path), "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert "[non-finite]" in err and what in err, err
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+@pytest.mark.parametrize("k", [505, 508])
+def test_pair_csv_columns_scale_exactly_near_the_top(tmp_path, capsys, k):
+    """Inside the range every distance column of analyze's pair CSV is
+    the ldexp of the unscaled one, and the index columns are equal."""
+    tables = []
+    for scale in (0, k):
+        out = tmp_path / ("pairs%d.csv" % scale)
+        argv = [*COMMANDS["analyze"], "--input", str(scaled_csv(tmp_path, scale)),
+                "--output", str(out)]
+        assert main(argv) == 0
+        tables.append(np.loadtxt(out, delimiter=",", skiprows=1))
+    capsys.readouterr()
+    base, scaled = tables
+    assert scaled[:, :3].tobytes() == base[:, :3].tobytes()
+    assert scaled[:, 3:].tobytes() == np.ldexp(base[:, 3:], k).tobytes()
