@@ -44,7 +44,6 @@ from .shrinkage import (
     check_violation_tol,
     collision_witness,
     shrinkage_blocks,
-    shrinkage_table,
 )
 
 SEED_ENV_VAR = "PCA_SHRINK_SEED"
@@ -296,7 +295,8 @@ def cmd_analyze(args):
                         "reason": "full-rank transform is injective"}
     else:
         base = dataset.features[0]
-        pair = shrinkage_table(model, np.stack([base, collision_witness(model, base, m)]), m)
+        witness = np.stack([base, collision_witness(model, base, m)])
+        pair = next(shrinkage_blocks(model, witness, m)[0])  # its one block, of one pair
         witness_note = {
             "exists": True,
             "base_index": 0,

@@ -23,7 +23,7 @@ from .errors import (
     ToolkitError,
     ZeroVarianceError,
 )
-from .matrix import as_data_matrix, as_vector, max_exponent
+from .matrix import as_data_matrix, as_vector, max_exponent, refuse_overflow
 from .pca import discarded_eigenvalue_sum, fit, transform
 from .serialize import open_text
 from .shrinkage import check_seed, shrinkage_summaries
@@ -299,11 +299,14 @@ def _stratified_folds(labels, folds, seed):
     return fold_of
 
 
+@refuse_overflow("pairwise distances overflow")
 def _knn_predict(X_train, y_train, X_test, k, levels):
     """Class of each test row by the vote of its k nearest training rows
     on the first m columns, one row per m of the ascending ``levels``.
     Per chunk of test rows the squared distances grow one column at a
-    time, in column order, so a level costs one column instead of m."""
+    time, in column order, so a level costs one column instead of m. A
+    difference, square or sum that overflows raises NonFiniteError, as
+    in the pair kernel (shrinkage._extend)."""
     n_train = X_train.shape[0]
     k = min(k, n_train)
     classes, codes = np.unique(y_train, return_inverse=True)

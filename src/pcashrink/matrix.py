@@ -1,6 +1,7 @@
 """Covariance computation, a cyclic Jacobi eigensolver for symmetric
-matrices, and max_exponent, the one power-of-two rule that keeps the
-solver, pearson and the collision witness free of the data's scale.
+matrices, max_exponent, the one power-of-two rule that keeps the
+solver, pearson and the collision witness free of the data's scale, and
+refuse_overflow, the one rule for a result past the float range.
 
 The eigensolver is written out explicitly (rather than calling LAPACK)
 because everything downstream depends on its exact behaviour. It visits
@@ -15,6 +16,7 @@ fitted models reproducible to the last bit, and rescaling the input by
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +68,31 @@ def max_exponent(v):
     return int(np.frexp(np.maximum(np.max(v), -np.min(v)))[1])
 
 
+@contextmanager
+def refuse_overflow(what):
+    """Run a with block, or each call of a function this decorates, with
+    numpy's overflow raised, and refuse an overflow as NonFiniteError
+    "<what> the float range; rescale the data". numpy checks its status
+    flags after every ufunc call whatever errstate says, so the guard only
+    changes what an overflow does. The block gets ``finite``, which
+    returns an array that has no infinite or NaN entry and refuses one
+    that has, the same way: for products such as np.einsum's, which set
+    no overflow flag."""
+    message = "%s the float range; rescale the data" % what
+
+    def finite(arr):
+        if not np.all(np.isfinite(arr)):
+            raise NonFiniteError(message)
+        return arr
+
+    try:
+        with np.errstate(over="raise"):
+            yield finite
+    except FloatingPointError as exc:
+        raise NonFiniteError(message) from exc
+
+
+@refuse_overflow("the covariance overflows")
 def covariance(data):
     """Population covariance matrix of row-vector samples.
 
@@ -84,14 +111,11 @@ def covariance(data):
     the smallest normal float, raise NonFiniteError.
     """
     X = as_data_matrix(data)
-    with np.errstate(over="ignore", invalid="ignore"):
-        centered = X - X.mean(axis=0)
-        shift = (1021 - X.shape[0].bit_length()) // 2 - max_exponent(centered)
-        np.ldexp(centered, shift, out=centered)
-        scaled = np.einsum("ki,kj->ij", centered, centered) / X.shape[0]
-        cov = np.ldexp((scaled + scaled.T) / 2.0, -2 * shift)
-    if not np.all(np.isfinite(cov)):
-        raise NonFiniteError("the covariance overflows the float range; rescale the data")
+    centered = X - X.mean(axis=0)
+    shift = (1021 - X.shape[0].bit_length()) // 2 - max_exponent(centered)
+    np.ldexp(centered, shift, out=centered)
+    scaled = np.einsum("ki,kj->ij", centered, centered) / X.shape[0]
+    cov = np.ldexp((scaled + scaled.T) / 2.0, -2 * shift)
     if np.any(scaled) and np.max(np.abs(cov)) < np.finfo(float).tiny:
         raise NonFiniteError("the covariance underflows the float range; rescale the data")
     return cov
@@ -218,10 +242,8 @@ def jacobi_eigendecomposition(S):
         sweeps += 1
         residual = _offdiag_norm(A)
 
-    with np.errstate(over="ignore"):
+    with refuse_overflow("the eigenvalues overflow"):
         values = np.ldexp(diag, exponent)
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteError("the eigenvalues overflow the float range; rescale the data")
     order = np.argsort(-values, kind="stable")
     values = values[order]
     vectors = Vt[order].T.copy()

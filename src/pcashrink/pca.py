@@ -17,7 +17,7 @@ import numpy as np
 
 from ._version import VERSION
 from .errors import DatasetParseError, DimMismatchError, NonFiniteError
-from .matrix import as_data_matrix, covariance, jacobi_eigendecomposition
+from .matrix import as_data_matrix, covariance, jacobi_eigendecomposition, refuse_overflow
 from .serialize import json_text, read_json, write_text
 
 MODEL_FORMAT = "pcashrink-model"
@@ -112,7 +112,8 @@ def transform(model, x, m=None):
 
     Accepts a single vector (returns shape (m,)) or a matrix of row
     vectors (returns shape (N, m)). The truncated result equals the
-    first m coordinates of the full transform by construction.
+    first m coordinates of the full transform by construction. A
+    coordinate past the float range raises NonFiniteError.
     """
     m = check_m(model, m)
     arr = np.asarray(x, dtype=float)
@@ -121,7 +122,8 @@ def transform(model, x, m=None):
         raise DimMismatchError(
             "expected %d features, got %d" % (model.n_features, X.shape[1])
         )
-    Y = np.einsum("ij,jk->ik", X - model.mean, model.components[:, :m])
+    with refuse_overflow("the coordinates overflow") as finite:
+        Y = finite(np.einsum("ij,jk->ik", X - model.mean, model.components[:, :m]))
     return Y[0] if arr.ndim == 1 else Y
 
 
@@ -131,12 +133,14 @@ def reconstruct(model, y):
     ``y`` may be a vector of length m or an (N, m) matrix; discarded
     coordinates are treated as zero, so for m < n this is the usual
     lossy reconstruction and for m = n it inverts the transform exactly
-    (up to roundoff).
+    (up to roundoff). A feature past the float range raises
+    NonFiniteError.
     """
     arr = np.asarray(y, dtype=float)
     Y = as_data_matrix(arr[None, :] if arr.ndim == 1 else arr, "y")
     m = check_m(model, Y.shape[1])
-    X = np.einsum("ij,kj->ik", Y, model.components[:, :m]) + model.mean
+    with refuse_overflow("the reconstruction overflows") as finite:
+        X = finite(np.einsum("ij,kj->ik", Y, model.components[:, :m])) + model.mean
     return X[0] if arr.ndim == 1 else X
 
 

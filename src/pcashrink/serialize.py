@@ -12,7 +12,7 @@ text through one row generator, _rows: json_text's vectors and matrices
 import errno
 import json as _json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -48,14 +48,26 @@ def write_text(path, chunks):
 
     ``chunks`` may be a generator, so large outputs are streamed. An
     OSError (missing directory, no permission, full disk) becomes
-    DatasetIOError.
+    DatasetIOError. When a chunk or a write raises, the opened file is
+    removed, so a refused command leaves no partial output; only a
+    regular file that is not a symlink is removed (/dev/stdout stays),
+    and a file that could not be opened is left as it is.
     """
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+        fh = open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise DatasetIOError("cannot write %s: %s" % (path, exc)) from exc
+    try:
+        with fh:
+            for chunk in chunks:
+                fh.write(chunk)
+    except BaseException as exc:
+        if os.path.isfile(path) and not os.path.islink(path):
+            with suppress(OSError):
+                os.remove(path)
+        if isinstance(exc, OSError):
+            raise DatasetIOError("cannot write %s: %s" % (path, exc)) from exc
+        raise
 
 
 @contextmanager

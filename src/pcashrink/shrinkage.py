@@ -20,10 +20,9 @@ from .errors import (
     DimMismatchError,
     FullRankInjectiveError,
     InsufficientPairsError,
-    NonFiniteError,
     TooManyPairsError,
 )
-from .matrix import as_data_matrix, as_vector, max_exponent
+from .matrix import as_data_matrix, as_vector, max_exponent, refuse_overflow
 from .pca import check_m, transform
 
 # pairs visited when no count is requested: all pairs while there are at
@@ -270,6 +269,7 @@ def _pairwise(ufunc, v, step, out=None):
     return out
 
 
+@refuse_overflow("pairwise distances overflow")
 def _extend(acc, Zt, step):
     """Add to ``acc``, squared distances of one step's pairs, the squared
     differences of each row of ``Zt`` in row order, in place: the pair
@@ -286,17 +286,12 @@ def _extend(acc, Zt, step):
     difference, square or sum that overflows raises NonFiniteError."""
     lo, hi, _ = step
     buffer = np.empty((min(_DIFF_ROWS, Zt.shape[0]), hi - lo))
-    try:
-        with np.errstate(over="raise"):
-            for start in range(0, Zt.shape[0], _DIFF_ROWS):
-                rows = Zt[start:start + _DIFF_ROWS]
-                diff = _pairwise(np.subtract, rows, step, buffer[:len(rows)])
-                np.multiply(diff, diff, out=diff)
-                for square in diff:
-                    acc += square
-    except FloatingPointError as exc:
-        raise NonFiniteError("pairwise distances overflow the float range; "
-                             "rescale the data") from exc
+    for start in range(0, Zt.shape[0], _DIFF_ROWS):
+        rows = Zt[start:start + _DIFF_ROWS]
+        diff = _pairwise(np.subtract, rows, step, buffer[:len(rows)])
+        np.multiply(diff, diff, out=diff)
+        for square in diff:
+            acc += square
     return acc
 
 
@@ -555,7 +550,7 @@ def shrinkage_blocks(model, data, m=None, *, pair_sample=None, seed=0,
     return (add(block) for _, _, block in _steps(pairs, Xt, Yt, m, errors[m])), fold.summary
 
 
-def shrinkage_table(model, data, m=None, *, pair_sample=None, seed=0, threads=1):
+def shrinkage_table(model, data, m=None, *, pair_sample=None, seed=0):
     """Per-pair distances before and after truncation at level m, as one
     PairTable filled from the engine's blocks.
 
@@ -564,9 +559,7 @@ def shrinkage_table(model, data, m=None, *, pair_sample=None, seed=0, threads=1)
     requests that many sampled pairs; a request of at least the pair
     count visits all pairs unsampled. A negative count or a negative
     ``seed`` raises ValueError, whether or not pairs are sampled. The
-    engine runs in the calling thread. ``threads`` has no effect; it
-    stays only because the benchmark's thread baseline
-    (perfbench/worker.py) passes threads=1 and threads=2.
+    engine runs in the calling thread.
     """
     Xt, Yt, (m,), pairs, errors = _pair_pass(model, data, [m], pair_sample, seed)
     columns = {f.name: np.empty(pairs.count, dtype=np.int64 if f.name in ("i", "j") else float)

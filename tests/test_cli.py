@@ -343,7 +343,8 @@ class TestAnalyze:
                                                 case, m):
         """A pair CSV, a JSON report and no output print the same stdout,
         the same stderr besides the wrote line, and the same exit status,
-        each from one shrinkage_blocks call."""
+        each from one shrinkage_blocks call over the data; below full rank
+        one more call, with no options, measures the witness pair."""
         assert not hasattr(cli, "shrinkage_summaries")
         calls = _spy(monkeypatch, cli, "shrinkage_blocks", "violation_tol")
         outputs = [(), ("--output", tmp_path / "x.csv"),
@@ -353,7 +354,7 @@ class TestAnalyze:
             calls.clear()
             rc = run_cli("analyze", "--input", data_csv, "--m", m, *self.PASS_OPTIONS[case],
                          *output)
-            assert len(calls) == 1
+            assert calls[0] is not None and calls[1:] == [None] * (m < 3)
             out, err = capsys.readouterr()
             err = "".join(line for line in err.splitlines(True)
                           if not line.startswith("pca-shrink: wrote "))
@@ -604,12 +605,13 @@ def write_config(tmp_path, values):
 
 
 def _spy(monkeypatch, owner, name, key):
-    """Record the ``key`` argument of every call to ``owner.name``."""
+    """Record the ``key`` argument of every call to ``owner.name``, None
+    for a call that does not pass it."""
     seen = []
     real = getattr(owner, name)
 
     def spy(*args, **kwargs):
-        seen.append(kwargs[key])
+        seen.append(kwargs.get(key))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, spy)

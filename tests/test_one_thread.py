@@ -1,5 +1,5 @@
 """The pair engine runs in the calling thread: no entry point starts a
-thread whatever ``threads`` asks for, and importing the CLI does not pull
+thread whatever ``--threads`` asks for, and importing the CLI does not pull
 in concurrent.futures. The BLAS library's own threads do not change a
 fit's bytes either."""
 
@@ -31,7 +31,7 @@ def no_thread_starts(monkeypatch):
 
 
 def test_shrinkage_table_starts_no_thread():
-    table = shrinkage_table(fit(DATA.features), DATA.features, 2, threads=4)
+    table = shrinkage_table(fit(DATA.features), DATA.features, 2)
     assert table.i.size == 300 * 299 // 2
 
 

@@ -18,8 +18,11 @@ from pcashrink import (
     correlate,
     covariance,
     fit,
+    knn_accuracy,
     pearson,
+    reconstruct,
     run_sweep,
+    save_model,
     shrinkage_table,
 )
 from pcashrink.cli import main
@@ -198,3 +201,74 @@ def test_pair_csv_columns_scale_exactly_near_the_top(tmp_path, capsys, k):
     base, scaled = tables
     assert scaled[:, :3].tobytes() == base[:, :3].tobytes()
     assert scaled[:, 3:].tobytes() == np.ldexp(base[:, 3:], k).tobytes()
+
+
+def assert_refused(tmp_path, capsys, argv, keep):
+    """``main(argv)`` exits 3 with one [non-finite] line naming the
+    overflow, prints nothing on stdout and leaves only the files ``keep``
+    in ``tmp_path``."""
+    assert main([str(a) for a in argv]) == 3
+    out, err = capsys.readouterr()
+    assert len(err.splitlines()) == 1, err
+    assert "[non-finite]" in err and "overflow" in err, err
+    assert out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in keep)
+
+
+@pytest.mark.parametrize("k", [509, 510])
+def test_knn_overflow_is_a_clean_non_finite_error(k):
+    """The k-NN's running d² refuses an overflow like the pair kernel."""
+    dataset = anisotropic_gaussian(300, seed=0)
+    scaled = dataclasses.replace(dataset, features=np.ldexp(dataset.features, k))
+    with pytest.raises(NonFiniteError, match="pairwise distances overflow"):
+        knn_accuracy(scaled)
+
+
+def test_sampled_sweep_overflow_is_refused(tmp_path, capsys):
+    """At 1.2 x 2^508 no pair of a 2,000-pair sample overflows, but the
+    k-NN, which compares every row, does."""
+    dataset = anisotropic_gaussian(300, seed=0)
+    path = write_dataset_csv(tmp_path / "big.csv", dataclasses.replace(
+        dataset, features=np.ldexp(1.2 * dataset.features, 508)))
+    assert_refused(tmp_path, capsys, ["sweep", "--m-range", "1..3", "--pair-sample", "2000",
+                                      "--input", path, "--output", tmp_path / "out"], [path])
+
+
+@pytest.mark.parametrize("output", [False, True], ids=["stdout", "file"])
+def test_transform_overflow_is_refused(tmp_path, capsys, output):
+    """A row inside the float range whose coordinates on a model fitted to
+    other data are not: np.einsum sets no overflow flag, so the transform
+    checks its result."""
+    dataset = anisotropic_gaussian(50, seed=0)
+    model = fit(dataset.features)
+    save_model(model, tmp_path / "model.json")
+    row = np.sign(model.components[:, 0]) * 1.6e308
+    path = write_dataset_csv(tmp_path / "row.csv",
+                             dataclasses.replace(dataset, features=row[None, :], labels=("a",)))
+    argv = ["transform", "--model", tmp_path / "model.json", "--input", path]
+    if output:
+        argv += ["--output", tmp_path / "coords.csv"]
+    assert_refused(tmp_path, capsys, argv, [path, tmp_path / "model.json"])
+
+
+def test_reconstruct_overflow_is_refused():
+    """Coordinates inside the float range whose first feature is not."""
+    model = fit(anisotropic_gaussian(50, seed=0).features)
+    y = np.sign(model.components[0])
+    assert np.all(np.isfinite(reconstruct(model, y * 1e300)))
+    with pytest.raises(NonFiniteError, match="the reconstruction overflows"):
+        reconstruct(model, y * 1.6e308)
+
+
+def test_refused_analyze_leaves_no_partial_csv(tmp_path, capsys):
+    """Only pair (290, 291) overflows: pair 44,805, which the median's
+    every-64th sample misses, so the refusal comes after thousands of
+    rows of the pair CSV are written."""
+    dataset = anisotropic_gaussian(300, seed=0)
+    features = dataset.features.copy()
+    features[290, 0], features[291, 0] = 1e154, -1e154
+    path = write_dataset_csv(tmp_path / "pair.csv",
+                             dataclasses.replace(dataset, features=features))
+    assert_refused(tmp_path, capsys, ["analyze", "--m", "2", "--pair-sample", "0",
+                                      "--input", path, "--output", tmp_path / "q.csv"],
+                   [path])

@@ -7,7 +7,7 @@ import pytest
 
 from pcashrink.experiments import SweepResult, SweepRow, correlate
 from pcashrink.reports import sweep_report_json
-from pcashrink.serialize import f17, json_text
+from pcashrink.serialize import f17, json_text, write_text
 
 
 @pytest.mark.parametrize("obj, text", [
@@ -74,3 +74,26 @@ def test_constant_accuracy_renders_null_correlations():
         assert '    "%s": {\n      "r": null,\n      "strength": null\n    },\n' % key in text
     assert '"eigsum_vs_mean_shrinkage": {\n      "r": 0.' in text
     assert '"accuracy_correlations_weak": false\n}\n' in text
+
+
+def refusing_chunks():
+    yield "a,b\n"
+    raise ValueError("refused")
+
+
+def test_write_text_removes_its_partial_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("old\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="refused"):
+        write_text(path, refusing_chunks())
+    assert not path.exists()
+
+
+def test_write_text_keeps_a_symlink_and_its_target(tmp_path):
+    """A symlink such as /dev/stdout is written through, never removed."""
+    target = tmp_path / "target.csv"
+    target.write_text("", encoding="utf-8")
+    (tmp_path / "link.csv").symlink_to(target)
+    with pytest.raises(ValueError, match="refused"):
+        write_text(tmp_path / "link.csv", refusing_chunks())
+    assert (tmp_path / "link.csv").is_symlink() and target.read_text(encoding="utf-8") == "a,b\n"

@@ -168,18 +168,6 @@ class TestPairEngine:
         with pytest.raises(ValueError, match="pair sample"):
             shrinkage_summaries(model, X, [1, 2], pair_sample=pair_sample)
 
-    def test_threads_do_not_change_bytes(self):
-        rng = np.random.default_rng(17)
-        X = rng.standard_normal((800, 3)) * [3.0, 1.0, 0.2]
-        model = fit(X)
-        one = shrinkage_table(model, X, 1, threads=1)
-        for threads in (4, 0):
-            other = shrinkage_table(model, X, 1, threads=threads)
-            assert np.array_equal(one.dist_original, other.dist_original)
-            assert np.array_equal(one.dist_truncated, other.dist_truncated)
-            assert np.array_equal(one.shrinkage, other.shrinkage)
-            assert np.array_equal(one.recon_error, other.recon_error)
-
     def test_feature_mismatch(self, three_point_model):
         with pytest.raises(DimMismatchError):
             shrinkage_table(three_point_model, np.ones((4, 3)), 1)
