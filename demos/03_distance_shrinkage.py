@@ -10,18 +10,20 @@ Run:  python3 demos/03_distance_shrinkage.py
 
 import numpy as np
 
-from pcashrink import fit, shrinkage_summaries, shrinkage_table, transform
+from pcashrink import fit, shrinkage_blocks, shrinkage_summaries, transform
 
 rng = np.random.default_rng(42)
 X = rng.standard_normal((150, 5)) * [3.0, 2.0, 1.0, 0.4, 0.1]
 model = fit(X)
 
-# full rank: an isometry (largest distance change over all 11175 pairs)
-table = shrinkage_table(model, X, 5)
-print("m=5 (full): largest |distance change| = %.2e" % np.max(np.abs(table.shrinkage)))
+# full rank: an isometry (largest distance change over all 11175 pairs,
+# read a block of pairs at a time)
+blocks, _ = shrinkage_blocks(model, X, 5)
+change = max(np.max(np.abs(block.shrinkage)) for block in blocks)
+print("m=5 (full): largest |distance change| = %.2e" % change)
 
 # truncation: distances shrink, never grow; one pass over the same pairs,
-# one summary per m, without a pair table
+# one summary per m, without reading a block
 for stats in shrinkage_summaries(model, X, [4, 3, 2, 1]):
     print("m=%d: mean shrinkage %.4f, max %.4f, pairs that grew: %d"
           % (stats.m, stats.mean, stats.max, stats.negative_count))

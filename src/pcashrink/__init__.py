@@ -42,7 +42,6 @@ from .shrinkage import (
     collision_witness,
     shrinkage_blocks,
     shrinkage_summaries,
-    shrinkage_table,
 )
 from .experiments import (
     CorrelationSummary,
@@ -91,7 +90,6 @@ __all__ = [
     "collision_witness",
     "shrinkage_blocks",
     "shrinkage_summaries",
-    "shrinkage_table",
     "pearson",
     "Dataset",
     "STRONG_CORRELATION",

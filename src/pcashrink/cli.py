@@ -40,6 +40,7 @@ from .serialize import check_writable, f17, json_text, read_json, write_text
 from .shrinkage import (
     VIOLATION_TOL,
     check_pair_sample,
+    check_samples,
     check_seed,
     check_violation_tol,
     collision_witness,
@@ -283,6 +284,7 @@ def cmd_analyze(args):
     check_violation_tol(tol)
     check_pair_sample(args.pair_sample)
     dataset = _load_dataset(args)
+    check_samples(dataset.n_samples)  # one row forms no pair: refused before the fit
     model = fit(dataset.features)
     options = dict(pair_sample=args.pair_sample, seed=args.seed, violation_tol=tol)
     pair_csv = out is not None and args.format == "csv"

@@ -8,6 +8,7 @@ import csv
 import math
 import warnings
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -393,13 +394,22 @@ class SweepResult:
     bound_violation_pairs: int
 
 
+@contextmanager
+def _at_level(m):
+    """Name level ``m`` in a ToolkitError that the block raises."""
+    try:
+        yield
+    except ToolkitError as exc:
+        raise exc.__class__("m=%d: %s" % (m, exc)) from exc
+
+
 def run_sweep(dataset, m_range=None, k=5, folds=5, seed=0, pair_sample=None):
     """Sweep the retained dimension m over ``m_range`` (inclusive; the
     default covers 1..n) and record, per m: the discarded-eigenvalue sum,
     pairwise shrinkage statistics, and k-NN accuracy measured on the
     m-dimensional transformed features. One model is fitted on the full
-    data and reused for every m. The k-NN arguments, then the pair
-    arguments and budget, are checked before any pass (a ToolkitError
+    data and reused for every m. The k-NN arguments are checked before
+    the fit, the pair arguments and budget before any pass (a ToolkitError
     names the first m). shrinkage_summaries first summarizes the pairs of
     every level in one pass, holding no pair column and freeing its
     temporaries when it returns; then one k-NN pass covers every level.
@@ -415,12 +425,11 @@ def run_sweep(dataset, m_range=None, k=5, folds=5, seed=0, pair_sample=None):
         )
 
     levels = range(lo, hi + 1)
-    model = fit(X)
-    try:
+    with _at_level(lo):  # so a one-row input (one class) is refused before the fit
         labels, tests = _knn_folds(dataset.labels, k, folds, seed)
+    model = fit(X)
+    with _at_level(lo):
         stats = list(shrinkage_summaries(model, X, levels, pair_sample=pair_sample, seed=seed))
-    except ToolkitError as exc:
-        raise exc.__class__("m=%d: %s" % (lo, exc)) from exc
     accuracies = _knn_pass(transform(model, X), labels, tests, levels, k)
     rows = tuple(
         SweepRow(m, discarded_eigenvalue_sum(model, m), s.mean, s.median, s.max, accuracy)

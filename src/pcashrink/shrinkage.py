@@ -6,13 +6,14 @@ pair), it never stretches a pairwise distance, and the amount a pair
 shrinks never exceeds the summed reconstruction errors of its two
 endpoints. The pair engine below evaluates these quantities for every
 sample pair, or for a seeded subsample when the pair count explodes;
-the seed, pair-count and tolerance checks its callers share sit beside it.
+the sample, seed, pair-count and tolerance checks its callers share sit
+beside it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,10 +30,10 @@ from .pca import check_m, transform
 # most this many (N <= 2000 samples), else a seeded uniform subsample
 PAIR_SAMPLE_DEFAULT = 2_000_000
 
-# most pairs one engine call may visit: a PairTable of that many would hold
-# ~1 GB at 48 B a pair (neither analyze nor a sweep keeps a pair column).
-# A sampled pair list costs 2 x its index type's bytes a pair (see
-# _choose_pairs): 80 MB at the budget for up to 65,536 samples
+# most pairs one engine call may visit: their columns would hold ~1 GB at
+# 48 B a pair, and no engine path keeps one. A sampled pair list costs 2 x
+# its index type's bytes a pair (see _choose_pairs): 80 MB at the budget
+# for up to 65,536 samples
 PAIR_BUDGET = 20_000_000
 
 # sampled pair ends drawn at once in int64 before they are stored compact
@@ -83,10 +84,11 @@ class ShrinkageSummary:
 
 @dataclass(frozen=True)
 class PairTable:
-    """Columnar per-pair results of the pair engine at level m; pair k
-    joins samples i[k] < j[k]. ``shrinkage`` is dist_original -
-    dist_truncated; ``recon_error``, the sum of the two endpoints' own
-    reconstruction distances (exactly 0 at full rank), bounds it above."""
+    """One block of shrinkage_blocks: columnar per-pair results of the
+    pair engine at level m; pair k joins samples i[k] < j[k].
+    ``shrinkage`` is dist_original - dist_truncated; ``recon_error``, the
+    sum of the two endpoints' own reconstruction distances (exactly 0 at
+    full rank), bounds it above."""
 
     m: int
     sampled: bool
@@ -96,18 +98,6 @@ class PairTable:
     dist_truncated: np.ndarray
     shrinkage: np.ndarray
     recon_error: np.ndarray
-
-    def summary(self):
-        """Aggregate statistics, the table folded at VIOLATION_TOL a
-        _PASS_CHUNK slice at a time, so that the fold's temporaries do not
-        grow with the table; the median reads the shrinkage column and
-        leaves it as it is."""
-        fold = _Summary(self.m, self.sampled, self.shrinkage.size, VIOLATION_TOL,
-                        self.shrinkage[::_STRIDE], self.shrinkage.copy)
-        for lo in range(0, self.shrinkage.size, _PASS_CHUNK):
-            part = slice(lo, lo + _PASS_CHUNK)
-            fold.add(self.shrinkage[part], self.dist_original[part], self.recon_error[part])
-        return fold.summary()
 
 
 def collision_witness(model, x, m):
@@ -137,6 +127,12 @@ def check_seed(seed):
     """Refuse a negative seed by name; numpy's own refusal names no option."""
     if seed < 0:
         raise ValueError("seed must be a non-negative integer, got %d" % seed)
+
+
+def check_samples(n_samples):
+    """Refuse fewer than two samples, which form no pair."""
+    if n_samples < 2:
+        raise InsufficientPairsError("need at least two samples to form a pair")
 
 
 def check_pair_sample(pair_sample):
@@ -303,14 +299,12 @@ def _pair_pass(model, data, ms, pair_sample, seed):
     The checks and the choice of pairs come first: a refusal transforms
     nothing."""
     X = as_data_matrix(data)
-    n_samples = X.shape[0]
-    if n_samples < 2:
-        raise InsufficientPairsError("need at least two samples to form a pair")
+    check_samples(X.shape[0])
     ms = [check_m(model, m) for m in ms]
     check_pair_sample(pair_sample)
     check_seed(seed)
     pair_sample = PAIR_SAMPLE_DEFAULT if pair_sample is None else pair_sample
-    pairs = _choose_pairs(n_samples, pair_sample, seed)
+    pairs = _choose_pairs(X.shape[0], pair_sample, seed)
     Y = transform(model, X)
     # the norm of each point's discarded coordinates (the basis is orthonormal)
     errors = {m: np.sqrt(np.einsum("ij,ij->i", Y[:, m:], Y[:, m:])) for m in ms}
@@ -318,61 +312,34 @@ def _pair_pass(model, data, ms, pair_sample, seed):
     return Xt, Yt, ms, pairs, errors
 
 
-def _steps(pairs, Xt, Yt, m, error):
-    """The step loop of analyze and the table at level m: one (lo, hi,
-    block) per engine step of the default length, in pair-column order,
-    ``block`` the PairTable of pairs lo..hi-1 with its index columns, its
-    distances from _distances and each bound the sum of the two points'
-    ``error``."""
-    ids = np.arange(pairs.n_samples, dtype=np.int64)
-    for step in pairs.steps():
-        lo, hi, _ = step
-        (d_o, d_t), = _distances(Xt, Yt, [m], step)
-        # every pair joins i < j, so i is the smaller of its two indices
-        yield lo, hi, PairTable(
-            m=m, sampled=pairs.sampled, i=_pairwise(np.minimum, ids, step),
-            j=_pairwise(np.maximum, ids, step), dist_original=d_o, dist_truncated=d_t,
-            shrinkage=d_o - d_t, recon_error=_pairwise(np.add, error, step))
-
-
 class _Summary:
     """Folds ``count`` pairs of level m, in pair order, into their
-    ShrinkageSummary at violation tolerance ``tol``: the one place that
-    summaries are made, with no pair column held. ``sample``, every
-    _STRIDE-th shrinkage by pair index, draws the median's bracket [low,
-    high] at once. ``add`` counts the guarantee rule's negative, over-bound
-    and violating (either, counted once) pairs, with a slack of ``tol``
-    times each pair's original distance (``add_limits`` takes the limits
-    made already), and buffers the shrinkages into pieces of _PASS_CHUNK
-    pairs aligned to the pair index. Each piece leaves its sum and max,
-    the number of its values below the bracket and a copy of those inside
-    it: _centre's first pass. The first ``summary()`` after the last pair
-    takes the mean, the exact median and the max from _centre, which
-    calls ``column()``, for a new shrinkage column of its own, only when
-    the bracket misses the median."""
+    ShrinkageSummary: the one place that summaries are made, with no pair
+    column held. ``sample``, every _STRIDE-th shrinkage by pair index,
+    draws the median's bracket [low, high] at once. ``add`` counts the
+    guarantee rule's negative, over-bound and violating (either, counted
+    once) pairs against the limits its caller made, and buffers the
+    shrinkages into pieces of _PASS_CHUNK pairs aligned to the pair index.
+    Each piece leaves its sum and max, the number of its values below the
+    bracket and a copy of those inside it: _centre's first pass. The first
+    ``summary()`` after the last pair takes the mean, the exact median and
+    the max from _centre, which calls ``column()``, for a new shrinkage
+    column of its own, only when the bracket misses the median."""
 
-    def __init__(self, m, sampled, count, tol, sample, column):
-        self.m, self.sampled, self.count, self.tol = m, sampled, count, tol
-        self.column = column
+    def __init__(self, m, sampled, count, sample, column):
+        self.m, self.sampled, self.count, self.column = m, sampled, count, column
         self.low, self.high = _bracket(sample, (sample.size - 1) // 2)
         self.below, self.inside, self.sums, self.tops = 0, [], [], []
         self.piece, self.fill = np.empty(min(count, _PASS_CHUNK)), 0
         self.filled, self.counts, self.result = 0, np.zeros(3, np.int64), None
 
-    def add(self, d, d_orig, bound):
-        """Fold the next pairs: shrinkages ``d``, their original
-        distances ``d_orig`` and their bounds ``bound``; none of the three
-        arrays is changed."""
-        slack = self.tol * d_orig
-        self.add_limits(d, -slack, bound + slack)
-
-    def add_limits(self, d, low, high):
+    def add(self, d, low, high):
         """Fold the next pairs: shrinkages ``d``, each of which violates
         the guarantees below ``low`` (-slack) or above ``high`` (its bound
-        plus slack). The sweep makes the slack once a step for all levels."""
+        plus slack), the slack being the violation tolerance times the
+        pair's original distance; none of the three arrays is changed."""
         self.filled += d.size
-        negative = d < low
-        over = d > high
+        negative, over = d < low, d > high
         violating = np.count_nonzero(negative | over)
         if violating:
             self.counts += [np.count_nonzero(negative), np.count_nonzero(over), violating]
@@ -468,22 +435,22 @@ def _columns(Xt, Yt, ms, pairs):
     return columns
 
 
-def _folds(Xt, Yt, levels, pairs, tol):
-    """One _Summary over ``pairs`` per level of the ascending ``levels``,
-    at violation tolerance ``tol``: the samples of every level are
-    computed first, in one pass over every _STRIDE-th pair, and a level's
-    whole column only if its bracket misses."""
+def _folds(Xt, Yt, levels, pairs):
+    """One _Summary over ``pairs`` per level of the ascending ``levels``:
+    the samples of every level are computed first, in one pass over every
+    _STRIDE-th pair, and a level's whole column only if its bracket
+    misses."""
     samples = _columns(Xt, Yt, levels, pairs.stride())
-    return [_Summary(m, pairs.sampled, pairs.count, tol, sample,
+    return [_Summary(m, pairs.sampled, pairs.count, sample,
                      lambda m=m: _columns(Xt, Yt, [m], pairs)[0])
             for m, sample in zip(levels, samples)]
 
 
 def shrinkage_summaries(model, data, ms, *, pair_sample=None, seed=0):
     """An iterator of one ShrinkageSummary per retained dimension in
-    ``ms``, for the sweep, with the bits of ``shrinkage_table(...).summary()``
-    and no table. The call checks every argument (see shrinkage_table)
-    and does all the work: it computes the pair list and the full
+    ``ms``, for the sweep, with the bits of each level's shrinkage_blocks
+    summary at VIOLATION_TOL. The call checks every argument (see
+    shrinkage_blocks) and does all the work: it computes the pair list and the full
     transform once, then every level in one pass over the pairs.
 
     The shrinkages of the median's sample, every _STRIDE-th pair, come
@@ -496,75 +463,68 @@ def shrinkage_summaries(model, data, ms, *, pair_sample=None, seed=0):
     the first pass of its median as the step goes by (see _Summary),
     against a slack made once a step for every level. No pair column is
     held: a level's own column is built only if its bracket misses the
-    median. ``ms`` may come in any order and repeat,
-    and each value gets the summary of its level; an empty ``ms``
-    computes no distance."""
+    median. ``ms`` may come in any order and repeat, each value getting
+    its level's summary; an empty ``ms`` computes no distance."""
     Xt, Yt, ms, pairs, errors = _pair_pass(model, data, ms, pair_sample, seed)
     levels = sorted(set(ms))
     if not levels:
         return iter([])
-    folds = _folds(Xt, Yt, levels, pairs, VIOLATION_TOL)
+    folds = _folds(Xt, Yt, levels, pairs)
     for step in pairs.steps(_SWEEP_STEPS):
-        low = None
         for fold, (d_orig, d_trunc) in zip(folds, _distances(Xt, Yt, levels, step)):
-            if low is None:
+            if fold is folds[0]:
                 slack = VIOLATION_TOL * d_orig
                 low = -slack
             # each level's d_trunc and bound are new arrays of its own
             high = _pairwise(np.add, errors[fold.m], step)
             high += slack
-            fold.add_limits(np.subtract(d_orig, d_trunc, out=d_trunc), low, high)
+            fold.add(np.subtract(d_orig, d_trunc, out=d_trunc), low, high)
     done = {fold.m: fold.summary() for fold in folds}
     return iter([done[m] for m in ms])
 
 
 def shrinkage_blocks(model, data, m=None, *, pair_sample=None, seed=0,
                      violation_tol=VIOLATION_TOL):
-    """Level m's pairs a block at a time: returns ``(blocks, summary)``.
-    analyze makes its one pass here for every output, rendering each
-    block to the pair CSV or only draining the blocks.
-
-    The call checks every argument first (see shrinkage_table and
-    check_violation_tol), before it transforms, then computes the
-    median's sample, every _STRIDE-th pair (see _folds). ``blocks``
-    iterates PairTable blocks with index columns, one per engine step;
-    together they hold the rows of shrinkage_table, in its order, and
-    each is folded into the summary as it goes by. Once ``blocks`` is
-    exhausted, the first ``summary()`` takes the mean, median and max and
-    returns their ShrinkageSummary, the same object at every later call:
-    a pair violates the guarantees when its shrinkage is below -slack or
-    above its bound plus slack, the slack being violation_tol times its
-    original distance; at full rank (bound 0) this is the isometry check.
-    No pair column is kept: only a bracket that misses the median has the
-    shrinkage column built again, by a second pass of the engine, and the
-    median read off it by one partition in place (see _centre).
-    """
-    check_violation_tol(violation_tol)
-    Xt, Yt, (m,), pairs, errors = _pair_pass(model, data, [m], pair_sample, seed)
-    fold, = _folds(Xt, Yt, [m], pairs, violation_tol)
-
-    def add(block):
-        fold.add(block.shrinkage, block.dist_original, block.recon_error)
-        return block
-
-    return (add(block) for _, _, block in _steps(pairs, Xt, Yt, m, errors[m])), fold.summary
-
-
-def shrinkage_table(model, data, m=None, *, pair_sample=None, seed=0):
-    """Per-pair distances before and after truncation at level m, as one
-    PairTable filled from the engine's blocks.
+    """Level m's pairs a block at a time: returns ``(blocks, summary)``,
+    the engine's one per-pair entry. analyze makes its one pass here,
+    rendering each block to the pair CSV or only draining the blocks; one
+    pair of points a, b is the one block of
+    ``shrinkage_blocks(model, np.stack([a, b]), m)``.
 
     ``pair_sample`` caps how many pairs are visited: None means
     PAIR_SAMPLE_DEFAULT, 0 forces all pairs, and a positive value
     requests that many sampled pairs; a request of at least the pair
-    count visits all pairs unsampled. A negative count or a negative
-    ``seed`` raises ValueError, whether or not pairs are sampled. The
-    engine runs in the calling thread.
+    count visits all pairs unsampled. A negative count or ``seed``, or a
+    non-finite ``violation_tol``, raises ValueError. Every argument is
+    checked at the call, before anything is transformed; the engine runs
+    in the calling thread. The call then computes the median's sample,
+    every _STRIDE-th pair (see _folds).
+
+    ``blocks`` iterates one PairTable per engine step, in pair-column
+    order, each bound the sum of the two points' reconstruction errors,
+    and folds each into the summary as it goes by. Once it is exhausted,
+    the first ``summary()`` returns the ShrinkageSummary, the same object
+    at every later call: a pair violates the guarantees when its
+    shrinkage is below -slack or above its bound plus slack, the slack
+    being violation_tol times its original distance, as in the sweep; at
+    full rank (bound 0) this is the isometry check. No pair column is
+    kept: a bracket that misses the median has the column built again by
+    a second pass of the engine (see _centre).
     """
+    check_violation_tol(violation_tol)
     Xt, Yt, (m,), pairs, errors = _pair_pass(model, data, [m], pair_sample, seed)
-    columns = {f.name: np.empty(pairs.count, dtype=np.int64 if f.name in ("i", "j") else float)
-               for f in fields(PairTable)[2:]}
-    for lo, hi, block in _steps(pairs, Xt, Yt, m, errors[m]):
-        for name, column in columns.items():
-            column[lo:hi] = getattr(block, name)
-    return PairTable(m=m, sampled=pairs.sampled, **columns)
+    fold, = _folds(Xt, Yt, [m], pairs)
+    ids = np.arange(pairs.n_samples, dtype=np.int64)
+
+    def blocks():
+        for step in pairs.steps():
+            (d_o, d_t), = _distances(Xt, Yt, [m], step)
+            shrink, slack = d_o - d_t, violation_tol * d_o
+            bound = _pairwise(np.add, errors[m], step)
+            fold.add(shrink, -slack, bound + slack)
+            # every pair joins i < j, so i is the smaller of its two indices
+            yield PairTable(m=m, sampled=pairs.sampled, i=_pairwise(np.minimum, ids, step),
+                            j=_pairwise(np.maximum, ids, step), dist_original=d_o,
+                            dist_truncated=d_t, shrinkage=shrink, recon_error=bound)
+
+    return blocks(), fold.summary

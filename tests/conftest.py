@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from pcashrink import cli, fit
+from pcashrink import PairTable, cli, fit, shrinkage_blocks
 from pcashrink.serialize import f17
 
 
@@ -28,6 +30,17 @@ def write_dataset_csv(path, dataset):
                             for row, label in zip(dataset.features, dataset.labels)),
                     encoding="utf-8")
     return path
+
+
+def drained_table(model, data, m=None, **options):
+    """Level m's pairs through shrinkage_blocks, drained: returns the
+    blocks joined into one PairTable of whole columns, and the level's
+    summary."""
+    blocks, summary = shrinkage_blocks(model, data, m, **options)
+    blocks = list(blocks)
+    columns = {field.name: np.concatenate([getattr(block, field.name) for block in blocks])
+               for field in dataclasses.fields(PairTable)[2:]}
+    return PairTable(m=blocks[0].m, sampled=blocks[0].sampled, **columns), summary()
 
 
 @pytest.fixture(scope="session")

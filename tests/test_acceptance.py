@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_dataset, write_dataset_csv
+from conftest import drained_table, random_dataset, write_dataset_csv
 from pcashrink import (
     FullRankInjectiveError,
     collision_witness,
@@ -23,7 +23,6 @@ from pcashrink import (
     jacobi_eigendecomposition,
     reconstruct,
     run_sweep,
-    shrinkage_table,
     transform,
 )
 from pcashrink.cli import main
@@ -124,12 +123,11 @@ def test_criterion_3_shrinkage_bounded_by_reconstruction_error(corpus):
     slack_worst = 0.0
     for X, model in fitted:
         m = int(rng.integers(1, model.n_features + 1))
-        table = shrinkage_table(model, X, m)
+        table, stats = drained_table(model, X, m)
         assert np.all(table.shrinkage >= -1e-9), "negative shrinkage"
         assert np.all(table.shrinkage <= table.recon_error + 1e-9), (
             "shrinkage exceeded the reconstruction bound"
         )
-        stats = table.summary()
         assert stats.negative_count == 0 and stats.bound_violations == 0
         slack_worst = max(slack_worst, float(np.max(table.shrinkage - table.recon_error)))
     elapsed = build + time.perf_counter() - start

@@ -505,6 +505,29 @@ class TestSweep:
                                "pca-shrink: wrote out.json\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("analyze", "--m", "1", "--output", "out.csv"),
+     "[insufficient-pairs] need at least two samples to form a pair"),
+    (("sweep", "--m-range", "1..2", "--output", "out"),
+     "[degenerate-labels] m=1: need at least two distinct classes"),
+], ids=["analyze", "sweep"])
+def test_one_row_is_refused_before_the_fit(tmp_path, argv, message):
+    """One data row forms no pair and has one class, so the command is
+    refused before it fits: the fit's single-sample warning, which
+    Python's default warning filters print, never shows."""
+    data = tmp_path / "one.csv"
+    data.write_text("1.0,2.0,a\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcashrink", *argv, "--input", str(data)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert (proc.stdout, proc.stderr) == ("", "pca-shrink: %s\n" % message)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv"]
+
+
 class TestConfigAndSeed:
     def test_config_supplies_defaults_flags_win(self, data_csv, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -1,7 +1,7 @@
 """Every demo script runs to completion and prints something, and the
 README's library quickstart and command-line block run as written.
 
-The demos use the collision witness, the pair table and the report
+The demos use the collision witness, the pair blocks and the report
 renderers the way a library user would, outside the CLI, so each one
 runs here in a fresh interpreter against the source tree."""
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import write_dataset_csv
+from conftest import drained_table, write_dataset_csv
 from pcashrink import (
     BadFoldsError,
     DatasetIOError,
@@ -25,7 +25,6 @@ from pcashrink import (
     knn_accuracy,
     load_csv,
     run_sweep,
-    shrinkage_table,
 )
 from pcashrink import experiments, shrinkage
 from pcashrink.experiments import SweepResult, SweepRow, _knn_predict, _stratified_folds
@@ -383,7 +382,7 @@ class TestRunSweep:
         for pair_sample in (None, 300):
             result = run_sweep(ds, m_range=(1, 4), seed=4, folds=3, pair_sample=pair_sample)
             stats = [
-                shrinkage_table(model, ds.features, m, pair_sample=pair_sample, seed=4).summary()
+                drained_table(model, ds.features, m, pair_sample=pair_sample, seed=4)[1]
                 for m in range(1, 5)
             ]
             assert [

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import write_dataset_csv
+from conftest import drained_table, write_dataset_csv
 from pcashrink import fit, shrinkage
 from pcashrink.cli import main
 from pcashrink.experiments import anisotropic_gaussian
-from pcashrink.shrinkage import shrinkage_blocks, shrinkage_table
+from pcashrink.shrinkage import shrinkage_blocks
 
 
 def sixty_rows():
@@ -21,7 +21,7 @@ def sixty_rows():
 @pytest.mark.parametrize("scale", [1.0, 1e6])
 def test_full_rank_recon_error_is_exactly_zero(scale):
     X = sixty_rows().features * scale
-    table = shrinkage_table(fit(X), X, 4)
+    table, _ = drained_table(fit(X), X, 4)
     assert np.all(table.recon_error == 0.0)
 
 
@@ -35,7 +35,7 @@ def test_recon_error_matches_lapack_tail_norm():
     coords = centred @ vectors[:, ::-1]
     model = fit(X)
     for m in range(1, n):
-        table = shrinkage_table(model, X, m)
+        table, _ = drained_table(model, X, m)
         tail = np.sqrt(np.sum(coords[:, m:] ** 2, axis=1))
         assert_allclose(table.recon_error, tail[table.i] + tail[table.j], rtol=1e-10, atol=0,
                         err_msg="m=%d" % m)
@@ -58,7 +58,7 @@ def test_violating_pairs_counts_each_pair_once():
     X = sixty_rows().features
     model = fit(X)
     for m in (1, 2, 3, 4):
-        table = shrinkage_table(model, X, m)
+        table, _ = drained_table(model, X, m)
         for tol in (-1.0, -1e-3, 0.0, 1e-9):
             stats = _summary_at(model, X, m, tol)
             assert stats.violating_pairs == _distinct_violations(
@@ -111,5 +111,5 @@ def test_automatic_pair_rule(monkeypatch, n_samples, pairs, sampled):
     monkeypatch.setattr(shrinkage, "_choose_pairs", spy)
     X = np.arange(float(n_samples))[:, None]
     with pytest.raises(_Stop):
-        shrinkage_table(fit(X), X, 1)
+        shrinkage_blocks(fit(X), X, 1)
     assert seen == {"pairs": pairs, "sampled": sampled}

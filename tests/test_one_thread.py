@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import write_dataset_csv
-from pcashrink import fit, shrinkage_table
+from conftest import drained_table, write_dataset_csv
+from pcashrink import fit
 from pcashrink.cli import main
 from pcashrink.experiments import anisotropic_gaussian, run_sweep
 
@@ -30,8 +30,8 @@ def no_thread_starts(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", refuse)
 
 
-def test_shrinkage_table_starts_no_thread():
-    table = shrinkage_table(fit(DATA.features), DATA.features, 2)
+def test_shrinkage_blocks_start_no_thread():
+    table, _ = drained_table(fit(DATA.features), DATA.features, 2)
     assert table.i.size == 300 * 299 // 2
 
 

@@ -2,9 +2,9 @@
 of the sweep and of analyze. All pairs go in row blocks (row r's pairs
 as ``Z[r+1:] - Z[r]``), sampled pairs by index gathers; both must give
 the bits of the one distance rule, squared coordinate differences added
-in column order. Each summary path must give the bits of
-``PairTable.summary`` without a table. Sampled pairs are drawn in int64
-and held in the smallest index type."""
+in column order. The sweep's summaries must give the bits of analyze's
+blocks, drained. Sampled pairs are drawn in int64 and held in the
+smallest index type."""
 
 import dataclasses
 import math
@@ -13,13 +13,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import drained_table
 from pcashrink import (
     experiments,
     fit,
     shrinkage,
     shrinkage_blocks,
     shrinkage_summaries,
-    shrinkage_table,
     transform,
 )
 
@@ -65,8 +65,8 @@ def test_row_blocks_match_gathers_bit_for_bit(monkeypatch, chunk, n_samples, n_f
     i, j = (v.astype(np.int64) for v in np.triu_indices(n_samples, k=1))
     rows = shrinkage._Pairs(n_samples, None)
     gathers = shrinkage._Pairs(n_samples, (i, j))
-    # the table builds its index columns a step at a time
-    table = shrinkage_table(model, X, 1)
+    # the blocks build their index columns a step at a time
+    table, _ = drained_table(model, X, 1)
     assert table.i.dtype == table.j.dtype == np.int64
     assert np.array_equal(table.i, i) and np.array_equal(table.j, j)
     # the engine reads a contiguous copy for all pairs and a transposed view for
@@ -76,9 +76,9 @@ def test_row_blocks_match_gathers_bit_for_bit(monkeypatch, chunk, n_samples, n_f
         for Zt in (np.ascontiguousarray(Z.T), Z.T):
             assert _column(Zt, rows).tobytes() == expected
             assert _column(Zt, gathers).tobytes() == expected
-    # the table's level m reads the first m rows of the feature-major transform
+    # the blocks' level m reads the first m rows of the feature-major transform
     for m in range(1, n_features + 1):
-        table = shrinkage_table(model, X, m)
+        table, _ = drained_table(model, X, m)
         assert table.dist_original.tobytes() == _gathered(X, i, j).tobytes()
         assert table.dist_truncated.tobytes() == _gathered(Y[:, :m], i, j).tobytes()
 
@@ -105,10 +105,11 @@ def _flagged(table, tol):
 @pytest.mark.parametrize("tol", [shrinkage.VIOLATION_TOL, -1e-3], ids=["default-tol", "flagging"])
 def test_summaries_match_table_summaries_bit_for_bit(monkeypatch, options, tol):
     """The sweep's summaries, several levels or one, and analyze's blocks
-    at ``tol`` against the table's summary. The flagging tolerance, which
-    only analyze's blocks take, makes the counts non-zero and spread
-    across steps, whose boundaries a small _CHUNK multiplies; its counts
-    are checked against the table's own columns."""
+    at ``tol`` against the drained blocks' summary at the default
+    tolerance. The flagging tolerance, which only analyze's blocks take,
+    makes the counts non-zero and spread across steps, whose boundaries a
+    small _CHUNK multiplies; its counts are checked against the joined
+    blocks' own columns."""
     monkeypatch.setattr(shrinkage, "_CHUNK", 64)
     X = _data(60, 6, seed=2)
     model = fit(X)
@@ -117,8 +118,8 @@ def test_summaries_match_table_summaries_bit_for_bit(monkeypatch, options, tol):
     assert [s.m for s in summaries] == list(levels)
     flagged = 0
     for m, got in zip(levels, summaries):
-        table = shrinkage_table(model, X, m, **options)
-        want = _hex_fields(table.summary())
+        table, table_summary = drained_table(model, X, m, **options)
+        want = _hex_fields(table_summary)
         counts = _flagged(table, shrinkage.VIOLATION_TOL)
         assert {name: want[name] for name in counts} == counts, "m=%d" % m
         assert _hex_fields(got) == want, "m=%d" % m
@@ -135,21 +136,24 @@ def test_summaries_match_table_summaries_bit_for_bit(monkeypatch, options, tol):
 
 
 def test_summary_leaves_the_shrinkage_column_unchanged():
-    # the median gathers copies; the analyze CSV writes this column afterwards
+    # the fold and the median gather copies; the analyze CSV writes each
+    # block's column after the block is folded
     X = _data(80, 4, seed=1)
-    table = shrinkage_table(fit(X), X, 2)
-    before = table.shrinkage.tobytes()
-    first = table.summary()
-    assert table.summary() == first
-    assert table.shrinkage.tobytes() == before
+    blocks, summary = shrinkage_blocks(fit(X), X, 2)
+    blocks = list(blocks)
+    first = summary()
+    assert summary() == first
+    for block in blocks:
+        assert block.shrinkage.tobytes() == (block.dist_original - block.dist_truncated).tobytes()
 
 
 def _column_summary(values):
-    # the fold's summary, through the table summary that folds one block
-    d = np.array(values, dtype=float)
-    table = shrinkage.PairTable(m=1, sampled=False, i=None, j=None, dist_original=d,
-                                dist_truncated=d, shrinkage=d, recon_error=d)
-    return table.summary()
+    # the fold's summary of one block, no pair outside its limits; a float
+    # array is folded as it is, and its median reads a copy of it
+    d = np.asarray(values, dtype=float)
+    fold = shrinkage._Summary(1, False, d.size, d[::shrinkage._STRIDE], d.copy)
+    fold.add(d, d, d)
+    return fold.summary()
 
 
 _RNG = np.random.default_rng(11)
@@ -221,7 +225,7 @@ def test_truncated_distances_are_the_knn_distances(monkeypatch):
     for m, d2 in zip(levels, seen):
         squared = shrinkage._extend(np.zeros(i.size), Yt[:m], (0, i.size, [(i, j)]))
         assert squared.tobytes() == d2.ravel().tobytes(), m
-        table = shrinkage_table(model, X, m)
+        table, _ = drained_table(model, X, m)
         assert table.dist_truncated[position].tobytes() == np.sqrt(d2).ravel().tobytes(), m
 
 
@@ -240,13 +244,9 @@ def _assert_matches_reference(summary, reference):
 
 
 def _all_paths(model, X, levels):
-    """Each level's summary from the sweep, from analyze's blocks and
-    from the table."""
+    """Each level's summary from the sweep and from analyze's blocks."""
     for m, swept in zip(levels, shrinkage_summaries(model, X, levels)):
-        blocks, summary = shrinkage_blocks(model, X, m)
-        for _ in blocks:
-            pass
-        yield m, (swept, summary(), shrinkage_table(model, X, m).summary())
+        yield m, (swept, _drain(model, X, m))
 
 
 @pytest.mark.parametrize("n_samples", [300, 301])
@@ -303,8 +303,7 @@ def test_a_bracket_that_misses_is_widened(monkeypatch):
     """With no margin the bracket is the sample's median alone, which
     almost never is the column's: the median is read off the whole
     column, which the sweep and analyze's blocks build once for each level
-    that misses (a table copies its own), and every path still gives the
-    reference bits."""
+    that misses, and every path still gives the reference bits."""
     monkeypatch.setattr(shrinkage, "_MARGIN", 0.0)
     built = _builds(monkeypatch)
     X = _data(200, 5, seed=6)
@@ -328,19 +327,17 @@ def _one_sided_column(side, count, spread):
     sampled = np.arange(count) % 16 == 0
     d[sampled] = (10.0 + spread * rng.standard_normal(sampled.sum())) * (
         1.0 if side == "low" else -1.0)
-    return shrinkage.PairTable(m=1, sampled=False, i=None, j=None, dist_original=np.abs(d),
-                               dist_truncated=np.zeros(count), shrinkage=d,
-                               recon_error=np.zeros(count))
+    return d
 
 
 def _assert_one_sided_miss(monkeypatch, side, count, spread):
     monkeypatch.setattr(shrinkage, "_STRIDE", 16)
     reads = _column_reads(monkeypatch)
-    table = _one_sided_column(side, count, spread)
-    before = table.shrinkage.tobytes()
-    _assert_matches_reference(table.summary(), table.shrinkage)
+    column = _one_sided_column(side, count, spread)
+    before = column.tobytes()
+    _assert_matches_reference(_column_summary(column), column)
     assert reads == [count]
-    assert table.shrinkage.tobytes() == before
+    assert column.tobytes() == before
 
 
 @pytest.mark.parametrize("side", ["low", "high"])
@@ -349,7 +346,7 @@ def test_a_sample_that_misses_one_side_brackets_that_side(monkeypatch, side, cou
     """Every _STRIDE-th shrinkage, the sample, is among the column's
     largest (or smallest) values, so the bracket lies above (below) the
     median: the median is read off one copy of the column, and the
-    table's own column keeps its bytes."""
+    folded column keeps its bytes."""
     _assert_one_sided_miss(monkeypatch, side, count, 1.0)
 
 
@@ -358,8 +355,8 @@ def test_a_sample_that_misses_one_side_brackets_that_side(monkeypatch, side, cou
 def test_a_sample_that_misses_one_side_unbounds_that_side(monkeypatch, side, count):
     """Every _STRIDE-th shrinkage, the sample, is the column's largest (or
     smallest) value, so both of the bracket's ends are that one value:
-    the median is read off one copy of the column, and the table's own
-    column keeps its bytes."""
+    the median is read off one copy of the column, and the folded column
+    keeps its bytes."""
     _assert_one_sided_miss(monkeypatch, side, count, 0.0)
 
 
@@ -404,9 +401,9 @@ def test_a_sweep_level_whose_bracket_misses_builds_its_own_column(monkeypatch, p
                                                                   options):
     """The sweep's bracket for level 2 is the sample's largest value, far
     above the median, while the other levels get theirs: only level 2
-    builds a column, and every level keeps the bits of the table's
-    summary. Each level's sample is every _STRIDE-th shrinkage of the
-    table. Small pieces fill and straddle the sweep's steps."""
+    builds a column, and every level keeps the bits of the drained
+    blocks' summary. Each level's sample is every _STRIDE-th shrinkage of
+    the joined blocks. Small pieces fill and straddle the sweep's steps."""
     monkeypatch.setattr(shrinkage, "_CHUNK", 64)
     monkeypatch.setattr(shrinkage, "_PASS_CHUNK", pass_chunk)
     bracket, samples = shrinkage._bracket, []
@@ -427,9 +424,9 @@ def test_a_sweep_level_whose_bracket_misses_builds_its_own_column(monkeypatch, p
     assert built == [(list(levels), sample), ([2], count)]
     monkeypatch.setattr(shrinkage, "_bracket", bracket)
     for m, got, sample in zip(levels, summaries, samples):
-        table = shrinkage_table(model, X, m, **options)
+        table, want = drained_table(model, X, m, **options)
         assert sample.tobytes() == table.shrinkage[::shrinkage._STRIDE].tobytes(), "m=%d" % m
-        assert _hex_fields(got) == _hex_fields(table.summary()), "m=%d" % m
+        assert _hex_fields(got) == _hex_fields(want), "m=%d" % m
 
 
 def _drain(model, X, m, **options):
@@ -446,28 +443,6 @@ def test_drained_blocks_keep_no_pair_column():
     model = fit(X)
     pairs = 2400 * 2399 // 2
     assert _peak(lambda: _drain(model, X, 2, pair_sample=0)) < pairs * 8 / 4
-
-
-def test_a_table_summary_folds_in_slices():
-    """A 2,000,000-pair table's summary folds a _PASS_CHUNK slice at a
-    time: its temporaries stay under a quarter of one 8 B column, and it
-    has the bits of the table folded as one block."""
-    count = 2_000_000
-    rng = np.random.default_rng(12)
-    d = rng.random(count)
-    d[:10] = -1.0  # negative
-    bound = d + 0.5
-    bound[10:20] = 0.0  # over its bound
-    ids, orig = np.zeros(count, np.int64), d + 1.0
-    table = shrinkage.PairTable(m=3, sampled=True, i=ids, j=ids, dist_original=orig,
-                                dist_truncated=orig, shrinkage=d, recon_error=bound)
-    got = []
-    assert _peak(lambda: got.append(table.summary())) < count * 8 / 4
-    whole = shrinkage._Summary(3, True, count, shrinkage.VIOLATION_TOL,
-                               d[::shrinkage._STRIDE], d.copy)
-    whole.add(d, orig, bound)
-    assert _hex_fields(got[0]) == _hex_fields(whole.summary())
-    assert (got[0].negative_count, got[0].bound_violations) == (10, 10)
 
 
 # the sweep of _data(5000, 6, seed=11) at levels 1..3 over 1,000,000 pairs

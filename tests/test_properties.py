@@ -13,6 +13,7 @@ strict xfails of tests/test_scale.py, since a failing hypothesis test
 cannot report cleanly while warnings are errors."""
 
 import csv
+import dataclasses
 import math
 import tempfile
 from array import array
@@ -24,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import drained_table
 from pcashrink import (
     DatasetParseError,
     FullRankInjectiveError,
@@ -33,7 +35,7 @@ from pcashrink import (
     fit,
     load_csv,
     reconstruct,
-    shrinkage_table,
+    shrinkage_summaries,
     transform,
 )
 from pcashrink import experiments
@@ -70,7 +72,7 @@ def spread(X):
 
 
 def all_levels(model, X):
-    return ((m, shrinkage_table(model, X, m, pair_sample=0))
+    return ((m, drained_table(model, X, m, pair_sample=0)[0])
             for m in range(1, model.n_features + 1))
 
 
@@ -81,7 +83,7 @@ def test_full_rank_is_an_injective_isometry(X):
     keep distinct images, and no collision witness exists."""
     model = fit(X)
     slack = ROUNDOFF * spread(X)
-    table = shrinkage_table(model, X, model.n_features, pair_sample=0)
+    table, _ = drained_table(model, X, model.n_features, pair_sample=0)
     assert np.all(np.abs(table.dist_truncated - table.dist_original) <= slack)
     assert np.all(table.recon_error == 0)
     distinct = table.dist_original > 2 * slack
@@ -134,6 +136,24 @@ def test_eigsum_is_mse_and_pair_energy(X):
         energy = np.mean(table.shrinkage * (table.dist_original + table.dist_truncated))
         want = 2 * n_samples / (n_samples - 1) * float(np.sum(model.eigenvalues[m:]))
         assert abs(energy - want) <= slack, m
+
+
+@PROPERTY
+@given(datasets(), st.integers(-300, 300))
+def test_power_of_two_scaling_is_exact(X, k):
+    """2^k X fits to the same components, bit for bit, and to exactly
+    4^k times the eigenvalues; its pair summaries at every level are
+    exactly 2^k times the mean, median and max, with the same counts."""
+    model, scaled = fit(X), fit(np.ldexp(X, k))
+    assert scaled.components.tobytes() == model.components.tobytes()
+    assert scaled.eigenvalues.tobytes() == np.ldexp(model.eigenvalues, 2 * k).tobytes()
+    levels = range(1, model.n_features + 1)
+    for want, got in zip(shrinkage_summaries(model, X, levels),
+                         shrinkage_summaries(scaled, np.ldexp(X, k), levels), strict=True):
+        centre = [np.ldexp(want.mean, k), np.ldexp(want.median, k), np.ldexp(want.max, k)]
+        assert np.array(centre).tobytes() == np.array([got.mean, got.median, got.max]).tobytes()
+        unscaled = dict(mean=0.0, median=0.0, max=0.0)
+        assert dataclasses.replace(got, **unscaled) == dataclasses.replace(want, **unscaled)
 
 
 @PROPERTY

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import write_dataset_csv
+from conftest import drained_table, write_dataset_csv
 from pcashrink import (
     NonFiniteError,
     anisotropic_gaussian,
@@ -23,7 +23,7 @@ from pcashrink import (
     reconstruct,
     run_sweep,
     save_model,
-    shrinkage_table,
+    shrinkage_blocks,
 )
 from pcashrink.cli import main
 
@@ -66,7 +66,7 @@ def test_pair_energy_identity(c):
     n_samples, n = X.shape
     total = float(np.sum(model.eigenvalues))
     for m in range(1, n):
-        table = shrinkage_table(model, X, m, pair_sample=0)
+        table, _ = drained_table(model, X, m, pair_sample=0)
         assert not table.sampled
         energy = np.mean(table.shrinkage * (table.dist_original + table.dist_truncated))
         want = 2 * n_samples / (n_samples - 1) * float(np.sum(model.eigenvalues[m:]))
@@ -79,7 +79,7 @@ def test_full_rank_flags_no_pair(c):
     so full-rank roundoff, about 1e-15 of it, flags no pair at any scale."""
     X = BASE * c
     model = fit(X)
-    assert shrinkage_table(model, X, model.n_features).summary().violating_pairs == 0
+    assert drained_table(model, X, model.n_features)[1].violating_pairs == 0
 
 
 @pytest.mark.parametrize("k", [-600, 600])
@@ -109,7 +109,8 @@ def test_witness_collides_at_large_magnitudes(shift):
     X = shift(BASE)
     model = fit(X)
     for m in range(1, model.n_features):
-        pair = shrinkage_table(model, np.stack([X[0], collision_witness(model, X[0], m)]), m)
+        pair = next(shrinkage_blocks(model, np.stack([X[0], collision_witness(model, X[0], m)]),
+                                     m)[0])
         assert pair.dist_original[0] > 0, m
         assert pair.dist_truncated[0] <= 1e-9 * pair.dist_original[0], m
 

@@ -13,7 +13,6 @@ from pcashrink import (
     knn_accuracy,
     shrinkage_blocks,
     shrinkage_summaries,
-    shrinkage_table,
 )
 from pcashrink.cli import main
 
@@ -25,12 +24,10 @@ DATA = anisotropic_gaussian(40, (4.0, 1.0, 0.25), seed=5)
 def test_pair_engine_refuses_negative_seed(pair_sample):
     model = fit(DATA.features)
     with pytest.raises(ValueError) as exc:
-        shrinkage_table(model, DATA.features, 2, pair_sample=pair_sample, seed=-1)
+        shrinkage_blocks(model, DATA.features, 2, pair_sample=pair_sample, seed=-1)
     assert str(exc.value) == MESSAGE
     with pytest.raises(ValueError, match=MESSAGE):
         shrinkage_summaries(model, DATA.features, [1, 2], pair_sample=pair_sample, seed=-1)
-    with pytest.raises(ValueError, match=MESSAGE):
-        shrinkage_blocks(model, DATA.features, 2, pair_sample=pair_sample, seed=-1)
 
 
 def test_knn_accuracy_refuses_negative_seed():

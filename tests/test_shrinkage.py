@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import drained_table
 from pcashrink import (
     DimMismatchError,
     FullRankInjectiveError,
@@ -24,7 +25,6 @@ from pcashrink import (
     shrinkage,
     shrinkage_blocks,
     shrinkage_summaries,
-    shrinkage_table,
     transform,
 )
 
@@ -46,7 +46,7 @@ def three_point_model():
 
 class TestPairShrinkage:
     def test_frozen_oracle(self, three_point_model):
-        pair = shrinkage_table(three_point_model, THREE_POINTS[[0, 2]], 1)
+        pair = next(shrinkage_blocks(three_point_model, THREE_POINTS[[0, 2]], 1)[0])
         assert pair.dist_original[0] == 2.0
         assert_allclose(pair.dist_truncated[0], PAIR_02_TRUNCATED, atol=1e-12)
         assert_allclose(pair.shrinkage[0], PAIR_02_SHRINKAGE, atol=1e-12)
@@ -54,27 +54,27 @@ class TestPairShrinkage:
         assert (pair.i.tolist(), pair.j.tolist(), pair.m) == ([0], [1], 1)
 
     def test_full_rank_pair_keeps_distance(self, three_point_model):
-        pair = shrinkage_table(three_point_model, THREE_POINTS[[0, 1]], 2)
+        pair = next(shrinkage_blocks(three_point_model, THREE_POINTS[[0, 1]], 2)[0])
         assert_allclose(pair.dist_truncated[0], pair.dist_original[0], rtol=1e-12)
         assert abs(pair.shrinkage[0]) <= 1e-12
 
     def test_reconstruction_error_oracle(self, three_point_model):
-        got = shrinkage_table(three_point_model, THREE_POINTS[[0, 2]], 1).recon_error[0]
+        got = next(shrinkage_blocks(three_point_model, THREE_POINTS[[0, 2]], 1)[0]).recon_error[0]
         assert_allclose(got, np.sqrt(2.0), atol=1e-12)
 
     def test_mean_shrinkage_oracle(self, three_point_model):
-        got = shrinkage_table(three_point_model, THREE_POINTS, 1).summary().mean
+        got = drained_table(three_point_model, THREE_POINTS, 1)[1].mean
         assert_allclose(got, MEAN_SHRINKAGE_M1, atol=1e-12)
         assert_allclose(got, (4.0 - 2.0 * np.sqrt(2.0)) / 3.0, atol=1e-12)
 
     def test_mismatched_vectors_raise_dim_mismatch(self, three_point_model):
         # a 3-feature pair for a 2-feature model
         with pytest.raises(DimMismatchError):
-            shrinkage_table(three_point_model, [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], 1)
+            shrinkage_blocks(three_point_model, [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], 1)
 
     def test_single_point_has_no_pairs(self, three_point_model):
         with pytest.raises(InsufficientPairsError):
-            shrinkage_table(three_point_model, THREE_POINTS[:1], 1).summary()
+            drained_table(three_point_model, THREE_POINTS[:1], 1)
 
 
 class TestCollisionWitness:
@@ -97,11 +97,11 @@ class TestPairEngine:
     def test_table_matches_per_pair_calls(self, small_corpus):
         X, model = small_corpus[0]
         m = max(1, model.n_features - 1)
-        table = shrinkage_table(model, X, m)
+        table, _ = drained_table(model, X, m)
         assert table.i.size == X.shape[0] * (X.shape[0] - 1) // 2
         for k in range(0, table.i.size, 7):
             i, j = int(table.i[k]), int(table.j[k])
-            pair = shrinkage_table(model, X[[i, j]], m)
+            pair = next(shrinkage_blocks(model, X[[i, j]], m)[0])
             assert_allclose(table.dist_original[k], pair.dist_original[0], rtol=1e-12)
             assert_allclose(table.dist_truncated[k], pair.dist_truncated[0],
                             rtol=1e-12, atol=1e-12)
@@ -109,13 +109,13 @@ class TestPairEngine:
             assert_allclose(table.recon_error[k], pair.recon_error[0], rtol=1e-12, atol=1e-12)
 
     def test_records_round_trip(self, three_point_model):
-        table = shrinkage_table(three_point_model, THREE_POINTS, 1)
+        table, _ = drained_table(three_point_model, THREE_POINTS, 1)
         assert list(zip(table.i.tolist(), table.j.tolist())) == [(0, 1), (0, 2), (1, 2)]
         assert table.m == 1
         assert_allclose(table.shrinkage[1], PAIR_02_SHRINKAGE, atol=1e-12)
 
     def test_summary_statistics(self, three_point_model):
-        stats = shrinkage_table(three_point_model, THREE_POINTS, 1).summary()
+        _, stats = drained_table(three_point_model, THREE_POINTS, 1)
         assert stats.pair_count == 3
         assert not stats.sampled
         assert_allclose(stats.mean, MEAN_SHRINKAGE_M1, atol=1e-12)
@@ -142,9 +142,8 @@ class TestPairEngine:
         rng = np.random.default_rng(44)
         X = rng.standard_normal((40, 3))
         model = fit(X)
-        a = shrinkage_table(model, X, 2, pair_sample=100, seed=9)
-        b = shrinkage_table(model, X, 2, pair_sample=100, seed=9)
-        c = shrinkage_table(model, X, 2, pair_sample=100, seed=10)
+        a, b, c = (drained_table(model, X, 2, pair_sample=100, seed=seed)[0]
+                   for seed in (9, 9, 10))
         assert a.sampled and a.i.size == 100
         assert np.all(a.i < a.j), "self-pairs or unsorted indices"
         assert np.array_equal(a.i, b.i) and np.array_equal(a.shrinkage, b.shrinkage)
@@ -154,7 +153,7 @@ class TestPairEngine:
         rng = np.random.default_rng(44)
         X = rng.standard_normal((25, 3))
         model = fit(X)
-        table = shrinkage_table(model, X, 2, pair_sample=0)
+        table, _ = drained_table(model, X, 2, pair_sample=0)
         assert not table.sampled
         assert table.i.size == 25 * 24 // 2
 
@@ -164,13 +163,13 @@ class TestPairEngine:
         X = np.random.default_rng(44).standard_normal((50, 3))
         model = fit(X)
         with pytest.raises(ValueError, match="got %d" % pair_sample):
-            shrinkage_table(model, X, 2, pair_sample=pair_sample)
+            shrinkage_blocks(model, X, 2, pair_sample=pair_sample)
         with pytest.raises(ValueError, match="pair sample"):
             shrinkage_summaries(model, X, [1, 2], pair_sample=pair_sample)
 
     def test_feature_mismatch(self, three_point_model):
         with pytest.raises(DimMismatchError):
-            shrinkage_table(three_point_model, np.ones((4, 3)), 1)
+            shrinkage_blocks(three_point_model, np.ones((4, 3)), 1)
 
     def test_tables_match_single_level_calls(self, monkeypatch):
         # every level's blocks are collected before any comparison, so a
@@ -187,7 +186,7 @@ class TestPairEngine:
             blocks = [list(level_blocks) for level_blocks, _ in passes]
             summaries = list(shrinkage_summaries(model, X, levels, **options))
             for m, level_blocks, (_, summary), joint in zip(levels, blocks, passes, summaries):
-                single = shrinkage_table(model, X, m, **options)
+                single, single_summary = drained_table(model, X, m, **options)
                 assert (single.m, single.sampled) == (m, "pair_sample" in options)
                 for block in level_blocks:
                     assert (block.m, block.sampled) == (single.m, single.sampled)
@@ -195,7 +194,7 @@ class TestPairEngine:
                     got = np.concatenate([getattr(b, name) for b in level_blocks])
                     assert got.dtype == getattr(single, name).dtype, name
                     assert np.array_equal(got, getattr(single, name)), name
-                assert summary() == joint == single.summary()
+                assert summary() == joint == single_summary
 
     def test_block_summary_needs_every_block(self, three_point_model):
         blocks, summary = shrinkage_blocks(three_point_model, THREE_POINTS, 1)
@@ -275,8 +274,6 @@ class TestPairEngine:
         monkeypatch.setattr(shrinkage, "transform", no_transform)
         data = THREE_POINTS if data is None else data
         with pytest.raises(error):
-            shrinkage_table(three_point_model, data, ms[0], **options)
-        with pytest.raises(error):
             shrinkage_blocks(three_point_model, data, ms[0], **options)
         with pytest.raises(error):
             shrinkage_summaries(three_point_model, data, ms, **options)
@@ -287,10 +284,11 @@ class TestPairEngine:
         monkeypatch.setattr(shrinkage, "_CHUNK", 5)
         X = np.random.default_rng(1).standard_normal((9, 3))
         model = fit(X)
-        table = shrinkage_table(model, X, 2, pair_sample=pair_sample)
-        Xt, Yt, (m,), pairs, errors = shrinkage._pair_pass(model, X, [2], pair_sample, 0)
+        table, _ = drained_table(model, X, 2, pair_sample=pair_sample)
+        pairs = shrinkage._choose_pairs(9, pair_sample, 0)
+        blocks, _ = shrinkage_blocks(model, X, 2, pair_sample=pair_sample)
         end = 0
-        for lo, hi, block in shrinkage._steps(pairs, Xt, Yt, m, errors[m]):
+        for (lo, hi, _), block in zip(pairs.steps(), blocks, strict=True):
             assert lo == end < hi
             assert block.i.size == block.shrinkage.size == hi - lo
             assert np.array_equal(block.i, table.i[lo:hi])
@@ -314,7 +312,7 @@ class TestPairEngine:
         model = PcaModel(mean=[0.0], eigenvalues=[1.0], components=[[1.0]])
         for pair_sample in (0, 30_000_000):
             with pytest.raises(TooManyPairsError) as info:
-                shrinkage_table(model, X, 1, pair_sample=pair_sample)
+                shrinkage_blocks(model, X, 1, pair_sample=pair_sample)
             assert info.value.code == "too-many-pairs"
             assert info.value.exit_status == 3
 
